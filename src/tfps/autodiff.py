@@ -154,9 +154,15 @@ def parameter(data) -> Tensor:
 
 
 def _accumulate(t: Tensor, g: np.ndarray) -> None:
+    """Add `g` into `t.grad`. An interior node's gradient is read only by its
+    own backward closure, so it may alias `g`; a leaf gets its own copy, since
+    `g` can be a view that another parent's gradient shares."""
     if not t.requires_grad:
         return
-    t.grad = g.copy() if t.grad is None else t.grad + g
+    if t.grad is not None:
+        t.grad = t.grad + g
+    else:
+        t.grad = g if t._backward is not None else g.copy()
 
 
 def _unbroadcast(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
@@ -228,9 +234,21 @@ def power(a, exponent: float) -> Tensor:
 
 
 def matmul(a, b) -> Tensor:
+    """Batched matmul. A 2-D right operand (a weight) runs as one flat GEMM
+    over all leading axes of `a`, so its gradient is a single (D_in, D_out)
+    product instead of a broadcast stack summed afterwards."""
     a, b = as_tensor(a), as_tensor(b)
     if a.ndim < 2 or b.ndim < 2:
         raise ValueError("matmul operands must have ndim >= 2")
+    if b.ndim == 2:
+        a2 = a.data.reshape(-1, a.data.shape[-1])
+
+        def backward(g):
+            g2 = g.reshape(-1, g.shape[-1])
+            _accumulate(a, (g2 @ b.data.T).reshape(a.data.shape))
+            _accumulate(b, a2.T @ g2)
+
+        return make_op((a2 @ b.data).reshape(a.data.shape[:-1] + b.data.shape[-1:]), (a, b), backward)
 
     def backward(g):
         _accumulate(a, _unbroadcast(g @ b.data.swapaxes(-1, -2), a.data.shape))
@@ -372,13 +390,17 @@ def softmax(a, axis: int = -1) -> Tensor:
 
 
 def index_rows(a, rows: np.ndarray) -> Tensor:
-    """Select rows along axis 0; adjoint scatter-adds them back."""
+    """Select rows along axis 0; adjoint writes them back into zeros. Rows
+    must be strictly increasing (as `np.nonzero` returns them), so no row
+    repeats and plain assignment is the exact adjoint."""
     a = as_tensor(a)
     rows = np.asarray(rows, dtype=np.intp)
+    if rows.ndim != 1 or np.any(np.diff(rows) <= 0):
+        raise ValueError("index_rows needs strictly increasing 1-D rows")
 
     def backward(g):
         full = np.zeros_like(a.data)
-        np.add.at(full, rows, g)
+        full[rows] = g
         _accumulate(a, full)
 
     return make_op(a.data[rows], (a,), backward)

@@ -142,9 +142,3 @@ def encode(
         ff = _dropout(feed_forward(x, p), dropout if training else 0.0, rng)
         x = _norm(x + ff, p.norm2_scale, p.norm2_shift, norm, p.bn2_stats, training)
     return x
-
-
-def fourier_sublayer(tokens: Tensor | np.ndarray) -> Tensor:
-    """Parameter-free frequency mixer: real part of the 2-D DFT over the
-    (patch, hidden) axes."""
-    return fourier_mix(tokens)

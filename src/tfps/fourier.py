@@ -1,10 +1,6 @@
-"""Discrete Fourier transforms for the frequency branch and the drift analyzer.
-
-Power-of-two lengths go through an iterative radix-2 Cooley-Tukey kernel,
-vectorized over all leading axes; every other length falls back to a cached
-DFT-matrix multiply, which is exact and fast enough at the patch counts this
-package works with. Sign convention: forward uses exp(-2*pi*i*jk/n), inverse
-divides by n, matching the usual numeric-library convention.
+"""Discrete Fourier transforms for the frequency branch and the drift analyzer,
+all computed with `np.fft`. Sign convention: forward uses exp(-2*pi*i*jk/n),
+inverse divides by n.
 
 The two tape ops at the bottom exploit that for a *real* input x and the
 symmetric transform matrix F, d Re(Fx)/dx = Re(F); the adjoint of each mixer
@@ -13,92 +9,26 @@ is therefore the mixer itself applied to the incoming gradient.
 
 from __future__ import annotations
 
-import functools
-
 import numpy as np
 
 from .autodiff import Tensor, as_tensor, make_op, _accumulate
 
 
-@functools.lru_cache(maxsize=64)
-def _bit_reversal(n: int) -> np.ndarray:
-    bits = n.bit_length() - 1
-    idx = np.arange(n, dtype=np.intp)
-    rev = np.zeros(n, dtype=np.intp)
-    for _ in range(bits):
-        rev = (rev << 1) | (idx & 1)
-        idx >>= 1
-    return rev
-
-
-@functools.lru_cache(maxsize=64)
-def _twiddles(half: int, sign: float) -> np.ndarray:
-    return np.exp(sign * 2j * np.pi * np.arange(half) / (2 * half))
-
-
-@functools.lru_cache(maxsize=64)
-def _dft_matrix(n: int, sign: float) -> np.ndarray:
-    jk = np.outer(np.arange(n), np.arange(n))
-    return np.exp(sign * 2j * np.pi * jk / n)
-
-
-def _radix2(x: np.ndarray, sign: float) -> np.ndarray:
-    """Iterative decimation-in-time FFT along the last axis (length 2**m)."""
-    n = x.shape[-1]
-    y = x[..., _bit_reversal(n)].astype(np.complex128)
-    m = 1
-    while m < n:
-        tw = _twiddles(m, sign)
-        y = y.reshape(x.shape[:-1] + (n // (2 * m), 2, m))
-        even = y[..., 0, :]
-        odd = y[..., 1, :] * tw
-        y = np.concatenate([even + odd, even - odd], axis=-1)
-        m *= 2
-    return y.reshape(x.shape)
-
-
-def fft1(x: np.ndarray, axis: int = -1) -> np.ndarray:
-    """Unnormalized forward DFT along one axis."""
-    x = np.asarray(x)
-    n = x.shape[axis]
-    moved = np.moveaxis(x, axis, -1)
-    if n >= 2 and (n & (n - 1)) == 0:
-        out = _radix2(moved, -1.0)
-    else:
-        out = moved.astype(np.complex128) @ _dft_matrix(n, -1.0)
-    return np.moveaxis(out, -1, axis)
-
-
-def ifft1(x: np.ndarray, axis: int = -1) -> np.ndarray:
-    """Inverse DFT along one axis (1/n normalization)."""
-    x = np.asarray(x)
-    n = x.shape[axis]
-    moved = np.moveaxis(x, axis, -1)
-    if n >= 2 and (n & (n - 1)) == 0:
-        out = _radix2(moved, 1.0) / n
-    else:
-        out = moved.astype(np.complex128) @ _dft_matrix(n, 1.0) / n
-    return np.moveaxis(out, -1, axis)
-
-
 def fft2_real(x: np.ndarray) -> np.ndarray:
-    """Real part of the 2-D DFT over the last two axes, taken as successive
-    1-D transforms: hidden axis first, then the patch axis."""
-    return fft1(fft1(x, axis=-1), axis=-2).real
+    """Real part of the 2-D DFT over the last two (patch, hidden) axes."""
+    return np.fft.fft2(x).real
 
 
 def ifft2_real(x: np.ndarray) -> np.ndarray:
     """Real part of the inverse 2-D DFT over the last two axes."""
-    return ifft1(ifft1(x, axis=-1), axis=-2).real
+    return np.fft.ifft2(x).real
 
 
 def amplitude_spectrum(x: np.ndarray) -> np.ndarray:
     """One-sided magnitude spectrum of a real signal along the last axis;
     output length is n//2 + 1 (unnormalized, so a constant c maps to c*n at
     the zero bin)."""
-    x = np.asarray(x, dtype=np.float64)
-    n = x.shape[-1]
-    return np.abs(fft1(x, axis=-1)[..., : n // 2 + 1])
+    return np.abs(np.fft.rfft(np.asarray(x, dtype=np.float64)))
 
 
 # -- tape ops ------------------------------------------------------------------

@@ -42,13 +42,20 @@ class TestPrimitives:
         rng = np.random.default_rng(2)
         a = ad.parameter(rng.normal(size=(2, 3, 4)))
         w = ad.parameter(rng.normal(size=(4, 5)))
+        probe = rng.normal(size=(2, 3, 5))  # non-uniform seed for the flat weight path
 
         def f():
-            return float((ad.Tensor(a.data) @ ad.Tensor(w.data)).sum().data)
+            return float(((ad.Tensor(a.data) @ ad.Tensor(w.data)) * probe).sum().data)
 
-        (a @ w).sum().backward()
+        ((a @ w) * probe).sum().backward()
         assert rel_err(a.grad, numeric_grad(f, a.data)) < 1e-6
         assert rel_err(w.grad, numeric_grad(f, w.data)) < 1e-6
+
+    def test_index_rows_rejects_repeated_or_unsorted_rows(self):
+        p = ad.parameter(np.ones((4, 2)))
+        for rows in ([0, 0, 1], [2, 1], [[0, 1]]):
+            with pytest.raises(ValueError):
+                ad.index_rows(p, np.array(rows))
 
     def test_unary_ops(self):
         check_unary(ad.exp)
@@ -124,6 +131,12 @@ class TestTape:
         y = (p * p).sum() + (p * 4.0).sum()
         y.backward()
         np.testing.assert_allclose(p.grad, 2 * p.data + 4.0)
+
+    def test_leaf_grads_do_not_share_memory(self):
+        a = ad.parameter(np.array([1.0, 2.0]))
+        b = ad.parameter(np.array([3.0, 4.0]))
+        (a + b).sum().backward()
+        assert not np.shares_memory(a.grad, b.grad)
 
     def test_diamond_graph(self):
         p = ad.parameter(np.array([1.5]))

@@ -1,36 +1,11 @@
-"""Transform correctness: naive-DFT equivalence, roundtrips, and the
-self-adjoint property of the real mixers."""
+"""Transform correctness: naive-DFT equivalence and the self-adjoint property
+of the real mixers."""
 
 import numpy as np
 
-from helpers import naive_dft, naive_dft2_real, naive_idft, naive_idft2_real, numeric_grad, rel_err
+from helpers import naive_dft2_real, naive_idft2_real, numeric_grad, rel_err
 from tfps import autodiff as ad
 from tfps import fourier
-
-
-class TestOneDimensional:
-    def test_matches_naive_dft_small_sizes(self):
-        rng = np.random.default_rng(0)
-        for n in range(1, 17):
-            x = rng.normal(size=n) + 1j * rng.normal(size=n)
-            np.testing.assert_allclose(fourier.fft1(x), naive_dft(x), atol=1e-6)
-            np.testing.assert_allclose(fourier.ifft1(x), naive_idft(x), atol=1e-6)
-
-    def test_roundtrip_up_to_512(self):
-        rng = np.random.default_rng(1)
-        for n in (2, 3, 12, 100, 256, 512):
-            x = rng.normal(size=n) + 1j * rng.normal(size=n)
-            back = fourier.ifft1(fourier.fft1(x))
-            assert np.max(np.abs(back - x)) <= 1e-6
-
-    def test_axis_argument(self):
-        rng = np.random.default_rng(2)
-        x = rng.normal(size=(4, 6, 8))
-        np.testing.assert_allclose(fourier.fft1(x, axis=1), np.apply_along_axis(
-            lambda v: naive_dft(v.astype(complex)), 1, x.astype(complex)), atol=1e-8)
-
-    def test_scalar_transform_is_identity(self):
-        np.testing.assert_allclose(fourier.fft1(np.array([5.0])), [5.0 + 0j])
 
 
 class TestTwoDimensionalMixers:
@@ -39,6 +14,15 @@ class TestTwoDimensionalMixers:
         x = rng.normal(size=(3, 4))
         np.testing.assert_allclose(fourier.fft2_real(x), naive_dft2_real(x), atol=1e-6)
         np.testing.assert_allclose(fourier.ifft2_real(x), naive_idft2_real(x), atol=1e-6)
+
+    def test_matches_naive_on_every_small_axis_length(self):
+        # odd and non-power-of-two lengths on either axis (the patch axis is 12)
+        rng = np.random.default_rng(0)
+        for n in range(1, 17):
+            for shape in ((n, 3), (3, n)):
+                x = rng.normal(size=shape)
+                np.testing.assert_allclose(fourier.fft2_real(x), naive_dft2_real(x), atol=1e-6)
+                np.testing.assert_allclose(fourier.ifft2_real(x), naive_idft2_real(x), atol=1e-6)
 
     def test_zero_input_zero_output(self):
         z = np.zeros((5, 6))
