@@ -20,8 +20,10 @@ def fft2_real(x: np.ndarray) -> np.ndarray:
 
 
 def ifft2_real(x: np.ndarray) -> np.ndarray:
-    """Real part of the inverse 2-D DFT over the last two axes."""
-    return np.fft.ifft2(x).real
+    """Real part of the inverse 2-D DFT over the last two axes. For real x the
+    inverse transform is conj(fft2(x)) / (n*d), so its real part is the
+    forward mixer scaled by 1/(n*d)."""
+    return fft2_real(x) / (x.shape[-2] * x.shape[-1])
 
 
 def amplitude_spectrum(x: np.ndarray) -> np.ndarray:
