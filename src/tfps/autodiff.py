@@ -38,7 +38,7 @@ class Tensor:
         self.grad: np.ndarray | None = None
         self.requires_grad = bool(requires_grad) and _GRAD_ENABLED
         self._backward = None
-        self._parents: tuple[Tensor, ...] = ()
+        self._parents: tuple[Tensor, ...] | None = ()  # None once backward freed it
 
     @property
     def shape(self) -> tuple[int, ...]:
@@ -68,7 +68,13 @@ class Tensor:
     # -- graph ------------------------------------------------------------
 
     def backward(self, grad: np.ndarray | None = None) -> None:
-        """Backpropagate from this tensor; defaults to d(self)/d(self)=1 for scalars."""
+        """Backpropagate from this tensor; defaults to d(self)/d(self)=1 for scalars.
+
+        The graph is freed as it is walked: once a node's closure has run, its
+        gradient, closure and parent links are dropped, so the activations the
+        closures held go with them. Leaves keep their accumulated `.grad`. A
+        graph can therefore be backpropagated once; reaching a freed node
+        raises RuntimeError before any gradient is accumulated."""
         if grad is None:
             if self.data.size != 1:
                 raise ValueError("backward() without a seed gradient needs a scalar")
@@ -83,15 +89,25 @@ class Tensor:
                 continue
             if id(node) in seen:
                 continue
+            if node._parents is None:
+                raise RuntimeError(
+                    "backward() reached a tensor whose graph was already backpropagated "
+                    "and freed; a graph can be backpropagated only once, so rebuild it "
+                    "with a new forward pass"
+                )
             seen.add(id(node))
             stack.append((node, True))
             for p in node._parents:
                 if p.requires_grad and id(p) not in seen:
                     stack.append((p, False))
         _accumulate(self, np.asarray(grad, dtype=np.float64))
-        for node in reversed(order):
-            if node._backward is not None and node.grad is not None:
+        while order:
+            node = order.pop()
+            if node._backward is None:
+                continue  # a leaf: keeps its .grad
+            if node.grad is not None:
                 node._backward(node.grad)
+            node.grad = node._backward = node._parents = None
 
     # -- operators ----------------------------------------------------------
 

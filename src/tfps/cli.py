@@ -1,9 +1,9 @@
 """Command-line surface: synth, analyze-drift, train, grid, eval, predict.
 
 Exit codes: 0 success, 1 usage/config error, 2 data error, 3 numeric failure.
-Heavy imports happen after argument parsing so --threads can cap the BLAS
-pools before numpy starts them; TFPS_DATA_DIR serves as a fallback root for
-relative data paths.
+TFPS_DATA_DIR serves as a fallback root for relative data paths. BLAS pools
+are sized from the environment (OPENBLAS_NUM_THREADS and the like) when NumPy
+loads, which importing the package already does.
 """
 
 from __future__ import annotations
@@ -32,7 +32,6 @@ class UsageError(Exception):
 
 def _build_parser() -> _Parser:
     parser = _Parser(prog="tfps", description=__doc__)
-    parser.add_argument("--threads", type=int, default=None, help="cap worker/BLAS threads")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("synth", help="generate a synthetic regime-switch series")
@@ -329,13 +328,6 @@ def run(argv=None) -> int:
     except UsageError as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_USAGE
-    if args.threads is not None:
-        if args.threads < 1:
-            print("error: --threads must be >= 1", file=sys.stderr)
-            return EXIT_USAGE
-        for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
-                    "NUMEXPR_NUM_THREADS"):
-            os.environ[var] = str(args.threads)
     from .errors import DataError, NumericError
 
     try:

@@ -22,6 +22,7 @@ from .data import MultivariateSeries
 from .fourier import amplitude_spectrum
 
 DOMAINS = ("time", "frequency")
+_BLOCK_ELEMENTS = 1 << 18  # 2 MB of float64 per pairwise_w1 block
 
 
 @dataclass(frozen=True)
@@ -52,6 +53,18 @@ def wasserstein_1d(u, v) -> float:
     return float(np.sum(np.abs(u_cdf - v_cdf) * gaps))
 
 
+def pairwise_w1(a, b) -> np.ndarray:
+    """W1 between every row of `a` and every row of `b`, as a (len(a), len(b))
+    matrix. Rows are equal-length sample sets, so each entry is the mean
+    absolute difference of the sorted samples (see `wasserstein_1d`)."""
+    a = np.asarray(a, dtype=np.float64)
+    b = np.asarray(b, dtype=np.float64)
+    if a.ndim != 2 or b.ndim != 2 or a.shape[1] != b.shape[1] or a.shape[1] == 0:
+        raise ValueError(f"pairwise_w1 needs 2-D rows of one non-zero length, got {a.shape} and {b.shape}")
+    a, b = np.sort(a, axis=1), np.sort(b, axis=1)
+    return np.mean(np.abs(a[:, None, :] - b[None, :, :]), axis=2)
+
+
 def spectrum(patch) -> np.ndarray:
     """One-sided amplitude spectrum of a single patch; length P//2 + 1."""
     patch = np.asarray(patch, dtype=np.float64)
@@ -79,14 +92,15 @@ def patch_distance_matrix(channel: np.ndarray, P: int, S: int, domain: str) -> D
     patches = analysis_patches(channel, P, S)
     if domain == "frequency":
         patches = amplitude_spectrum(patches)
-    n = patches.shape[0]
-    dist = np.zeros((n, n))
-    # equal sample counts: W1 reduces to the mean absolute sorted difference
-    sorted_patches = np.sort(patches, axis=1)
-    for i in range(n - 1):
-        row = np.mean(np.abs(sorted_patches[i + 1 :] - sorted_patches[i]), axis=1)
-        dist[i, i + 1 :] = row
-        dist[i + 1 :, i] = row
+    n, width = patches.shape
+    dist = np.empty((n, n))
+    # A block of rows against the patches from its first row on, mirrored:
+    # the (rows, n, width) temporary stays near _BLOCK_ELEMENTS.
+    rows = max(1, _BLOCK_ELEMENTS // (n * width))
+    for lo in range(0, n, rows):
+        block = pairwise_w1(patches[lo : lo + rows], patches[lo:])
+        dist[lo : lo + rows, lo:] = block
+        dist[lo:, lo : lo + rows] = block.T
     return DriftMatrix(distances=dist, domain=domain, patch_len=P, stride=S)
 
 

@@ -4,12 +4,14 @@ from __future__ import annotations
 
 import csv
 import io
+import itertools
 
 import numpy as np
 
 from . import autodiff as ad
 from .data import ForecastWindow, Scaler
-from .drift import wasserstein_1d
+# wasserstein_1d stays importable here: perfbench/layer_trace.py counts its calls
+from .drift import pairwise_w1, wasserstein_1d  # noqa: F401
 from .fourier import amplitude_spectrum
 from .trainer import Checkpoint, _batches, _stack
 
@@ -141,21 +143,14 @@ def _cluster_drift(samples, labels, K, cap, rng) -> tuple[float | None, float | 
         if members.shape[0] > cap:
             members = members[rng.choice(members.shape[0], size=cap, replace=False)]
         groups.append(members)
-    intra, inter = [], []
-    for a in range(K):
-        ga = groups[a]
-        for i in range(ga.shape[0]):
-            for jdx in range(i + 1, ga.shape[0]):
-                intra.append(wasserstein_1d(ga[i], ga[jdx]))
-        for b in range(a + 1, K):
-            gb = groups[b]
-            for i in range(ga.shape[0]):
-                for jdx in range(gb.shape[0]):
-                    inter.append(wasserstein_1d(ga[i], gb[jdx]))
-    return (
-        float(np.mean(intra)) if intra else None,
-        float(np.mean(inter)) if inter else None,
-    )
+    intra = [pairwise_w1(g, g)[np.triu_indices(g.shape[0], k=1)] for g in groups]
+    inter = [pairwise_w1(ga, gb).ravel() for ga, gb in itertools.combinations(groups, 2)]
+    return _mean_or_none(intra), _mean_or_none(inter)
+
+
+def _mean_or_none(parts: list[np.ndarray]) -> float | None:
+    values = np.concatenate(parts) if parts else np.empty(0)
+    return float(values.mean()) if values.size else None
 
 
 def regime_purity(assignments: np.ndarray, regimes: np.ndarray) -> float:

@@ -15,6 +15,7 @@ from . import autodiff as ad
 from . import encoder, mope, pattern
 from .autodiff import Tensor
 from .config import TrainConfig
+from .errors import DataError
 from .fourier import inverse_fourier_mix
 from .patching import embed, segment_batch
 
@@ -128,10 +129,10 @@ class TFPSModel:
     def load_arrays(self, arrays: dict[str, np.ndarray]) -> None:
         for name, t in self.params.items():
             if name not in arrays:
-                raise ValueError(f"checkpoint missing parameter {name!r}")
+                raise DataError(f"checkpoint missing parameter {name!r}")
             arr = np.asarray(arrays[name], dtype=np.float64)
             if arr.shape != t.data.shape:
-                raise ValueError(
+                raise DataError(
                     f"parameter {name!r} shape {arr.shape} does not match {t.data.shape}"
                 )
             t.data = arr.copy()

@@ -8,7 +8,9 @@ import dataclasses
 import itertools
 import json
 import logging
+import os
 from dataclasses import dataclass, field
+from pathlib import Path
 
 import numpy as np
 
@@ -77,6 +79,9 @@ class Checkpoint:
 
 
 def save_checkpoint(ckpt: Checkpoint, path) -> None:
+    """Write `ckpt` to exactly `path`, atomically: a temporary file in the same
+    directory is written and then renamed over the target, so a save that
+    fails part-way leaves any previous checkpoint intact."""
     header = {
         "version": ckpt.version,
         "config": ckpt.config.to_dict(),
@@ -92,7 +97,15 @@ def save_checkpoint(ckpt: Checkpoint, path) -> None:
     }
     payload = {f"array/{k}": v for k, v in ckpt.arrays.items()}
     payload["__header__"] = np.frombuffer(json.dumps(header).encode(), dtype=np.uint8)
-    np.savez(path, **payload)
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "wb") as fh:  # a file object: np.savez would append .npz to a name
+            np.savez(fh, **payload)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def load_checkpoint(path) -> Checkpoint:

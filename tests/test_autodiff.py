@@ -1,5 +1,7 @@
 """Gradient correctness of every tape primitive against central differences."""
 
+import weakref
+
 import numpy as np
 import pytest
 
@@ -159,6 +161,36 @@ class TestTape:
         y = (p.detach() * p).sum()
         y.backward()
         np.testing.assert_allclose(p.grad, [2.0])  # only the live factor
+
+    def test_backward_frees_interior_nodes(self):
+        p = ad.parameter(np.arange(1.0, 4.0))
+        hidden = ad.exp(p * 2.0)
+        probe = weakref.ref(hidden.data)
+        root = (hidden * p).sum()
+        del hidden
+        assert probe() is not None  # the tape keeps the activation alive
+        root.backward()
+        assert probe() is None
+        assert root.grad is None and root.data == pytest.approx(np.sum(np.exp(2 * p.data) * p.data))
+        np.testing.assert_allclose(p.grad, np.exp(2 * p.data) * (2 * p.data + 1))
+
+    def test_backward_through_freed_graph_raises(self):
+        p = ad.parameter(np.array([1.0, 2.0]))
+        hidden = p * 3.0
+        root = (hidden * hidden).sum()
+        root.backward()
+        grad = p.grad.copy()
+        with pytest.raises(RuntimeError, match="already backpropagated"):
+            root.backward()
+        with pytest.raises(RuntimeError, match="already backpropagated"):
+            (hidden + p).sum().backward()
+        np.testing.assert_array_equal(p.grad, grad)  # the refused walks added nothing
+
+    def test_leaf_grads_accumulate_across_graphs(self):
+        p = ad.parameter(np.array([1.0, -2.0]))
+        (p * p).sum().backward()
+        (p * 5.0).sum().backward()
+        np.testing.assert_allclose(p.grad, 2 * p.data + 5.0)
 
     def test_matmul_requires_2d(self):
         with pytest.raises(ValueError):

@@ -148,6 +148,25 @@ class TestTrainEvalPredict:
         assert run(["train", "--config", str(bad), "--data", str(workdir / "data.csv"),
                     "--out", str(workdir / "x.npz")]) == 1
 
+    def test_checkpoint_missing_parameter_is_data_error(self, workdir, capsys):
+        import dataclasses
+
+        from tfps.trainer import save_checkpoint
+
+        full = workdir / "model.npz"
+        assert run(["train", "--config", str(workdir / "cfg.json"), "--data",
+                    str(workdir / "data.csv"), "--out", str(full), "--quiet"]) == 0
+        ckpt = load_checkpoint(full)
+        arrays = {k: v for k, v in ckpt.arrays.items() if k != "head.w"}
+        partial = workdir / "partial.npz"
+        save_checkpoint(dataclasses.replace(ckpt, arrays=arrays), partial)  # header and payload
+        capsys.readouterr()
+        code = run(["predict", "--ckpt", str(partial), "--input", str(workdir / "data.csv"),
+                    "--out", str(workdir / "forecast.csv")])
+        assert code == 2
+        assert "head.w" in capsys.readouterr().err
+        assert not (workdir / "forecast.csv").exists()
+
     def test_numeric_failure_exit_code(self, workdir):
         cfg = dict(TRAIN_CFG, lr=1e160, max_epochs=3)
         cfg_path = workdir / "diverge.json"
@@ -180,6 +199,8 @@ class TestUsage:
     def test_unknown_flag(self, capsys):
         assert run(["synth", "--nope"]) == 1
         assert "usage" in capsys.readouterr().err
+        # --threads was removed: NumPy sizes its BLAS pools from the environment on import
+        assert run(["--threads", "1", "synth", "--spec", "s.json", "--out", "o.csv"]) == 1
 
     def test_unknown_command(self, capsys):
         assert run(["frobnicate"]) == 1

@@ -4,10 +4,12 @@ import numpy as np
 import pytest
 
 from helpers import w1_linprog
+from tfps import drift
 from tfps.data import MultivariateSeries, RegimeSpec, SynthSpec, synth_generate
 from tfps.drift import (
     analysis_patches,
     average_wasserstein,
+    pairwise_w1,
     patch_distance_matrix,
     spectrum,
     wasserstein_1d,
@@ -66,6 +68,27 @@ class TestWasserstein1d:
     def test_empty_input_rejected(self):
         with pytest.raises(ValueError):
             wasserstein_1d([], [1.0])
+
+
+class TestPairwiseW1:
+    def test_entries_equal_wasserstein_calls(self):
+        rng = np.random.default_rng(9)
+        a, b = rng.normal(size=(5, 7)), rng.normal(loc=0.5, size=(3, 7))
+        m = pairwise_w1(a, b)
+        assert m.shape == (5, 3)
+        for i in range(5):
+            for j in range(3):
+                assert m[i, j] == pytest.approx(wasserstein_1d(a[i], b[j]), abs=1e-12)
+
+    def test_empty_side_gives_empty_matrix(self):
+        assert pairwise_w1(np.zeros((0, 4)), np.ones((3, 4))).shape == (0, 3)
+
+    @pytest.mark.parametrize("a, b", [(np.ones((2, 3)), np.ones((2, 4))),
+                                      (np.ones(3), np.ones((2, 3))),
+                                      (np.ones((2, 0)), np.ones((2, 0)))])
+    def test_mismatched_or_empty_rows_rejected(self, a, b):
+        with pytest.raises(ValueError):
+            pairwise_w1(a, b)
 
 
 class TestSpectrum:
@@ -130,6 +153,14 @@ class TestPatchDistanceMatrix:
             for j in range(dm.n_patches):
                 expect = 0.0 if i == j else wasserstein_1d(patches[i], patches[j])
                 assert dm.distances[i, j] == pytest.approx(expect, abs=1e-12)
+
+    @pytest.mark.parametrize("block_elements", [1, 1000])
+    def test_row_blocks_equal_one_block(self, block_elements, monkeypatch):
+        channel = np.random.default_rng(10).normal(size=120)
+        whole = patch_distance_matrix(channel, P=8, S=4, domain="time").distances
+        monkeypatch.setattr(drift, "_BLOCK_ELEMENTS", block_elements)  # 1 and 4 rows a block
+        blocked = patch_distance_matrix(channel, P=8, S=4, domain="time").distances
+        np.testing.assert_array_equal(blocked, whole)
 
     def test_frequency_domain_uses_spectra(self):
         rng = np.random.default_rng(8)

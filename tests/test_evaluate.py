@@ -146,6 +146,23 @@ class TestRoutingReport:
         b = routing_report(ckpt, tew, seed=5)
         assert a == b
 
+    @pytest.mark.parametrize("K", [1, 3])
+    def test_cluster_drift_equals_wasserstein_loop(self, K):
+        from tfps.drift import wasserstein_1d
+        from tfps.evaluate import _cluster_drift
+
+        rng = np.random.default_rng(11)
+        samples = rng.normal(size=(7 * K, 6))
+        labels = np.repeat(np.arange(K), 7)
+        groups = [samples[labels == j] for j in range(K)]
+        intra = [wasserstein_1d(g[i], g[j]) for g in groups
+                 for i in range(len(g)) for j in range(i + 1, len(g))]
+        inter = [wasserstein_1d(u, v) for a in range(K) for b in range(a + 1, K)
+                 for u in groups[a] for v in groups[b]]
+        got_intra, got_inter = _cluster_drift(samples, labels, K, cap=7, rng=None)
+        assert got_intra == pytest.approx(np.mean(intra), rel=1e-12)
+        assert got_inter == (None if K == 1 else pytest.approx(np.mean(inter), rel=1e-12))
+
 
 class TestRegimePurity:
     def test_perfect_alignment(self):

@@ -1,5 +1,7 @@
 """Loss composition, optimization behavior, determinism, checkpoints, grid."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -180,6 +182,26 @@ class TestCheckpoint:
         bad.write_text("garbage")
         with pytest.raises(DataError, match="cannot read checkpoint"):
             load_checkpoint(bad)
+
+    def test_failed_save_keeps_previous_checkpoint(self, tmp_path):
+        class Unwritable:  # fails once np.savez has written the arrays before it
+            shape = (1,)
+
+            def __array__(self, *args, **kwargs):
+                raise OSError("disk full")
+
+        series, _ = tiny_dataset()
+        cfg = TrainConfig(**{**TINY, "max_epochs": 1})
+        (trw, vaw, _), sc = prepared_windows(cfg, series)
+        ckpt = train(cfg, trw, vaw, scaler=sc)
+        path = tmp_path / "model.npz"
+        save_checkpoint(ckpt, path)
+        before = path.read_bytes()
+        broken = dataclasses.replace(ckpt, arrays={**ckpt.arrays, "zz": Unwritable()})
+        with pytest.raises(OSError, match="disk full"):
+            save_checkpoint(broken, path)
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["model.npz"]
 
     def test_header_declares_shapes(self, tmp_path):
         import json
