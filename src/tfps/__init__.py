@@ -8,6 +8,7 @@ from .data import (
     RegimeSpec,
     Scaler,
     SynthSpec,
+    Windows,
     apply_scaler,
     fit_scaler,
     invert_scaler,
@@ -20,7 +21,7 @@ from .data import (
 from .drift import DriftMatrix, average_wasserstein, patch_distance_matrix, spectrum, wasserstein_1d
 from .errors import DataError, NumericError
 from .model import TFPSModel
-from .patching import PatchSet, patch_count, segment
+from .patching import patch_count, segment_batch
 from .trainer import Checkpoint, grid_search, load_checkpoint, save_checkpoint, total_loss, train
 
 __version__ = "0.1.0"
@@ -32,12 +33,12 @@ __all__ = [
     "ForecastWindow",
     "MultivariateSeries",
     "NumericError",
-    "PatchSet",
     "RegimeSpec",
     "Scaler",
     "SynthSpec",
     "TFPSModel",
     "TrainConfig",
+    "Windows",
     "apply_scaler",
     "average_wasserstein",
     "config_from_dict",
@@ -52,7 +53,7 @@ __all__ = [
     "patch_distance_matrix",
     "save_checkpoint",
     "save_csv",
-    "segment",
+    "segment_batch",
     "spectrum",
     "split",
     "synth_generate",

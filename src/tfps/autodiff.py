@@ -100,7 +100,7 @@ class Tensor:
             for p in node._parents:
                 if p.requires_grad and id(p) not in seen:
                     stack.append((p, False))
-        _accumulate(self, np.asarray(grad, dtype=np.float64))
+        accumulate(self, np.asarray(grad, dtype=np.float64))
         while order:
             node = order.pop()
             if node._backward is None:
@@ -169,7 +169,7 @@ def parameter(data) -> Tensor:
     return t
 
 
-def _accumulate(t: Tensor, g: np.ndarray) -> None:
+def accumulate(t: Tensor, g: np.ndarray) -> None:
     """Add `g` into `t.grad`. An interior node's gradient is read only by its
     own backward closure, so it may alias `g`; a leaf gets its own copy, since
     `g` can be a view that another parent's gradient shares."""
@@ -195,9 +195,9 @@ def _unbroadcast(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
 
 
 def make_op(data: np.ndarray, parents: tuple[Tensor, ...], backward) -> Tensor:
-    """Build the output node of a primitive op; `backward(g)` must _accumulate
-    into each parent. Public so modules with hand-derived adjoints (the Fourier
-    mixers) can register themselves on the tape."""
+    """Build the output node of a primitive op; `backward(g)` must call
+    `accumulate` for each parent. Both are public so modules with hand-derived
+    adjoints (the Fourier mixers) can register themselves on the tape."""
     out = Tensor(data)
     if _GRAD_ENABLED and any(p.requires_grad for p in parents):
         out.requires_grad = True
@@ -213,8 +213,8 @@ def add(a, b) -> Tensor:
     a, b = as_tensor(a), as_tensor(b)
 
     def backward(g):
-        _accumulate(a, _unbroadcast(g, a.data.shape))
-        _accumulate(b, _unbroadcast(g, b.data.shape))
+        accumulate(a, _unbroadcast(g, a.data.shape))
+        accumulate(b, _unbroadcast(g, b.data.shape))
 
     return make_op(a.data + b.data, (a, b), backward)
 
@@ -223,8 +223,8 @@ def mul(a, b) -> Tensor:
     a, b = as_tensor(a), as_tensor(b)
 
     def backward(g):
-        _accumulate(a, _unbroadcast(g * b.data, a.data.shape))
-        _accumulate(b, _unbroadcast(g * a.data, b.data.shape))
+        accumulate(a, _unbroadcast(g * b.data, a.data.shape))
+        accumulate(b, _unbroadcast(g * a.data, b.data.shape))
 
     return make_op(a.data * b.data, (a, b), backward)
 
@@ -233,8 +233,8 @@ def div(a, b) -> Tensor:
     a, b = as_tensor(a), as_tensor(b)
 
     def backward(g):
-        _accumulate(a, _unbroadcast(g / b.data, a.data.shape))
-        _accumulate(b, _unbroadcast(-g * a.data / (b.data * b.data), b.data.shape))
+        accumulate(a, _unbroadcast(g / b.data, a.data.shape))
+        accumulate(b, _unbroadcast(-g * a.data / (b.data * b.data), b.data.shape))
 
     return make_op(a.data / b.data, (a, b), backward)
 
@@ -244,7 +244,7 @@ def power(a, exponent: float) -> Tensor:
     p = float(exponent)
 
     def backward(g):
-        _accumulate(a, g * p * np.power(a.data, p - 1.0))
+        accumulate(a, g * p * np.power(a.data, p - 1.0))
 
     return make_op(np.power(a.data, p), (a,), backward)
 
@@ -261,14 +261,14 @@ def matmul(a, b) -> Tensor:
 
         def backward(g):
             g2 = g.reshape(-1, g.shape[-1])
-            _accumulate(a, (g2 @ b.data.T).reshape(a.data.shape))
-            _accumulate(b, a2.T @ g2)
+            accumulate(a, (g2 @ b.data.T).reshape(a.data.shape))
+            accumulate(b, a2.T @ g2)
 
         return make_op((a2 @ b.data).reshape(a.data.shape[:-1] + b.data.shape[-1:]), (a, b), backward)
 
     def backward(g):
-        _accumulate(a, _unbroadcast(g @ b.data.swapaxes(-1, -2), a.data.shape))
-        _accumulate(b, _unbroadcast(a.data.swapaxes(-1, -2) @ g, b.data.shape))
+        accumulate(a, _unbroadcast(g @ b.data.swapaxes(-1, -2), a.data.shape))
+        accumulate(b, _unbroadcast(a.data.swapaxes(-1, -2) @ g, b.data.shape))
 
     return make_op(a.data @ b.data, (a, b), backward)
 
@@ -281,7 +281,7 @@ def reshape(a, shape) -> Tensor:
     old = a.data.shape
 
     def backward(g):
-        _accumulate(a, g.reshape(old))
+        accumulate(a, g.reshape(old))
 
     return make_op(a.data.reshape(shape), (a,), backward)
 
@@ -290,7 +290,7 @@ def swapaxes(a, i: int, j: int) -> Tensor:
     a = as_tensor(a)
 
     def backward(g):
-        _accumulate(a, g.swapaxes(i, j))
+        accumulate(a, g.swapaxes(i, j))
 
     return make_op(a.data.swapaxes(i, j), (a,), backward)
 
@@ -304,7 +304,7 @@ def narrow(a, key) -> Tensor:
     def backward(g):
         full = np.zeros_like(a.data)
         full[key] = g
-        _accumulate(a, full)
+        accumulate(a, full)
 
     return make_op(a.data[key], (a,), backward)
 
@@ -323,7 +323,7 @@ def concat(tensors, axis: int = -1) -> Tensor:
         for t, lo, hi in zip(tensors, offsets[:-1], offsets[1:]):
             idx = [slice(None)] * g.ndim
             idx[axis] = slice(lo, hi)
-            _accumulate(t, g[tuple(idx)])
+            accumulate(t, g[tuple(idx)])
 
     return make_op(np.concatenate([t.data for t in tensors], axis=axis), tensors, backward)
 
@@ -337,7 +337,7 @@ def tsum(a, axis=None, keepdims: bool = False) -> Tensor:
     def backward(g):
         if axis is not None and not keepdims:
             g = np.expand_dims(g, axis)
-        _accumulate(a, np.broadcast_to(g, a.data.shape).copy())
+        accumulate(a, np.broadcast_to(g, a.data.shape).copy())
 
     return make_op(a.data.sum(axis=axis, keepdims=keepdims), (a,), backward)
 
@@ -361,7 +361,7 @@ def exp(a) -> Tensor:
     out_data = np.exp(a.data)
 
     def backward(g):
-        _accumulate(a, g * out_data)
+        accumulate(a, g * out_data)
 
     return make_op(out_data, (a,), backward)
 
@@ -370,7 +370,7 @@ def log(a) -> Tensor:
     a = as_tensor(a)
 
     def backward(g):
-        _accumulate(a, g / a.data)
+        accumulate(a, g / a.data)
 
     return make_op(np.log(a.data), (a,), backward)
 
@@ -380,7 +380,7 @@ def sqrt(a) -> Tensor:
     out_data = np.sqrt(a.data)
 
     def backward(g):
-        _accumulate(a, g * 0.5 / out_data)
+        accumulate(a, g * 0.5 / out_data)
 
     return make_op(out_data, (a,), backward)
 
@@ -390,7 +390,7 @@ def relu(a) -> Tensor:
     mask = a.data > 0
 
     def backward(g):
-        _accumulate(a, g * mask)
+        accumulate(a, g * mask)
 
     return make_op(a.data * mask, (a,), backward)
 
@@ -417,7 +417,7 @@ def index_rows(a, rows: np.ndarray) -> Tensor:
     def backward(g):
         full = np.zeros_like(a.data)
         full[rows] = g
-        _accumulate(a, full)
+        accumulate(a, full)
 
     return make_op(a.data[rows], (a,), backward)
 
@@ -431,7 +431,7 @@ def scatter_rows(a, rows: np.ndarray, length: int) -> Tensor:
     out_data[rows] = a.data
 
     def backward(g):
-        _accumulate(a, g[rows])
+        accumulate(a, g[rows])
 
     return make_op(out_data, (a,), backward)
 
@@ -444,7 +444,7 @@ def take_along(a, indices: np.ndarray, axis: int) -> Tensor:
         full = np.zeros_like(a.data)
         # add.at handles duplicate indices correctly (top-k indices never repeat)
         np.add.at(full, _along_axis_index(indices, axis), g)
-        _accumulate(a, full)
+        accumulate(a, full)
 
     return make_op(np.take_along_axis(a.data, indices, axis=axis), (a,), backward)
 
@@ -460,7 +460,7 @@ def scatter_along(a, indices: np.ndarray, axis: int, size: int) -> Tensor:
     np.put_along_axis(out_data, indices, a.data, axis=axis)
 
     def backward(g):
-        _accumulate(a, np.take_along_axis(g, indices, axis=axis))
+        accumulate(a, np.take_along_axis(g, indices, axis=axis))
 
     return make_op(out_data, (a,), backward)
 

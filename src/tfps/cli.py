@@ -286,7 +286,6 @@ def _cmd_eval(args) -> int:
 def _cmd_predict(args) -> int:
     import numpy as np
 
-    from . import autodiff as ad
     from .data import MultivariateSeries, load_csv, save_csv
     from .errors import DataError
     from .trainer import load_checkpoint
@@ -298,10 +297,14 @@ def _cmd_predict(args) -> int:
         raise DataError(f"need at least {cfg.seq_len} rows, got {series.length}")
     values = series.values[-cfg.seq_len :]
     if ckpt.scaler is not None:
+        # an unscaled model is channel-independent; a scaled one is fixed to its scaler's channels
+        if series.n_channels != ckpt.scaler.mean.size:
+            raise DataError(
+                f"{args.input} has {series.n_channels} channels, but the checkpoint's scaler "
+                f"was fitted on {ckpt.scaler.mean.size}"
+            )
         values = ckpt.scaler.transform(values)
-    model = ckpt.build_model()
-    with ad.no_grad():
-        yhat = model.forward(values[None], training=False).yhat.data[0]
+    yhat = ckpt.build_model().forecast(values[None], 1)[0]
     if ckpt.scaler is not None:
         yhat = ckpt.scaler.inverse(yhat)
     step = float(np.median(np.diff(series.timestamps))) if series.length > 1 else 3600.0

@@ -10,6 +10,7 @@ from dataclasses import dataclass, field
 from datetime import datetime, timezone
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import DataError
 
@@ -59,6 +60,38 @@ class ForecastWindow:
     input: np.ndarray  # (L, C)
     target: np.ndarray  # (H, C)
     origin_index: int
+
+
+@dataclass(frozen=True, eq=False)
+class Windows:
+    """(lookback, horizon) pairs of a series as one read-only strided view, so
+    nothing is copied until a batch is indexed out of `inputs`/`targets`. An
+    integer index gives one ForecastWindow; a slice or an index array gives a
+    Windows."""
+
+    array: np.ndarray  # (n, L+H, C) view of the series values
+    L: int
+    origins: np.ndarray  # (n,) series row where each window starts
+
+    @property
+    def inputs(self) -> np.ndarray:  # (n, L, C)
+        return self.array[:, : self.L]
+
+    @property
+    def targets(self) -> np.ndarray:  # (n, H, C)
+        return self.array[:, self.L :]
+
+    def __len__(self) -> int:
+        return len(self.origins)
+
+    def __getitem__(self, key):
+        if isinstance(key, (int, np.integer)):
+            row = self.array[key]
+            return ForecastWindow(row[: self.L], row[self.L :], int(self.origins[key]))
+        return Windows(self.array[key], self.L, self.origins[key])
+
+    def __iter__(self):
+        return (self[i] for i in range(len(self)))
 
 
 @dataclass
@@ -213,23 +246,15 @@ def invert_scaler(series: MultivariateSeries, scaler: Scaler) -> MultivariateSer
     return MultivariateSeries(series.timestamps, scaler.inverse(series.values), series.channel_names)
 
 
-def make_windows(series: MultivariateSeries, L: int, H: int, stride: int = 1) -> list[ForecastWindow]:
+def make_windows(series: MultivariateSeries, L: int, H: int, stride: int = 1) -> Windows:
     """All contiguous (input, target) pairs; count = floor((T-L-H)/stride) + 1."""
     if L < 1 or H < 1 or stride < 1:
         raise DataError(f"L, H, stride must be >= 1, got {(L, H, stride)}")
     T = series.length
     if T < L + H:
         raise DataError(f"series length {T} shorter than L+H={L + H}")
-    windows = []
-    for origin in range(0, T - L - H + 1, stride):
-        windows.append(
-            ForecastWindow(
-                input=series.values[origin : origin + L],
-                target=series.values[origin + L : origin + L + H],
-                origin_index=origin,
-            )
-        )
-    return windows
+    view = sliding_window_view(series.values, L + H, axis=0)  # (T-L-H+1, C, L+H)
+    return Windows(view.swapaxes(1, 2)[::stride], L, np.arange(0, T - L - H + 1, stride))
 
 
 @dataclass(frozen=True)

@@ -51,8 +51,10 @@ def layer_norm(t: Tensor, scale: Tensor, shift: Tensor) -> Tensor:
 
 
 def batch_norm(t: Tensor, scale: Tensor, shift: Tensor, stats: dict, training: bool) -> Tensor:
-    """Normalize each feature over every leading (token) axis. Running stats
-    follow the usual exponential update and serve evaluation mode."""
+    """Normalize each feature over every leading (token) axis. Training
+    updates the running stats (the usual exponential average, seeded by the
+    first batch), and evaluation uses them; evaluation before any training
+    normalizes with the batch's own stats and stores nothing."""
     d = t.shape[-1]
     axes = tuple(range(t.ndim - 1))
     if training or "mean" not in stats:
@@ -61,10 +63,10 @@ def batch_norm(t: Tensor, scale: Tensor, shift: Tensor, stats: dict, training: b
         var = (centered * centered).mean(axis=axes, keepdims=True)
         batch_mu = mu.data.reshape(d)
         batch_var = var.data.reshape(d)
-        if "mean" not in stats:
+        if training and "mean" not in stats:
             stats["mean"] = batch_mu.copy()
             stats["var"] = batch_var.copy()
-        else:
+        elif training:
             stats["mean"] += BN_MOMENTUM * (batch_mu - stats["mean"])
             stats["var"] += BN_MOMENTUM * (batch_var - stats["var"])
         return centered / ad.sqrt(var + BN_EPS) * scale + shift

@@ -9,11 +9,12 @@ import itertools
 import numpy as np
 
 from . import autodiff as ad
-from .data import ForecastWindow, Scaler
+from . import patching
+from .data import Scaler, Windows
 # wasserstein_1d stays importable here: perfbench/layer_trace.py counts its calls
 from .drift import pairwise_w1, wasserstein_1d  # noqa: F401
 from .fourier import amplitude_spectrum
-from .trainer import Checkpoint, _batches, _stack
+from .trainer import Checkpoint
 
 
 def mse(yhat: np.ndarray, y: np.ndarray) -> float:
@@ -42,7 +43,7 @@ def imp(model_mse: float, baseline_mses: list[float]) -> float:
 
 def evaluate_windows(
     ckpt: Checkpoint,
-    windows: list[ForecastWindow],
+    windows: Windows,
     denormalize: Scaler | None = None,
     batch_size: int | None = None,
 ) -> dict:
@@ -51,16 +52,8 @@ def evaluate_windows(
     errors."""
     if not windows:
         raise ValueError("no windows to evaluate")
-    model = ckpt.build_model()
-    bs = batch_size or ckpt.config.batch_size
-    preds, targets = [], []
-    with ad.no_grad():
-        for idx in _batches(len(windows), bs, rng=None):
-            xs, ys = _stack(windows, idx)
-            preds.append(model.forward(xs, training=False).yhat.data)
-            targets.append(ys)
-    yhat = np.concatenate(preds)
-    y = np.concatenate(targets)
+    yhat = ckpt.build_model().forecast(windows.inputs, batch_size or ckpt.config.batch_size)
+    y = windows.targets
     out = {"mse": mse(yhat, y), "mae": mae(yhat, y), "n_windows": len(windows)}
     if denormalize is not None:
         raw_yhat = denormalize.inverse(yhat)
@@ -72,7 +65,7 @@ def evaluate_windows(
 
 def routing_report(
     ckpt: Checkpoint,
-    windows: list[ForecastWindow],
+    windows: Windows,
     max_tokens: int = 4096,
     max_patches_per_cluster: int = 64,
     seed: int = 0,
@@ -89,18 +82,15 @@ def routing_report(
     cfg = ckpt.config
     rng = np.random.default_rng(seed)
     report: dict = {"branches": {}}
-    max_windows = max(1, max_tokens // (cfg.n_patches * windows[0].input.shape[1]))
-    if len(windows) > max_windows:
-        chosen = rng.choice(len(windows), size=max_windows, replace=False)
-        windows = [windows[i] for i in sorted(chosen)]
-    xs = np.stack([w.input for w in windows])
+    xs = windows.inputs
+    max_windows = max(1, max_tokens // (cfg.n_patches * xs.shape[2]))
+    if len(xs) > max_windows:
+        xs = xs[np.sort(rng.choice(len(xs), size=max_windows, replace=False))]
     with ad.no_grad():
         fwd = model.forward(xs, training=False)
     # raw per-token patches, aligned with the flattened (B, C, N) token order
     pools = {}
-    for branch, s in (("time", fwd.s_time), ("freq", fwd.s_freq)):
-        if s is None:
-            continue
+    for branch, s in fwd.s.items():
         assign = np.argmax(s.data, axis=1)
         if assign.size > max_tokens:
             pick = rng.choice(assign.size, size=max_tokens, replace=False)
@@ -109,9 +99,10 @@ def routing_report(
         pools[branch] = (assign, pick)
         if affinity_out is not None:
             affinity_out[branch] = s.data[pick]
-    patch_values = _token_patches(xs, cfg)  # (M, P)
+    patches = patching.segment_batch(xs, cfg.patch_len, cfg.stride)  # (B, C, N, P)
+    patch_values = patches.reshape(-1, cfg.patch_len)  # (M, P)
     for branch, (assign, pick) in pools.items():
-        K = cfg.k_time if branch == "time" else cfg.k_freq
+        K = fwd.s[branch].shape[1]
         shares = np.bincount(assign, minlength=K) / assign.size
         samples = patch_values[pick]
         if branch == "freq":
@@ -127,13 +118,6 @@ def routing_report(
     report["patch_len"] = cfg.patch_len
     report["stride"] = cfg.stride
     return report
-
-
-def _token_patches(xs: np.ndarray, cfg) -> np.ndarray:
-    from .patching import segment_batch
-
-    patches = segment_batch(xs, cfg.patch_len, cfg.stride)  # (B, C, N, P)
-    return patches.reshape(-1, cfg.patch_len)
 
 
 def _cluster_drift(samples, labels, K, cap, rng) -> tuple[float | None, float | None]:

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .autodiff import Tensor, as_tensor, make_op, _accumulate
+from .autodiff import Tensor, accumulate, as_tensor, make_op
 
 
 def fft2_real(x: np.ndarray) -> np.ndarray:
@@ -41,7 +41,7 @@ def fourier_mix(t: Tensor | np.ndarray) -> Tensor:
     t = as_tensor(t)
 
     def backward(g):
-        _accumulate(t, fft2_real(g))
+        accumulate(t, fft2_real(g))
 
     return make_op(fft2_real(t.data), (t,), backward)
 
@@ -51,6 +51,6 @@ def inverse_fourier_mix(t: Tensor | np.ndarray) -> Tensor:
     t = as_tensor(t)
 
     def backward(g):
-        _accumulate(t, ifft2_real(g))
+        accumulate(t, ifft2_real(g))
 
     return make_op(ifft2_real(t.data), (t,), backward)

@@ -7,7 +7,7 @@ Ablation variants are pure configuration: `branches` drops one encoder path,
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -28,12 +28,30 @@ class Forward:
     """Everything a loss or a diagnostic needs from one pass."""
 
     yhat: Tensor  # (B, H, C)
-    s_time: Tensor | None  # (M, K_t) routing probabilities
-    s_freq: Tensor | None
-    z_time: Tensor | None  # (M, D) flattened tokens entering the identifier
-    z_freq: Tensor | None
-    gating_time: mope.GatingWeights | None
-    gating_freq: mope.GatingWeights | None
+    s: dict[str, Tensor]  # branch name -> (M, K) routing probabilities
+
+
+@dataclass
+class Branch:
+    """One encoder path: its encoder layers, pattern identifier and experts.
+    `name` ("time" or "freq") prefixes the branch's checkpoint keys; `mixer`
+    is the token mixer `encoder.encode` runs ("time" attention or
+    "frequency" Fourier mixing)."""
+
+    name: str
+    K: int  # experts
+    mixer: str
+    norm: str
+    layers: list[encoder.LayerParams]
+    identifier: dict[str, Tensor] = field(default_factory=dict)  # "bases", or "gate.w" + "gate.b"
+    experts: list[mope.ExpertParams] = field(default_factory=list)
+    calls: list[int] = field(default_factory=list)  # aggregate evaluations per expert
+
+    def route(self, z: Tensor) -> Tensor:
+        """(M, K) routing probabilities of flattened tokens z."""
+        if "bases" in self.identifier:
+            return pattern.affinity(z, self.identifier["bases"], self.K)
+        return ad.softmax(z @ self.identifier["gate.w"] + self.identifier["gate.b"], axis=-1)
 
 
 class TFPSModel:
@@ -41,7 +59,6 @@ class TFPSModel:
         self.cfg = cfg
         rng = rng if rng is not None else np.random.default_rng(cfg.seed)
         self.params: dict[str, Tensor] = {}
-        self.expert_calls = {"time": [0] * cfg.k_time, "freq": [0] * cfg.k_freq}
         d = cfg.d_model
         n = cfg.n_patches
 
@@ -60,14 +77,19 @@ class TFPSModel:
         p("embed.bias", (d,), std=None)
         p("embed.pos", (n, d))
 
-        self.time_layers: list[encoder.LayerParams] = []
-        self.freq_layers: list[encoder.LayerParams] = []
-        for branch in self._branches():
-            layers = self.time_layers if branch == "time" else self.freq_layers
+        # name -> (K, mixer, norm); the time branch alone attends and may batch-normalize
+        spec = {"time": (cfg.k_time, "time", cfg.time_norm), "freq": (cfg.k_freq, "frequency", "layer")}
+        names = {"both": ("time", "freq"), "time": ("time",), "frequency": ("freq",)}[cfg.branches]
+        # seeded initializations depend on the RNG draw order: every branch's
+        # encoder layers, then each branch's identifier and experts, then the head
+        self.branches: dict[str, Branch] = {}
+        for name in names:
+            k_experts, mixer, norm = spec[name]
+            layers = []
             for layer in range(cfg.n_layers):
-                pre = f"{branch}.enc{layer}"
+                pre = f"{name}.enc{layer}"
                 attn = {}
-                if branch == "time":
+                if mixer == "time":
                     attn = {w: p(f"{pre}.{w}", (d, d)) for w in ("wq", "wk", "wv", "wo")}
                 layers.append(
                     encoder.LayerParams(
@@ -85,45 +107,47 @@ class TFPSModel:
                         norm2_shift=const(f"{pre}.norm2.shift", np.zeros(d)),
                     )
                 )
+            self.branches[name] = Branch(name, k_experts, mixer, norm, layers)
 
-        self.experts: dict[str, list[mope.ExpertParams]] = {}
-        for branch in self._branches():
-            k_experts = cfg.k_time if branch == "time" else cfg.k_freq
-            hidden = cfg.expert_hidden_eff
+        hidden = cfg.expert_hidden_eff
+        for br in self.branches.values():
             if cfg.pi_mode == "subspace":
-                bases = pattern.init_bases(d, k_experts, rng)
-                self.params[f"{branch}.bases"] = bases
+                br.identifier["bases"] = pattern.init_bases(d, br.K, rng)
+                self.params[f"{br.name}.bases"] = br.identifier["bases"]
             else:
-                p(f"{branch}.gate.w", (d, k_experts))
-                p(f"{branch}.gate.b", (k_experts,), std=None)
-            self.experts[branch] = [
+                br.identifier["gate.w"] = p(f"{br.name}.gate.w", (d, br.K))
+                br.identifier["gate.b"] = p(f"{br.name}.gate.b", (br.K,), std=None)
+            br.experts = [
                 mope.ExpertParams(
-                    w1=p(f"{branch}.expert{j}.w1", (d, hidden)),
-                    b1=p(f"{branch}.expert{j}.b1", (hidden,), std=None),
-                    w2=p(f"{branch}.expert{j}.w2", (hidden, d)),
-                    b2=p(f"{branch}.expert{j}.b2", (d,), std=None),
+                    w1=p(f"{br.name}.expert{j}.w1", (d, hidden)),
+                    b1=p(f"{br.name}.expert{j}.b1", (hidden,), std=None),
+                    w2=p(f"{br.name}.expert{j}.w2", (hidden, d)),
+                    b2=p(f"{br.name}.expert{j}.b2", (d,), std=None),
                 )
-                for j in range(k_experts)
+                for j in range(br.K)
             ]
+            br.calls = [0] * br.K
 
-        width = 2 * d if cfg.branches == "both" else d
+        width = d * len(self.branches)
         p("head.w", (n * width, cfg.pred_len))
         p("head.b", (cfg.pred_len,), std=None)
 
     # -- plumbing ---------------------------------------------------------
 
-    def _branches(self) -> tuple[str, ...]:
-        if self.cfg.branches == "both":
-            return ("time", "freq")
-        return ("time",) if self.cfg.branches == "time" else ("freq",)
+    def _norm_stats(self):
+        """(checkpoint key prefix, running-stat dict) of every encoder norm;
+        only batch-normalized layers ever fill their dicts."""
+        for br in self.branches.values():
+            for i, layer in enumerate(br.layers):
+                yield f"{br.name}.enc{i}.bn1", layer.bn1_stats
+                yield f"{br.name}.enc{i}.bn2", layer.bn2_stats
 
     def named_arrays(self) -> dict[str, np.ndarray]:
         """Parameters plus batch-norm running stats, for checkpointing."""
         out = {name: t.data for name, t in self.params.items()}
-        for i, layer in enumerate(self.time_layers):
-            for slot, stats in (("bn1", layer.bn1_stats), ("bn2", layer.bn2_stats)):
-                for key, arr in stats.items():
-                    out[f"time.enc{i}.{slot}.{key}"] = arr
+        for prefix, stats in self._norm_stats():
+            for key, arr in stats.items():
+                out[f"{prefix}.{key}"] = arr
         return out
 
     def load_arrays(self, arrays: dict[str, np.ndarray]) -> None:
@@ -136,29 +160,21 @@ class TFPSModel:
                     f"parameter {name!r} shape {arr.shape} does not match {t.data.shape}"
                 )
             t.data = arr.copy()
-        for i, layer in enumerate(self.time_layers):
-            for slot, stats in (("bn1", layer.bn1_stats), ("bn2", layer.bn2_stats)):
-                stats.clear()
-                for key in ("mean", "var"):
-                    full = f"time.enc{i}.{slot}.{key}"
-                    if full in arrays:
-                        stats[key] = np.asarray(arrays[full], dtype=np.float64).copy()
+        for prefix, stats in self._norm_stats():
+            stats.clear()
+            for key in ("mean", "var"):
+                if f"{prefix}.{key}" in arrays:
+                    stats[key] = np.asarray(arrays[f"{prefix}.{key}"], dtype=np.float64).copy()
 
     def zero_grad(self) -> None:
         for t in self.params.values():
             t.grad = None
 
     def reset_expert_calls(self) -> None:
-        self.expert_calls = {"time": [0] * self.cfg.k_time, "freq": [0] * self.cfg.k_freq}
+        for br in self.branches.values():
+            br.calls[:] = [0] * br.K
 
     # -- forward ------------------------------------------------------------
-
-    def _routing(self, branch: str, z_flat: Tensor) -> Tensor:
-        if self.cfg.pi_mode == "subspace":
-            k_experts = self.cfg.k_time if branch == "time" else self.cfg.k_freq
-            return pattern.affinity(z_flat, self.params[f"{branch}.bases"], k_experts)
-        logits = z_flat @ self.params[f"{branch}.gate.w"] + self.params[f"{branch}.gate.b"]
-        return ad.softmax(logits, axis=-1)
 
     def forward(
         self,
@@ -184,26 +200,16 @@ class TFPSModel:
 
         outputs: dict[str, Tensor] = {}
         s_out: dict[str, Tensor] = {}
-        z_out: dict[str, Tensor] = {}
-        g_out: dict[str, mope.GatingWeights] = {}
-        for branch in self._branches():
-            if branch == "time":
-                z = encoder.encode(
-                    tokens, self.time_layers, cfg.n_heads, "time",
-                    norm=cfg.time_norm, dropout=cfg.dropout, training=training, rng=rng,
-                )
-            else:
-                z = encoder.encode(
-                    tokens, self.freq_layers, cfg.n_heads, "frequency",
-                    norm="layer", dropout=cfg.dropout, training=training, rng=rng,
-                )
+        for name, br in self.branches.items():
+            z = encoder.encode(
+                tokens, br.layers, cfg.n_heads, br.mixer,
+                norm=br.norm, dropout=cfg.dropout, training=training, rng=rng,
+            )
             z_flat = z.reshape(b_sz * c_sz * n, cfg.d_model)
-            s = self._routing(branch, z_flat)
-            k_experts = cfg.k_time if branch == "time" else cfg.k_freq
-            gating = mope.gate(s, cfg.top_k_eff(k_experts))
-            h = mope.aggregate(gating, z_flat, self.experts[branch], self.expert_calls[branch])
-            outputs[branch] = h.reshape(b_sz, c_sz, n, cfg.d_model)
-            s_out[branch], z_out[branch], g_out[branch] = s, z_flat, gating
+            s = s_out[name] = br.route(z_flat)
+            gating = mope.gate(s, cfg.top_k_eff(br.K))
+            h = mope.aggregate(gating, z_flat, br.experts, br.calls)
+            outputs[name] = h.reshape(b_sz, c_sz, n, cfg.d_model)
 
         if cfg.branches == "both":
             h = mope.combine_branches(outputs["time"], outputs["freq"])
@@ -214,30 +220,18 @@ class TFPSModel:
         yhat = mope.head(h, self.params["head.w"], self.params["head.b"])  # (B, H, C)
         if cfg.instance_norm:
             yhat = yhat * inst_sigma + inst_mu
-        return Forward(
-            yhat=yhat,
-            s_time=s_out.get("time"),
-            s_freq=s_out.get("freq"),
-            z_time=z_out.get("time"),
-            z_freq=z_out.get("freq"),
-            gating_time=g_out.get("time"),
-            gating_freq=g_out.get("freq"),
-        )
+        return Forward(yhat=yhat, s=s_out)
+
+    def forecast(self, inputs: np.ndarray, batch_size: int) -> np.ndarray:
+        """(n, H, C) forecasts of (n, L, C) inputs, `batch_size` windows per
+        forward pass, without a tape."""
+        out = np.empty((len(inputs), self.cfg.pred_len, inputs.shape[-1]))
+        with ad.no_grad():
+            for lo in range(0, len(inputs), batch_size):
+                out[lo : lo + batch_size] = self.forward(inputs[lo : lo + batch_size]).yhat.data
+        return out
 
     # -- loss ---------------------------------------------------------------
-
-    def branch_pi_loss(self, branch: str, s: Tensor, s_hat: np.ndarray | None = None) -> Tensor | float:
-        """alpha*(R1+R2) + beta*KL for one branch; 0 when the identifier is
-        ablated to a linear gate."""
-        if self.cfg.pi_mode != "subspace":
-            return 0.0
-        k_experts = self.cfg.k_time if branch == "time" else self.cfg.k_freq
-        bases = self.params[f"{branch}.bases"]
-        loss = (pattern.reg_r1(bases) + pattern.reg_r2(bases, k_experts)) * self.cfg.alpha
-        if self.cfg.beta > 0:
-            target = pattern.refine(s.data) if s_hat is None else s_hat
-            loss = loss + pattern.kl_loss(target, s) * self.cfg.beta
-        return loss
 
     def loss(
         self,
@@ -245,18 +239,24 @@ class TFPSModel:
         y: np.ndarray,
         training: bool = False,
         rng: np.random.Generator | None = None,
-        s_hat_time: np.ndarray | None = None,
-        s_hat_freq: np.ndarray | None = None,
+        s_hat: dict[str, np.ndarray] | None = None,
     ) -> tuple[Tensor, Forward, dict]:
+        """Forecast MSE plus each branch's identifier loss. `s_hat` maps a
+        branch name to a fixed refinement target (gradient checks); by
+        default the target is refined from the live affinities."""
         from .trainer import total_loss  # local import: trainer owns the loss contract
 
+        cfg = self.cfg
+        s_hat = s_hat or {}
         fwd = self.forward(x, training=training, rng=rng)
-        pi_t = self.branch_pi_loss("time", fwd.s_time, s_hat_time) if fwd.s_time is not None else 0.0
-        pi_f = self.branch_pi_loss("freq", fwd.s_freq, s_hat_freq) if fwd.s_freq is not None else 0.0
-        total = total_loss(fwd.yhat, y, pi_t, pi_f)
-        parts = {
-            "mse": float(np.mean((fwd.yhat.data - y) ** 2)),
-            "pi_time": float(pi_t.data) if isinstance(pi_t, Tensor) else pi_t,
-            "pi_freq": float(pi_f.data) if isinstance(pi_f, Tensor) else pi_f,
-        }
+        pi: dict[str, Tensor | float] = {"time": 0.0, "freq": 0.0}
+        if cfg.pi_mode == "subspace":  # the linear-gate ablation has no identifier loss
+            for name, s in fwd.s.items():
+                br = self.branches[name]
+                pi[name] = pattern.pi_loss(
+                    s, br.identifier["bases"], br.K, cfg.alpha, cfg.beta, s_hat.get(name)
+                )
+        total = total_loss(fwd.yhat, y, pi["time"], pi["freq"])
+        parts = {"mse": float(np.mean((fwd.yhat.data - y) ** 2))}
+        parts.update({f"pi_{k}": float(v.data) if isinstance(v, Tensor) else v for k, v in pi.items()})
         return total, fwd, parts

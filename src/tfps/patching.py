@@ -1,31 +1,20 @@
 """Channel-independent patching and token embedding.
 
-Each channel of the [L x C] lookback is transposed to [C x L], padded by
+Each channel of an [L x C] lookback is transposed to [C x L], padded by
 replicating its final value `stride` times, and sliced into overlapping
-length-P patches; the replication pad is what makes the token count come out
-to floor((L - P) / S) + 2 with whole patches only. Tokens are an affine
+length-P patches at offsets 0, S, 2S, ... (channel-independent patching, as in
+PatchTST); the replication pad is what makes the token count come out to
+floor((L - P) / S) + 2 with whole patches only. Tokens are an affine
 projection of the patch values plus a learnable per-position embedding shared
 across channels.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .autodiff import Tensor, as_tensor
-
-
-@dataclass(frozen=True)
-class PatchSet:
-    patches: np.ndarray  # (C, N, P)
-    patch_len: int
-    stride: int
-
-    @property
-    def n_patches(self) -> int:
-        return self.patches.shape[1]
 
 
 def patch_count(L: int, P: int, S: int) -> int:
@@ -39,31 +28,16 @@ def patch_count(L: int, P: int, S: int) -> int:
     return (L - P) // S + 2
 
 
-def segment(x: np.ndarray, P: int, S: int) -> PatchSet:
-    """Slice a [L x C] window into a (C, N, P) patch array with end replication."""
-    x = np.asarray(x, dtype=np.float64)
-    if x.ndim != 2:
-        raise ValueError(f"expected [L x C] input, got shape {x.shape}")
-    L = x.shape[0]
-    n = patch_count(L, P, S)
-    channels = x.T  # (C, L)
-    padded = np.concatenate([channels, np.repeat(channels[:, -1:], S, axis=1)], axis=1)
-    starts = np.arange(n) * S
-    patches = np.stack([padded[:, s : s + P] for s in starts], axis=1)
-    return PatchSet(patches=patches, patch_len=P, stride=S)
-
-
 def segment_batch(x: np.ndarray, P: int, S: int) -> np.ndarray:
-    """Batched variant: (B, L, C) -> (B, C, N, P)."""
+    """Slice (B, L, C) lookbacks into (B, C, N, P) patches with end
+    replication: one read-only strided view of the padded channels."""
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 3:
         raise ValueError(f"expected (B, L, C) input, got shape {x.shape}")
-    L = x.shape[1]
-    n = patch_count(L, P, S)
+    patch_count(x.shape[1], P, S)  # validates P and S
     channels = x.transpose(0, 2, 1)  # (B, C, L)
     padded = np.concatenate([channels, np.repeat(channels[..., -1:], S, axis=-1)], axis=-1)
-    starts = np.arange(n) * S
-    return np.stack([padded[..., s : s + P] for s in starts], axis=2)
+    return sliding_window_view(padded, P, axis=-1)[..., ::S, :]
 
 
 def embed(patches: np.ndarray, projection: Tensor, bias: Tensor, positions: Tensor) -> Tensor:

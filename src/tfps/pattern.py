@@ -115,24 +115,22 @@ def kl_loss(s_hat: np.ndarray, s: Tensor) -> Tensor:
 
 
 def pi_loss(
-    z: Tensor,
+    s: Tensor,
     bases: Tensor,
     K: int,
     alpha: float,
     beta: float,
-    eta: float | None = None,
     s_hat: np.ndarray | None = None,
-) -> tuple[Tensor, Tensor]:
-    """Full identifier loss alpha*(R1 + R2) + beta*KL(refined || live), plus
-    the live affinity for downstream routing. `s_hat` may be injected to hold
-    the refinement target fixed (gradient checks); by default it is recomputed
-    from the current affinities."""
+) -> Tensor:
+    """Full identifier loss alpha*(R1 + R2) + beta*KL(refined || live) for the
+    live affinities `s = affinity(z, bases, K)`. `s_hat` may be injected to
+    hold the refinement target fixed (gradient checks); by default it is
+    recomputed from `s`."""
     if alpha < 0 or beta < 0:
         raise ValueError("alpha and beta must be non-negative")
-    s = affinity(z, bases, K, eta)
     loss = (reg_r1(bases) + reg_r2(bases, K)) * alpha
     if beta > 0:
         if s_hat is None:
             s_hat = refine(s.data)
         loss = loss + kl_loss(s_hat, s) * beta
-    return loss, s
+    return loss

@@ -17,7 +17,7 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import Tensor
 from .config import TrainConfig, config_from_dict
-from .data import ForecastWindow, Scaler
+from .data import Scaler, Windows
 from .errors import DataError, NumericError
 from .model import TFPSModel
 
@@ -147,39 +147,17 @@ def load_checkpoint(path) -> Checkpoint:
     )
 
 
-def _batches(n: int, batch_size: int, rng: np.random.Generator | None):
-    idx = np.arange(n)
-    if rng is not None:
-        rng.shuffle(idx)
-    for lo in range(0, n, batch_size):
-        yield idx[lo : lo + batch_size]
-
-
-def _stack(windows: list[ForecastWindow], idx) -> tuple[np.ndarray, np.ndarray]:
-    xs = np.stack([windows[i].input for i in idx])
-    ys = np.stack([windows[i].target for i in idx])
-    return xs, ys
-
-
-def validation_mse(model: TFPSModel, windows: list[ForecastWindow], batch_size: int) -> float:
+def validation_mse(model: TFPSModel, windows: Windows, batch_size: int) -> float:
     """Mean squared error over all validation entries, deterministic order."""
     if not windows:
         raise DataError("empty validation set")
-    total = 0.0
-    count = 0
-    with ad.no_grad():
-        for idx in _batches(len(windows), batch_size, rng=None):
-            xs, ys = _stack(windows, idx)
-            fwd = model.forward(xs, training=False)
-            total += float(np.sum((fwd.yhat.data - ys) ** 2))
-            count += ys.size
-    return total / count
+    return float(np.mean((model.forecast(windows.inputs, batch_size) - windows.targets) ** 2))
 
 
 def train(
     cfg: TrainConfig,
-    train_windows: list[ForecastWindow],
-    val_windows: list[ForecastWindow],
+    train_windows: Windows,
+    val_windows: Windows,
     scaler: Scaler | None = None,
     progress=None,
 ) -> Checkpoint:
@@ -198,8 +176,10 @@ def train(
         epoch_loss = 0.0
         epoch_mse = 0.0
         n_batches = 0
-        for idx in _batches(len(train_windows), cfg.batch_size, rng):
-            xs, ys = _stack(train_windows, idx)
+        order = rng.permutation(len(train_windows))
+        for lo in range(0, len(order), cfg.batch_size):
+            idx = order[lo : lo + cfg.batch_size]
+            xs, ys = train_windows.inputs[idx], train_windows.targets[idx]
             model.zero_grad()
             loss, _, parts = model.loss(xs, ys, training=True, rng=rng)
             value = float(loss.data)
@@ -239,8 +219,8 @@ def train(
 def grid_search(
     base: TrainConfig,
     space: dict[str, list],
-    train_windows: list[ForecastWindow],
-    val_windows: list[ForecastWindow],
+    train_windows: Windows,
+    val_windows: Windows,
     scaler: Scaler | None = None,
     budget: int | None = None,
     progress=None,

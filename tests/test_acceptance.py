@@ -181,11 +181,14 @@ def test_criterion_3_gradient_validation():
     z = ad.parameter(rng.normal(size=(M, q)))
     s_hat = pattern.refine(pattern.affinity(z, bases, K).data)
 
-    def pi_scalar():
-        loss, _ = pattern.pi_loss(z, bases, K, alpha=1e-3, beta=0.1, s_hat=s_hat)
-        return float(loss.data)
+    def identifier_loss():
+        s = pattern.affinity(z, bases, K)
+        return pattern.pi_loss(s, bases, K, alpha=1e-3, beta=0.1, s_hat=s_hat)
 
-    loss, _ = pattern.pi_loss(z, bases, K, alpha=1e-3, beta=0.1, s_hat=s_hat)
+    def pi_scalar():
+        return float(identifier_loss().data)
+
+    loss = identifier_loss()
     loss.backward()
     err_bases = rel_err(bases.grad, numeric_grad(pi_scalar, bases.data))
     err_tokens = rel_err(z.grad, numeric_grad(pi_scalar, z.data))
@@ -199,15 +202,14 @@ def test_criterion_3_gradient_validation():
     x = rng.normal(size=(2, 16, 2))
     y = rng.normal(size=(2, 4, 2))
     base_fwd = model.forward(x)
-    s_hat_t = pattern.refine(base_fwd.s_time.data)
-    s_hat_f = pattern.refine(base_fwd.s_freq.data)
+    s_hat = {name: pattern.refine(s.data) for name, s in base_fwd.s.items()}
 
     def total_scalar():
-        l, _, _ = model.loss(x, y, s_hat_time=s_hat_t, s_hat_freq=s_hat_f)
+        l, _, _ = model.loss(x, y, s_hat=s_hat)
         return float(l.data)
 
     model.zero_grad()
-    loss, _, _ = model.loss(x, y, s_hat_time=s_hat_t, s_hat_freq=s_hat_f)
+    loss, _, _ = model.loss(x, y, s_hat=s_hat)
     loss.backward()
     probe = np.random.default_rng(404)
     names = sorted(model.params)
@@ -273,7 +275,7 @@ def test_criterion_5_end_to_end_overfit():
     model = ckpt.build_model()
     boundary = boundaries[0]
     sample = trw[::4]
-    xs = np.stack([w.input for w in sample])
+    xs = sample.inputs
     with ad.no_grad():
         fwd = model.forward(xs)
     labels = np.array([
@@ -282,7 +284,7 @@ def test_criterion_5_end_to_end_overfit():
         for n in range(cfg.n_patches)
     ])
     purities = {}
-    for branch, s in (("time", fwd.s_time), ("freq", fwd.s_freq)):
+    for branch, s in fwd.s.items():
         purities[branch] = regime_purity(np.argmax(s.data, axis=1), labels)
     note = "meets" if max(purities.values()) >= 0.8 else "below"
 

@@ -167,6 +167,31 @@ class TestTrainEvalPredict:
         assert "head.w" in capsys.readouterr().err
         assert not (workdir / "forecast.csv").exists()
 
+    @pytest.mark.parametrize("scale", [True, False])
+    def test_predict_channel_count_against_checkpoint(self, workdir, capsys, scale):
+        from tfps.data import MultivariateSeries, load_csv, save_csv
+
+        cfg_path = workdir / "cfg_scale.json"
+        cfg_path.write_text(json.dumps(dict(TRAIN_CFG, scale=scale)))
+        ckpt = workdir / "model.npz"
+        assert run(["train", "--config", str(cfg_path), "--data", str(workdir / "data.csv"),
+                    "--out", str(ckpt), "--quiet"]) == 0
+        two = load_csv(workdir / "data.csv")
+        one = workdir / "one.csv"
+        save_csv(MultivariateSeries(two.timestamps, two.values[:, :1], ("ch0",)), one)
+        forecast = workdir / "forecast.csv"
+        capsys.readouterr()
+        code = run(["predict", "--ckpt", str(ckpt), "--input", str(one), "--out", str(forecast)])
+        if scale:  # the scaler fixes the channel count
+            assert code == 2
+            err = capsys.readouterr().err
+            assert "1 channels" in err and "fitted on 2" in err
+            assert not forecast.exists()
+        else:  # an unscaled model is channel-independent
+            assert code == 0
+            f = load_csv(forecast)
+            assert f.n_channels == 1 and f.length == TRAIN_CFG["pred_len"]
+
     def test_numeric_failure_exit_code(self, workdir):
         cfg = dict(TRAIN_CFG, lr=1e160, max_epochs=3)
         cfg_path = workdir / "diverge.json"

@@ -190,6 +190,29 @@ class TestMakeWindows:
             np.testing.assert_array_equal(w.input, s.values[lo : lo + 5])
             np.testing.assert_array_equal(w.target, s.values[lo + 5 : lo + 8])
 
+    def test_windows_are_read_only_views(self):
+        rng = np.random.default_rng(4)
+        s = series_of(rng.normal(size=(30, 2)))
+        ws = make_windows(s, L=5, H=3, stride=2)
+        assert ws.array.shape == (len(ws), 8, 2) and ws.inputs.shape == (len(ws), 5, 2)
+        assert ws.targets.shape == (len(ws), 3, 2)
+        for view in (ws.array, ws.inputs, ws.targets):
+            assert np.shares_memory(view, s.values) and not view.flags.writeable
+        np.testing.assert_array_equal(ws.inputs, np.stack([w.input for w in ws]))
+        np.testing.assert_array_equal(ws.targets, np.stack([w.target for w in ws]))
+
+    def test_windows_index_like_a_sequence(self):
+        s = series_of(np.arange(20.0)[:, None])
+        ws = make_windows(s, L=4, H=2)
+        part = ws[3:9:2]
+        assert len(part) == 3 and [w.origin_index for w in part] == [3, 5, 7]
+        np.testing.assert_array_equal(part[1].input[:, 0], [5, 6, 7, 8])
+        idx = np.array([7, 2, 11])
+        np.testing.assert_array_equal(ws.inputs[idx], np.stack([ws[i].input for i in idx]))
+        assert [w.origin_index for w in ws[idx]] == [7, 2, 11]
+        assert ws[np.int64(4)].origin_index == 4
+        assert not ws[20:]
+
 
 class TestSynth:
     def test_deterministic_bytes(self, tmp_path):

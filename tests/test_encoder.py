@@ -112,6 +112,22 @@ class TestNorms:
         expect = (t.data - held["mean"]) / np.sqrt(held["var"] + encoder.BN_EPS)
         np.testing.assert_allclose(out_eval.data, expect, atol=1e-12)
 
+    def test_batch_norm_eval_without_stats_uses_batch_and_stores_nothing(self):
+        rng = np.random.default_rng(8)
+        scale = ad.parameter(np.ones(3))
+        shift = ad.parameter(np.zeros(3))
+        a = ad.Tensor(rng.normal(5.0, 2.0, size=(40, 3)))
+        b = ad.Tensor(rng.normal(-1.0, 0.5, size=(40, 3)))
+        stats = {}
+        out_a = encoder.batch_norm(a, scale, shift, stats, training=False)
+        out_b = encoder.batch_norm(b, scale, shift, stats, training=False)
+        assert stats == {}
+        again_a = encoder.batch_norm(a, scale, shift, stats, training=False)
+        np.testing.assert_array_equal(out_a.data, again_a.data)
+        for t, out in ((a, out_a), (b, out_b)):
+            expect = (t.data - t.data.mean(axis=0)) / np.sqrt(t.data.var(axis=0) + encoder.BN_EPS)
+            np.testing.assert_allclose(out.data, expect, atol=1e-12)
+
 
 class TestEncodeBlocks:
     def test_deterministic_without_dropout(self):

@@ -51,12 +51,12 @@ class TestForward:
         cfg = TrainConfig(**{**BASE, "k_time": 4, "k_freq": 4, "top_k": 1})
         model = TFPSModel(cfg)
         model.forward(x)
-        calls = model.expert_calls
-        total_routed = sum(1 for c in calls["time"] if c > 0)
+        calls = model.branches["time"].calls
+        total_routed = sum(1 for c in calls if c > 0)
         assert total_routed >= 1
         # re-run accumulates; reset clears
         model.reset_expert_calls()
-        assert all(c == 0 for c in model.expert_calls["time"])
+        assert all(c == 0 for br in model.branches.values() for c in br.calls)
 
 
 class TestVariants:
@@ -71,9 +71,9 @@ class TestVariants:
         loss, fwd, parts = model.loss(x, y)
         assert fwd.yhat.shape == (3, 4, 2)
         if branches == "time":
-            assert fwd.s_freq is None and parts["pi_freq"] == 0.0
+            assert "freq" not in fwd.s and parts["pi_freq"] == 0.0
         if branches == "frequency":
-            assert fwd.s_time is None and parts["pi_time"] == 0.0
+            assert "time" not in fwd.s and parts["pi_time"] == 0.0
         loss.backward()
 
     def test_linear_gate_ablation(self):
@@ -84,7 +84,7 @@ class TestVariants:
         assert "time.gate.w" in model.params and "time.bases" not in model.params
         loss, fwd, parts = model.loss(x, y)
         assert parts["pi_time"] == 0.0 and parts["pi_freq"] == 0.0
-        np.testing.assert_allclose(fwd.s_time.data.sum(axis=1), 1.0, atol=1e-9)
+        np.testing.assert_allclose(fwd.s["time"].data.sum(axis=1), 1.0, atol=1e-9)
         loss.backward()
         assert model.params["time.gate.w"].grad is not None
 
@@ -95,10 +95,24 @@ class TestVariants:
         model = TFPSModel(cfg)
         loss, _, _ = model.loss(x, y, training=True)
         loss.backward()
-        stats = model.time_layers[0].bn1_stats
+        stats = model.branches["time"].layers[0].bn1_stats
         assert "mean" in stats and stats["mean"].shape == (cfg.d_model,)
         arrays = model.named_arrays()
         assert "time.enc0.bn1.mean" in arrays
+
+    def test_batch_norm_eval_before_training_is_order_free(self):
+        rng = np.random.default_rng(11)
+        a, _ = batch(rng)
+        b, _ = batch(rng)
+        cfg = TrainConfig(**{**BASE, "branches": "time", "time_norm": "batch"})
+        first, second = TFPSModel(cfg), TFPSModel(cfg)
+        with ad.no_grad():
+            ab = [first.forward(x).yhat.data for x in (a, b)]
+            ba = [second.forward(x).yhat.data for x in (b, a)]
+        np.testing.assert_array_equal(ab[0], ba[1])
+        np.testing.assert_array_equal(ab[1], ba[0])
+        for model in (first, second):
+            assert model.named_arrays().keys() == model.params.keys()  # no running stats
 
     def test_batch_norm_checkpoint_roundtrip(self, tmp_path):
         from tfps.trainer import CHECKPOINT_VERSION, Checkpoint, load_checkpoint, save_checkpoint

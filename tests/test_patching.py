@@ -4,7 +4,12 @@ import numpy as np
 import pytest
 
 from tfps import autodiff as ad
-from tfps.patching import embed, patch_count, segment, segment_batch
+from tfps.patching import embed, patch_count, segment_batch
+
+
+def segment(x, P, S):
+    """(C, N, P) patches of one [L x C] window."""
+    return segment_batch(x[None], P, S)[0]
 
 
 class TestPatchCount:
@@ -33,47 +38,50 @@ class TestSegment:
     def test_hand_sliced_example(self):
         x = np.array([[1.0], [2.0], [3.0], [4.0]])
         ps = segment(x, P=2, S=2)
-        assert ps.n_patches == 3
-        np.testing.assert_allclose(ps.patches[0], [[1, 2], [3, 4], [4, 4]])
+        assert ps.shape == (1, 3, 2)
+        np.testing.assert_allclose(ps[0], [[1, 2], [3, 4], [4, 4]])
 
     def test_full_window_then_replicated(self):
         x = np.arange(1.0, 6.0)[:, None]
         ps = segment(x, P=5, S=5)
-        np.testing.assert_allclose(ps.patches[0, 0], [1, 2, 3, 4, 5])
-        np.testing.assert_allclose(ps.patches[0, 1], [5, 5, 5, 5, 5])
+        np.testing.assert_allclose(ps[0, 0], [1, 2, 3, 4, 5])
+        np.testing.assert_allclose(ps[0, 1], [5, 5, 5, 5, 5])
 
     def test_constant_channel_identical_patches(self):
         x = np.full((20, 1), 3.3)
         ps = segment(x, P=6, S=3)
-        for patch in ps.patches[0]:
-            np.testing.assert_array_equal(patch, ps.patches[0, 0])
+        for patch in ps[0]:
+            np.testing.assert_array_equal(patch, ps[0, 0])
 
     def test_channel_permutation_equivariance(self):
         rng = np.random.default_rng(0)
         x = rng.normal(size=(24, 4))
         perm = [2, 0, 3, 1]
-        a = segment(x, P=8, S=4).patches
-        b = segment(x[:, perm], P=8, S=4).patches
+        a = segment(x, P=8, S=4)
+        b = segment(x[:, perm], P=8, S=4)
         np.testing.assert_array_equal(a[perm], b)
 
     def test_patch_offsets(self):
         x = np.arange(12.0)[:, None]
         ps = segment(x, P=4, S=2)
-        for i in range(ps.n_patches - 1):
-            np.testing.assert_allclose(ps.patches[0, i], np.arange(2 * i, 2 * i + 4))
+        for i in range(ps.shape[1] - 1):
+            np.testing.assert_allclose(ps[0, i], np.arange(2 * i, 2 * i + 4))
 
     def test_batch_variant_matches(self):
         rng = np.random.default_rng(1)
         xs = rng.normal(size=(3, 16, 2))
         batched = segment_batch(xs, P=4, S=2)
         for b in range(3):
-            np.testing.assert_array_equal(batched[b], segment(xs[b], 4, 2).patches)
+            padded = np.concatenate([xs[b], np.repeat(xs[b, -1:], 2, axis=0)]).T  # (C, L+S)
+            expect = np.stack([padded[:, s : s + 4] for s in range(0, 16, 2)], axis=1)
+            np.testing.assert_array_equal(batched[b], expect)
+            np.testing.assert_array_equal(batched[b], segment(xs[b], 4, 2))
 
 
 class TestEmbed:
     def setup_method(self):
         rng = np.random.default_rng(2)
-        self.patches = segment(rng.normal(size=(16, 3)), P=4, S=2).patches  # (3, 8, 4)
+        self.patches = segment(rng.normal(size=(16, 3)), P=4, S=2)  # (3, 8, 4)
         self.n = self.patches.shape[1]
 
     def test_zero_projection_leaves_positions(self):

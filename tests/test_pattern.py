@@ -180,14 +180,14 @@ class TestPiLoss:
     def test_zero_at_joint_optimum_with_beta_zero(self):
         bases = ad.Tensor(np.eye(4))  # unit columns, orthogonal blocks
         z = ad.Tensor(np.random.default_rng(12).normal(size=(5, 4)))
-        loss, _ = pi_loss(z, bases, K=2, alpha=1e-3, beta=0.0)
+        loss = pi_loss(affinity(z, bases, 2), bases, K=2, alpha=1e-3, beta=0.0)
         assert float(loss.data) == pytest.approx(0.0, abs=1e-18)
 
     def test_zero_for_single_token_with_alpha_zero(self):
         rng = np.random.default_rng(13)
         bases = init_bases(6, 3, rng)
         z = ad.Tensor(rng.normal(size=(1, 6)))
-        loss, _ = pi_loss(z, bases, K=3, alpha=0.0, beta=0.5)
+        loss = pi_loss(affinity(z, bases, 3), bases, K=3, alpha=0.0, beta=0.5)
         assert float(loss.data) == pytest.approx(0.0, abs=1e-12)
 
     def test_composition_equals_sum_of_parts(self):
@@ -195,9 +195,10 @@ class TestPiLoss:
         bases = init_bases(8, 2, rng)
         z = ad.Tensor(rng.normal(size=(6, 8)))
         alpha, beta = 1e-3, 0.1
-        loss, s = pi_loss(z, bases, K=2, alpha=alpha, beta=beta)
+        s = affinity(z, bases, 2)
+        loss = pi_loss(s, bases, K=2, alpha=alpha, beta=beta)
         expect = alpha * (float(reg_r1(bases).data) + float(reg_r2(bases, 2).data))
-        expect += beta * float(kl_loss(refine(s.data), affinity(z, bases, 2)).data)
+        expect += beta * float(kl_loss(refine(s.data), s).data)
         assert float(loss.data) == pytest.approx(expect, rel=1e-12)
 
     def test_gradients_wrt_bases_and_tokens(self):
@@ -208,10 +209,10 @@ class TestPiLoss:
         s_hat = refine(affinity(z, bases, K).data.copy())  # frozen target
 
         def scalar():
-            loss, _ = pi_loss(z, bases, K, alpha=1e-3, beta=0.1, s_hat=s_hat)
+            loss = pi_loss(affinity(z, bases, K), bases, K, alpha=1e-3, beta=0.1, s_hat=s_hat)
             return float(loss.data)
 
-        loss, _ = pi_loss(z, bases, K, alpha=1e-3, beta=0.1, s_hat=s_hat)
+        loss = pi_loss(affinity(z, bases, K), bases, K, alpha=1e-3, beta=0.1, s_hat=s_hat)
         loss.backward()
         assert rel_err(bases.grad, numeric_grad(scalar, bases.data)) < 1e-4
         assert rel_err(z.grad, numeric_grad(scalar, z.data)) < 1e-4

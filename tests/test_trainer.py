@@ -265,15 +265,14 @@ class TestWholeModelGradients:
         x = rng.normal(size=(3, 16, 2))
         y = rng.normal(size=(3, 4, 2))
         base = model.forward(x)
-        s_hat_t = None if base.s_time is None else refine(base.s_time.data)
-        s_hat_f = None if base.s_freq is None else refine(base.s_freq.data)
+        s_hat = {name: refine(s.data) for name, s in base.s.items()}
 
-        loss, _, _ = model.loss(x, y, s_hat_time=s_hat_t, s_hat_freq=s_hat_f)
+        loss, _, _ = model.loss(x, y, s_hat=s_hat)
         model.zero_grad()
         loss.backward()
 
         def scalar():
-            l2, _, _ = model.loss(x, y, s_hat_time=s_hat_t, s_hat_freq=s_hat_f)
+            l2, _, _ = model.loss(x, y, s_hat=s_hat)
             return float(l2.data)
 
         probe_rng = np.random.default_rng(13)
