@@ -299,7 +299,7 @@ def narrow(a, key) -> Tensor:
     """Basic slicing. Integer/fancy indexing is not supported on the tape."""
     a = as_tensor(a)
     if not _is_basic_key(key):
-        raise TypeError("only basic slices are differentiable; use index_rows/take_along")
+        raise TypeError("only basic slices are differentiable; use index_rows")
 
     def backward(g):
         full = np.zeros_like(a.data)
@@ -434,38 +434,3 @@ def scatter_rows(a, rows: np.ndarray, length: int) -> Tensor:
         accumulate(a, g[rows])
 
     return make_op(out_data, (a,), backward)
-
-
-def take_along(a, indices: np.ndarray, axis: int) -> Tensor:
-    a = as_tensor(a)
-    indices = np.asarray(indices, dtype=np.intp)
-
-    def backward(g):
-        full = np.zeros_like(a.data)
-        # add.at handles duplicate indices correctly (top-k indices never repeat)
-        np.add.at(full, _along_axis_index(indices, axis), g)
-        accumulate(a, full)
-
-    return make_op(np.take_along_axis(a.data, indices, axis=axis), (a,), backward)
-
-
-def scatter_along(a, indices: np.ndarray, axis: int, size: int) -> Tensor:
-    """Inverse of take_along for per-row-unique indices: spread values of `a`
-    into a zero tensor whose `axis` has length `size`."""
-    a = as_tensor(a)
-    indices = np.asarray(indices, dtype=np.intp)
-    shape = list(a.data.shape)
-    shape[axis] = size
-    out_data = np.zeros(shape, dtype=np.float64)
-    np.put_along_axis(out_data, indices, a.data, axis=axis)
-
-    def backward(g):
-        accumulate(a, np.take_along_axis(g, indices, axis=axis))
-
-    return make_op(out_data, (a,), backward)
-
-
-def _along_axis_index(indices: np.ndarray, axis: int):
-    grids = list(np.ogrid[tuple(slice(s) for s in indices.shape)])
-    grids[axis] = indices
-    return tuple(grids)

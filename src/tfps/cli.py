@@ -78,7 +78,6 @@ def _build_parser() -> _Parser:
     p.add_argument("--ckpt", required=True)
     p.add_argument("--input", required=True)
     p.add_argument("--out", required=True, help="output CSV")
-    p.add_argument("--seed", type=int, default=0)
     return parser
 
 

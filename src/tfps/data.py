@@ -185,7 +185,7 @@ def load_csv(path, columns: list[str] | None = None) -> MultivariateSeries:
 
 def save_csv(series: MultivariateSeries, path, timestamp_name: str = "date") -> None:
     """Write a series back to the CSV format load_csv reads."""
-    integral = np.allclose(series.timestamps, np.round(series.timestamps))
+    integral = np.array_equal(series.timestamps, np.round(series.timestamps))
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow([timestamp_name, *series.channel_names])

@@ -17,6 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .data import MultivariateSeries
 from .fourier import amplitude_spectrum
@@ -74,15 +75,15 @@ def spectrum(patch) -> np.ndarray:
 
 
 def analysis_patches(channel: np.ndarray, P: int, S: int) -> np.ndarray:
-    """Full patches only: offsets 0, S, ... while the patch fits; (N, P)."""
+    """Full patches only: offsets 0, S, ... while the patch fits; a read-only
+    (N, P) view of the channel."""
     channel = np.asarray(channel, dtype=np.float64).ravel()
     T = channel.size
     if P < 1 or P > T:
         raise ValueError(f"patch length must satisfy 1 <= P <= T, got P={P}, T={T}")
     if S < 1:
         raise ValueError(f"stride must be >= 1, got {S}")
-    starts = np.arange(0, T - P + 1, S)
-    return np.stack([channel[s : s + P] for s in starts])
+    return sliding_window_view(channel, P)[::S]
 
 
 def patch_distance_matrix(channel: np.ndarray, P: int, S: int, domain: str) -> DriftMatrix:

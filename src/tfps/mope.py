@@ -29,25 +29,23 @@ class GatingWeights:
 
     weights: Tensor  # (M, K)
     indices: np.ndarray  # (M, k) selected expert ids
-    k: int
 
 
 def gate(s: Tensor, k: int) -> GatingWeights:
-    """Keep the k largest affinities per row, renormalize them with a softmax
-    over the raw selected values, zero the rest. Ties break toward the lowest
-    expert index."""
+    """KeepTopK routing (Shazeer et al., 2017): keep the k largest affinities
+    per row, set the rest to -inf and take a softmax, so unselected experts get
+    exactly zero weight and zero gradient. Ties break toward the lowest expert
+    index."""
     if s.ndim != 2:
         raise ValueError(f"expected (M, K) affinities, got shape {s.shape}")
     K = s.shape[1]
     if not 1 <= k <= K:
         raise ValueError(f"k must satisfy 1 <= k <= K={K}, got {k}")
     # stable sort of the negated values: equal affinities keep index order
-    order = np.argsort(-s.data, axis=1, kind="stable")
-    indices = order[:, :k]
-    selected = ad.take_along(s, indices, axis=1)
-    w = ad.softmax(selected, axis=1)
-    full = ad.scatter_along(w, indices, axis=1, size=K)
-    return GatingWeights(weights=full, indices=indices, k=k)
+    indices = np.argsort(-s.data, axis=1, kind="stable")[:, :k]
+    floor = np.full(s.shape, -np.inf)
+    np.put_along_axis(floor, indices, 0.0, axis=1)
+    return GatingWeights(weights=ad.softmax(s + floor, axis=1), indices=indices)
 
 
 def expert_forward(z: Tensor, params: ExpertParams) -> Tensor:

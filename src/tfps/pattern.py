@@ -12,39 +12,25 @@ target, held constant while the KL term pulls the live assignments toward it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
 
 
-@dataclass(frozen=True)
-class BasisShape:
-    q: int  # token feature width
-    K: int  # number of subspaces / experts
-    d: int  # columns per block, q // K
-
-    @property
-    def eta(self) -> float:
-        # smoothing constant, fixed to d
-        return float(self.d)
-
-
-def basis_shape(q: int, K: int) -> BasisShape:
+def block_width(q: int, K: int) -> int:
+    """Columns per basis block, d = q // K, for q-wide tokens and K subspaces."""
     if K < 1:
         raise ValueError(f"need K >= 1 subspaces, got {K}")
     if q % K != 0:
         raise ValueError(f"token width {q} not divisible by K={K}")
-    return BasisShape(q=q, K=K, d=q // K)
+    return q // K
 
 
 def init_bases(q: int, K: int, rng: np.random.Generator) -> Tensor:
     """Gaussian(0, 1/sqrt(q)) entries with columns rescaled to unit norm, so
     the column-norm penalty starts at its optimum."""
-    shape = basis_shape(q, K)
-    raw = rng.normal(0.0, 1.0 / np.sqrt(q), size=(q, shape.K * shape.d))
+    raw = rng.normal(0.0, 1.0 / np.sqrt(q), size=(q, K * block_width(q, K)))
     raw /= np.linalg.norm(raw, axis=0, keepdims=True)
     return ad.parameter(raw)
 
@@ -57,36 +43,25 @@ def reg_r1(bases: Tensor) -> Tensor:
     return (dev * dev).sum() * 0.5
 
 
-def _off_block_mask(shape: BasisShape) -> np.ndarray:
-    m = np.ones((shape.K * shape.d, shape.K * shape.d))
-    for j in range(shape.K):
-        lo = j * shape.d
-        m[lo : lo + shape.d, lo : lo + shape.d] = 0.0
-    return m
-
-
 def reg_r2(bases: Tensor, K: int) -> Tensor:
     """Cross-block penalty: 0.5 * ||B^T B masked to off-diagonal d-blocks||_F^2."""
-    shape = basis_shape(bases.shape[0], K)
+    d = block_width(bases.shape[0], K)
     gram = bases.swapaxes(0, 1) @ bases
-    masked = gram * _off_block_mask(shape)
+    masked = gram * (1.0 - np.kron(np.eye(K), np.ones((d, d))))
     return (masked * masked).sum() * 0.5
 
 
-def affinity(z: Tensor, bases: Tensor, K: int, eta: float | None = None) -> Tensor:
+def affinity(z: Tensor, bases: Tensor, K: int) -> Tensor:
     """Soft assignment of each token to each subspace:
-    s_ij = (||z_i^T B_j||_F^2 + eta*d) / sum_j(...). Rows sum to 1 and every
-    entry is positive thanks to the eta*d smoothing."""
-    shape = basis_shape(bases.shape[0], K)
-    if eta is None:
-        eta = shape.eta
-    if eta <= 0:
-        raise ValueError(f"smoothing eta must be positive, got {eta}")
-    if z.shape[-1] != shape.q:
-        raise ValueError(f"tokens have width {z.shape[-1]}, bases expect {shape.q}")
+    s_ij = (||z_i^T B_j||_F^2 + eta*d) / sum_j(...) with the smoothing eta
+    fixed to d. Rows sum to 1 and every entry is positive."""
+    q = bases.shape[0]
+    d = block_width(q, K)
+    if z.shape[-1] != q:
+        raise ValueError(f"tokens have width {z.shape[-1]}, bases expect {q}")
     proj = z @ bases  # (M, K*d)
-    energy = (proj * proj).reshape(z.shape[0], shape.K, shape.d).sum(axis=-1)
-    smoothed = energy + eta * shape.d
+    energy = (proj * proj).reshape(z.shape[0], K, d).sum(axis=-1)
+    smoothed = energy + d * d
     return smoothed / smoothed.sum(axis=-1, keepdims=True)
 
 

@@ -226,6 +226,8 @@ class TestUsage:
         assert "usage" in capsys.readouterr().err
         # --threads was removed: NumPy sizes its BLAS pools from the environment on import
         assert run(["--threads", "1", "synth", "--spec", "s.json", "--out", "o.csv"]) == 1
+        # predict --seed was removed: a forecast draws no random numbers
+        assert run(["predict", "--ckpt", "m.npz", "--input", "d.csv", "--out", "f.csv", "--seed", "1"]) == 1
 
     def test_unknown_command(self, capsys):
         assert run(["frobnicate"]) == 1

@@ -81,6 +81,12 @@ class TestLoadCsv:
         np.testing.assert_allclose(again.values, orig.values, rtol=1e-15)
         np.testing.assert_allclose(again.timestamps, orig.timestamps)
 
+    def test_roundtrip_keeps_sub_second_timestamps(self, tmp_path):
+        orig = series_of([1.0, 2.0, 3.0, 4.0], start=1.46e9, step=0.5)
+        path = tmp_path / "s.csv"
+        save_csv(orig, path)
+        np.testing.assert_array_equal(load_csv(path).timestamps, orig.timestamps)
+
 
 class TestSplit:
     def test_exact_division(self):

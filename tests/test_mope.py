@@ -70,6 +70,17 @@ class TestGate:
         scaled = mope.gate(ad.Tensor(3.7 * s), k=2).indices
         np.testing.assert_array_equal(base, scaled)
 
+    def test_unselected_experts_get_zero_weight_and_gradient(self):
+        rng = np.random.default_rng(4)
+        s = ad.parameter(random_affinity(rng, 12, 5))
+        gw = mope.gate(s, k=2)
+        (gw.weights * ad.Tensor(rng.normal(size=(12, 5)))).sum().backward()
+        off = np.ones((12, 5), dtype=bool)
+        np.put_along_axis(off, gw.indices, False, axis=1)
+        np.testing.assert_array_equal(gw.weights.data[off], 0.0)
+        np.testing.assert_array_equal(s.grad[off], 0.0)
+        assert np.all(s.grad[~off] != 0.0)
+
     def test_k_out_of_range(self):
         s = ad.Tensor(np.ones((2, 3)) / 3)
         for bad in (0, 4):

@@ -7,7 +7,7 @@ from helpers import numeric_grad, rel_err
 from tfps import autodiff as ad
 from tfps.pattern import (
     affinity,
-    basis_shape,
+    block_width,
     init_bases,
     kl_loss,
     pi_loss,
@@ -30,7 +30,7 @@ class TestInitBases:
 
     def test_single_subspace_square_block(self):
         bases = init_bases(6, 1, np.random.default_rng(1))
-        assert basis_shape(6, 1).d == 6
+        assert block_width(6, 1) == 6
         assert bases.shape == (6, 6)
 
     def test_indivisible_width_rejected(self):
@@ -80,7 +80,7 @@ class TestAffinity:
     def test_hand_value(self):
         bases = ad.Tensor(np.array([[1.0, 0.0], [0.0, 1.0]]))
         z = ad.Tensor(np.array([[1.0, 0.0]]))
-        s = affinity(z, bases, K=2, eta=1.0)
+        s = affinity(z, bases, K=2)
         np.testing.assert_allclose(s.data, [[2.0 / 3.0, 1.0 / 3.0]])
 
     def test_zero_token_uniform(self):
@@ -109,18 +109,6 @@ class TestAffinity:
         s = affinity(ad.Tensor(z), ad.Tensor(bases), K=K).data
         assert np.all(np.argmax(s[:5], axis=1) == 0)
         assert np.all(np.argmax(s[5:], axis=1) == 1)
-
-    def test_default_eta_equals_d(self):
-        rng = np.random.default_rng(8)
-        bases = init_bases(8, 2, rng)
-        z = ad.Tensor(rng.normal(size=(4, 8)))
-        np.testing.assert_array_equal(
-            affinity(z, bases, K=2).data, affinity(z, bases, K=2, eta=4.0).data)
-
-    def test_bad_eta_rejected(self):
-        bases = init_bases(4, 2, np.random.default_rng(0))
-        with pytest.raises(ValueError):
-            affinity(ad.Tensor(np.zeros((1, 4))), bases, K=2, eta=0.0)
 
 
 class TestRefine:
