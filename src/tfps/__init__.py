@@ -18,7 +18,7 @@ from .data import (
     split,
     synth_generate,
 )
-from .drift import DriftMatrix, average_wasserstein, patch_distance_matrix, spectrum, wasserstein_1d
+from .drift import DriftMatrix, average_wasserstein, patch_distance_matrix, wasserstein_1d
 from .errors import DataError, NumericError
 from .model import TFPSModel
 from .patching import patch_count, segment_batch
@@ -54,7 +54,6 @@ __all__ = [
     "save_checkpoint",
     "save_csv",
     "segment_batch",
-    "spectrum",
     "split",
     "synth_generate",
     "total_loss",

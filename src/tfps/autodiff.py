@@ -181,7 +181,7 @@ def accumulate(t: Tensor, g: np.ndarray) -> None:
         t.grad = g if t._backward is not None else g.copy()
 
 
-def _unbroadcast(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
+def unbroadcast(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
     """Sum gradient over axes that numpy broadcasting introduced or stretched."""
     if g.shape == shape:
         return g
@@ -213,8 +213,8 @@ def add(a, b) -> Tensor:
     a, b = as_tensor(a), as_tensor(b)
 
     def backward(g):
-        accumulate(a, _unbroadcast(g, a.data.shape))
-        accumulate(b, _unbroadcast(g, b.data.shape))
+        accumulate(a, unbroadcast(g, a.data.shape))
+        accumulate(b, unbroadcast(g, b.data.shape))
 
     return make_op(a.data + b.data, (a, b), backward)
 
@@ -223,8 +223,8 @@ def mul(a, b) -> Tensor:
     a, b = as_tensor(a), as_tensor(b)
 
     def backward(g):
-        accumulate(a, _unbroadcast(g * b.data, a.data.shape))
-        accumulate(b, _unbroadcast(g * a.data, b.data.shape))
+        accumulate(a, unbroadcast(g * b.data, a.data.shape))
+        accumulate(b, unbroadcast(g * a.data, b.data.shape))
 
     return make_op(a.data * b.data, (a, b), backward)
 
@@ -233,8 +233,8 @@ def div(a, b) -> Tensor:
     a, b = as_tensor(a), as_tensor(b)
 
     def backward(g):
-        accumulate(a, _unbroadcast(g / b.data, a.data.shape))
-        accumulate(b, _unbroadcast(-g * a.data / (b.data * b.data), b.data.shape))
+        accumulate(a, unbroadcast(g / b.data, a.data.shape))
+        accumulate(b, unbroadcast(-g * a.data / (b.data * b.data), b.data.shape))
 
     return make_op(a.data / b.data, (a, b), backward)
 
@@ -250,27 +250,45 @@ def power(a, exponent: float) -> Tensor:
 
 
 def matmul(a, b) -> Tensor:
-    """Batched matmul. A 2-D right operand (a weight) runs as one flat GEMM
-    over all leading axes of `a`, so its gradient is a single (D_in, D_out)
-    product instead of a broadcast stack summed afterwards."""
+    """Batched matmul; a 2-D right operand (a weight) runs as `linear`."""
     a, b = as_tensor(a), as_tensor(b)
     if a.ndim < 2 or b.ndim < 2:
         raise ValueError("matmul operands must have ndim >= 2")
     if b.ndim == 2:
-        a2 = a.data.reshape(-1, a.data.shape[-1])
-
-        def backward(g):
-            g2 = g.reshape(-1, g.shape[-1])
-            accumulate(a, (g2 @ b.data.T).reshape(a.data.shape))
-            accumulate(b, a2.T @ g2)
-
-        return make_op((a2 @ b.data).reshape(a.data.shape[:-1] + b.data.shape[-1:]), (a, b), backward)
+        return linear(a, b)
 
     def backward(g):
-        accumulate(a, _unbroadcast(g @ b.data.swapaxes(-1, -2), a.data.shape))
-        accumulate(b, _unbroadcast(a.data.swapaxes(-1, -2) @ g, b.data.shape))
+        accumulate(a, unbroadcast(g @ b.data.swapaxes(-1, -2), a.data.shape))
+        accumulate(b, unbroadcast(a.data.swapaxes(-1, -2) @ g, b.data.shape))
 
     return make_op(a.data @ b.data, (a, b), backward)
+
+
+def linear(x, w, b=None) -> Tensor:
+    """`x @ w (+ b)` for a 2-D weight, as one node and one flat GEMM over all
+    leading axes of `x`, so the weight gradient is a single (D_in, D_out)
+    product instead of a broadcast stack summed afterwards. The bias
+    gradient is reduced from the unflattened gradient, as `add` reduces it."""
+    x, w = as_tensor(x), as_tensor(w)
+    if w.ndim != 2:
+        raise ValueError(f"linear needs a 2-D weight, got shape {w.shape}")
+    x2 = x.data.reshape(-1, x.data.shape[-1])
+    out = (x2 @ w.data).reshape(x.data.shape[:-1] + w.data.shape[-1:])
+    parents = (x, w)
+    if b is not None:
+        b = as_tensor(b)
+        out = out + b.data
+        parents = (x, w, b)
+
+    def backward(g):
+        if b is not None:
+            accumulate(b, unbroadcast(g, b.data.shape))
+        g2 = g.reshape(-1, g.shape[-1])
+        if x.requires_grad:
+            accumulate(x, (g2 @ w.data.T).reshape(x.data.shape))
+        accumulate(w, x2.T @ g2)
+
+    return make_op(out, parents, backward)
 
 
 # -- shape -------------------------------------------------------------------
@@ -396,10 +414,17 @@ def relu(a) -> Tensor:
 
 
 def softmax(a, axis: int = -1) -> Tensor:
-    """Row-stochastic softmax; the max shift is a constant, so gradients are exact."""
+    """Row-stochastic softmax as one node. The max shift is a constant, so
+    gradients are exact. The adjoint repeats, operation for operation, the
+    one the exp/sum/div composite accumulated, so it rounds the same way."""
     a = as_tensor(a)
-    shift = exp(add(a, -a.data.max(axis=axis, keepdims=True)))
-    return div(shift, tsum(shift, axis=axis, keepdims=True))
+    e = np.exp(a.data - a.data.max(axis=axis, keepdims=True))
+    s = e.sum(axis=axis, keepdims=True)
+
+    def backward(g):
+        accumulate(a, (g / s + (-g * e / (s * s)).sum(axis=axis, keepdims=True)) * e)
+
+    return make_op(e / s, (a,), backward)
 
 
 # -- gather / scatter ----------------------------------------------------------

@@ -66,14 +66,6 @@ def pairwise_w1(a, b) -> np.ndarray:
     return np.mean(np.abs(a[:, None, :] - b[None, :, :]), axis=2)
 
 
-def spectrum(patch) -> np.ndarray:
-    """One-sided amplitude spectrum of a single patch; length P//2 + 1."""
-    patch = np.asarray(patch, dtype=np.float64)
-    if patch.ndim != 1 or patch.size < 1:
-        raise ValueError("spectrum expects a non-empty 1-D patch")
-    return amplitude_spectrum(patch)
-
-
 def analysis_patches(channel: np.ndarray, P: int, S: int) -> np.ndarray:
     """Full patches only: offsets 0, S, ... while the patch fits; a read-only
     (N, P) view of the channel."""

@@ -44,10 +44,27 @@ class LayerParams:
 
 
 def layer_norm(t: Tensor, scale: Tensor, shift: Tensor) -> Tensor:
-    mu = t.mean(axis=-1, keepdims=True)
-    centered = t - mu
-    var = (centered * centered).mean(axis=-1, keepdims=True)
-    return centered / ad.sqrt(var + LN_EPS) * scale + shift
+    """Normalize the last axis, then scale and shift, as one tape node that
+    keeps only the centered input, the deviation and the normalized input.
+    Forward and adjoint run the operations of the mean/var/sqrt/div
+    composite in its order, so every output and gradient rounds the same."""
+    x = t.data
+    inv_d = 1.0 / x.shape[-1]
+    c = x + x.sum(-1, keepdims=True) * inv_d * -1.0
+    sd = np.sqrt((c * c).sum(-1, keepdims=True) * inv_d + LN_EPS)
+    xh = c / sd
+
+    def backward(g):
+        ad.accumulate(shift, ad.unbroadcast(g, shift.data.shape))
+        gxh = g * scale.data
+        ad.accumulate(scale, ad.unbroadcast(g * xh, scale.data.shape))
+        gc = gxh / sd
+        gsd = (-gxh * c / (sd * sd)).sum(-1, keepdims=True)
+        gsq = gsd * 0.5 / sd * inv_d
+        gc = gc + gsq * c + gsq * c
+        ad.accumulate(t, gc + gc.sum(-1, keepdims=True) * -1.0 * inv_d)
+
+    return ad.make_op(xh * scale.data + shift.data, (t, scale, shift), backward)
 
 
 def batch_norm(t: Tensor, scale: Tensor, shift: Tensor, stats: dict, training: bool) -> Tensor:
@@ -102,7 +119,7 @@ def attention(tokens: Tensor, wq: Tensor, wk: Tensor, wv: Tensor, wo: Tensor, n_
 
 
 def feed_forward(t: Tensor, p: LayerParams) -> Tensor:
-    return ad.relu(t @ p.ff_w1 + p.ff_b1) @ p.ff_w2 + p.ff_b2
+    return ad.linear(ad.relu(ad.linear(t, p.ff_w1, p.ff_b1)), p.ff_w2, p.ff_b2)
 
 
 def _dropout(t: Tensor, rate: float, rng: np.random.Generator | None) -> Tensor:

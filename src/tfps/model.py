@@ -51,7 +51,7 @@ class Branch:
         """(M, K) routing probabilities of flattened tokens z."""
         if "bases" in self.identifier:
             return pattern.affinity(z, self.identifier["bases"], self.K)
-        return ad.softmax(z @ self.identifier["gate.w"] + self.identifier["gate.b"], axis=-1)
+        return ad.softmax(ad.linear(z, self.identifier["gate.w"], self.identifier["gate.b"]), axis=-1)
 
 
 class TFPSModel:

@@ -51,7 +51,7 @@ def gate(s: Tensor, k: int) -> GatingWeights:
 def expert_forward(z: Tensor, params: ExpertParams) -> Tensor:
     if z.shape[-1] != params.w1.shape[0]:
         raise ValueError(f"token width {z.shape[-1]} does not match expert input {params.w1.shape[0]}")
-    return ad.relu(z @ params.w1 + params.b1) @ params.w2 + params.b2
+    return ad.linear(ad.relu(ad.linear(z, params.w1, params.b1)), params.w2, params.b2)
 
 
 def aggregate(
@@ -61,8 +61,10 @@ def aggregate(
     call_counter: list[int] | None = None,
 ) -> Tensor:
     """h_i = sum_j gating[i, j] * E_j(z_i), evaluating each expert only on the
-    tokens actually routed to it. `call_counter[j]` counts evaluations, which
-    lets tests prove unrouted experts never run."""
+    tokens actually routed to it; an expert routed every token (always, when
+    k == K) runs on z itself, without gather and scatter copies.
+    `call_counter[j]` counts evaluations, which lets tests prove unrouted
+    experts never run."""
     M = z.shape[0]
     out = None
     for j, params in enumerate(experts):
@@ -71,10 +73,13 @@ def aggregate(
             continue
         if call_counter is not None:
             call_counter[j] += 1
-        zj = ad.index_rows(z, rows)
-        ej = expert_forward(zj, params)
-        wj = ad.index_rows(gating.weights, rows)[:, j : j + 1]
-        piece = ad.scatter_rows(ej * wj, rows, M)
+        if rows.size == M:  # every token routed here: gathering would only copy
+            piece = expert_forward(z, params) * gating.weights[:, j : j + 1]
+        else:
+            zj = ad.index_rows(z, rows)
+            ej = expert_forward(zj, params)
+            wj = ad.index_rows(gating.weights, rows)[:, j : j + 1]
+            piece = ad.scatter_rows(ej * wj, rows, M)
         out = piece if out is None else out + piece
     if out is None:  # unreachable: k >= 1 routes every token somewhere
         raise RuntimeError("no expert received any token")
@@ -96,5 +101,4 @@ def head(h: Tensor, w: Tensor, b: Tensor) -> Tensor:
     if w.shape[0] != n * dp:
         raise ValueError(f"head expects flattened width {w.shape[0]}, got {n * dp}")
     flat = h.reshape(h.shape[:-2] + (n * dp,))
-    y = flat @ w + b  # (..., C, H)
-    return y.swapaxes(-1, -2)
+    return ad.linear(flat, w, b).swapaxes(-1, -2)  # (..., C, H) -> (..., H, C)

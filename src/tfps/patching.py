@@ -14,7 +14,7 @@ from __future__ import annotations
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .autodiff import Tensor, as_tensor
+from .autodiff import Tensor, linear
 
 
 def patch_count(L: int, P: int, S: int) -> int:
@@ -52,4 +52,4 @@ def embed(patches: np.ndarray, projection: Tensor, bias: Tensor, positions: Tens
         raise ValueError(
             f"positions shape {positions.shape} does not match (N={n}, D={projection.shape[1]})"
         )
-    return as_tensor(patches) @ projection + bias + positions
+    return linear(patches, projection, bias) + positions

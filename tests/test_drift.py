@@ -11,9 +11,9 @@ from tfps.drift import (
     average_wasserstein,
     pairwise_w1,
     patch_distance_matrix,
-    spectrum,
     wasserstein_1d,
 )
+from tfps.fourier import amplitude_spectrum
 
 
 class TestWasserstein1d:
@@ -91,22 +91,6 @@ class TestPairwiseW1:
             pairwise_w1(a, b)
 
 
-class TestSpectrum:
-    def test_dc_only(self):
-        s = spectrum(np.full(8, 1.5))
-        assert s.shape == (5,)
-        assert s[0] == pytest.approx(12.0)
-        np.testing.assert_allclose(s[1:], 0.0, atol=1e-10)
-
-    def test_cosine_bin(self):
-        n, k = 16, 3
-        s = spectrum(np.cos(2 * np.pi * k * np.arange(n) / n))
-        assert s[k] == pytest.approx(n / 2)
-
-    def test_zero_patch(self):
-        np.testing.assert_array_equal(spectrum(np.zeros(7)), np.zeros(4))
-
-
 class TestPatchDistanceMatrix:
     def test_analysis_patches_are_unpadded(self):
         patches = analysis_patches(np.arange(20.0), P=8, S=4)
@@ -167,7 +151,7 @@ class TestPatchDistanceMatrix:
         channel = rng.normal(size=32)
         dm = patch_distance_matrix(channel, P=8, S=8, domain="frequency")
         patches = analysis_patches(channel, 8, 8)
-        expect = wasserstein_1d(spectrum(patches[0]), spectrum(patches[1]))
+        expect = wasserstein_1d(amplitude_spectrum(patches[0]), amplitude_spectrum(patches[1]))
         assert dm.distances[0, 1] == pytest.approx(expect, abs=1e-12)
 
 
