@@ -52,12 +52,6 @@ class Tensor:
     def size(self) -> int:
         return self.data.size
 
-    def item(self) -> float:
-        return float(self.data)
-
-    def zero_grad(self) -> None:
-        self.grad = None
-
     def detach(self) -> "Tensor":
         return Tensor(self.data)
 
@@ -213,8 +207,10 @@ def add(a, b) -> Tensor:
     a, b = as_tensor(a), as_tensor(b)
 
     def backward(g):
-        accumulate(a, unbroadcast(g, a.data.shape))
-        accumulate(b, unbroadcast(g, b.data.shape))
+        if a.requires_grad:
+            accumulate(a, unbroadcast(g, a.data.shape))
+        if b.requires_grad:
+            accumulate(b, unbroadcast(g, b.data.shape))
 
     return make_op(a.data + b.data, (a, b), backward)
 
@@ -223,8 +219,10 @@ def mul(a, b) -> Tensor:
     a, b = as_tensor(a), as_tensor(b)
 
     def backward(g):
-        accumulate(a, unbroadcast(g * b.data, a.data.shape))
-        accumulate(b, unbroadcast(g * a.data, b.data.shape))
+        if a.requires_grad:
+            accumulate(a, unbroadcast(g * b.data, a.data.shape))
+        if b.requires_grad:
+            accumulate(b, unbroadcast(g * a.data, b.data.shape))
 
     return make_op(a.data * b.data, (a, b), backward)
 
@@ -233,8 +231,10 @@ def div(a, b) -> Tensor:
     a, b = as_tensor(a), as_tensor(b)
 
     def backward(g):
-        accumulate(a, unbroadcast(g / b.data, a.data.shape))
-        accumulate(b, unbroadcast(-g * a.data / (b.data * b.data), b.data.shape))
+        if a.requires_grad:
+            accumulate(a, unbroadcast(g / b.data, a.data.shape))
+        if b.requires_grad:
+            accumulate(b, unbroadcast(-g * a.data / (b.data * b.data), b.data.shape))
 
     return make_op(a.data / b.data, (a, b), backward)
 

@@ -106,15 +106,14 @@ def _cmd_synth(args) -> int:
     from .data import RegimeSpec, SynthSpec, save_csv, synth_generate
 
     obj = _load_json(args.spec, "synth spec")
+    if not isinstance(obj, dict) or not set(obj) <= {"regimes", "channels", "seed", "step_seconds"}:
+        raise UsageError("bad synth spec: expected an object of regimes, channels, seed, step_seconds")
+    if args.seed is not None:
+        obj["seed"] = args.seed
     try:
-        regimes = tuple(RegimeSpec(**r) for r in obj.get("regimes", []))
-        spec = SynthSpec(
-            regimes=regimes,
-            channels=int(obj.get("channels", 1)),
-            seed=int(obj.get("seed", 0)) if args.seed is None else args.seed,
-            step_seconds=float(obj.get("step_seconds", 3600.0)),
-        )
-    except TypeError as e:
+        regimes = tuple(RegimeSpec(**r) for r in obj.get("regimes", ()))
+        spec = SynthSpec(**{**obj, "regimes": regimes})
+    except (TypeError, ValueError) as e:
         raise UsageError(f"bad synth spec: {e}") from None
     series, boundaries = synth_generate(spec)
     save_csv(series, args.out)
@@ -201,10 +200,10 @@ def _load_config(path, seed_override):
 
     try:
         cfg = config_from_json(path)
+        if seed_override is not None:
+            cfg = dataclasses.replace(cfg, seed=seed_override)
     except ValueError as e:
         raise UsageError(str(e)) from None
-    if seed_override is not None:
-        cfg = dataclasses.replace(cfg, seed=seed_override)
     return cfg
 
 
@@ -226,12 +225,14 @@ def _cmd_train(args) -> int:
 def _cmd_grid(args) -> int:
     import csv as csv_mod
 
-    from .trainer import grid_search, save_checkpoint
+    from .trainer import check_grid, grid_search, save_checkpoint
 
     cfg = _load_config(args.config, args.seed)
     space = _load_json(args.grid, "grid spec")
-    if not isinstance(space, dict) or not all(isinstance(v, list) for v in space.values()):
-        raise UsageError("grid spec must map config fields to lists of values")
+    try:
+        check_grid(space)
+    except ValueError as e:
+        raise UsageError(f"{args.grid}: {e}") from None
     train_w, val_w, _, scaler = _prepare(cfg, args.data)
     progress = None
     if not args.quiet:

@@ -1,14 +1,64 @@
-"""Run configuration: one dataclass covering architecture and optimization,
-plus a small declarative schema used to validate JSON configs before any
-compute happens."""
+"""Run configuration: one dataclass covering architecture and optimization.
+
+A dataclass's annotations are its schema: `check_types`, run on construction
+by `TrainConfig` and the synthetic-series specs in `data`, names the first
+field whose value does not have its annotated type. The constructor,
+`dataclasses.replace`, JSON configs, grid cells and checkpoint headers all
+get that check before any compute."""
 
 from __future__ import annotations
 
 import dataclasses
+import functools
 import json
+import reprlib
+import types
+import typing
 from dataclasses import dataclass
 
 from .patching import patch_count
+
+
+# field name -> resolved annotation of a dataclass, read once per class
+_field_types = functools.cache(typing.get_type_hints)
+
+
+def _accepts(hint, value) -> bool:
+    """Whether `value` has type `hint`. A float takes an int, a tuple takes a
+    list, `X | None` takes either, and a bool passes only a bool field."""
+    if isinstance(hint, types.UnionType):
+        return any(_accepts(h, value) for h in typing.get_args(hint))
+    if typing.get_origin(hint) is tuple:
+        if not isinstance(value, (tuple, list)):
+            return False
+        items = typing.get_args(hint)
+        if items[-1] is Ellipsis:
+            items = items[:1] * len(value)
+        return len(items) == len(value) and all(map(_accepts, items, value))
+    if isinstance(value, bool):
+        return hint is bool
+    return isinstance(value, (int, float) if hint is float else hint)
+
+
+def check_value(cls, name: str, value) -> None:
+    """Raise ValueError unless `value` fits field `name` of dataclass `cls`."""
+    hint = _field_types(cls).get(name)
+    if hint is None:
+        raise ValueError(f"{cls.__name__} has no field {name!r}")
+    if not _accepts(hint, value):
+        expected = hint.__name__ if isinstance(hint, type) else str(hint)
+        raise ValueError(f"{cls.__name__} field {name!r}: expected {expected}, "
+                         f"got {type(value).__name__} {reprlib.repr(value)}")
+
+
+def check_types(obj) -> None:
+    """Check every field of dataclass `obj` against its annotation, naming the
+    first that fails; a list given for a tuple field is stored as a tuple."""
+    for name in _field_types(type(obj)):
+        value = getattr(obj, name)
+        check_value(type(obj), name, value)
+        if isinstance(value, list):
+            object.__setattr__(obj, name, tuple(value))  # frozen dataclasses too
 
 
 @dataclass
@@ -43,6 +93,7 @@ class TrainConfig:
     split_ratios: tuple[float, float, float] = (0.6, 0.2, 0.2)
 
     def __post_init__(self):
+        check_types(self)
         self.validate()
 
     @property
@@ -69,18 +120,15 @@ class TrainConfig:
         for name in positive:
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
-        if self.patience < 0:
-            raise ValueError("patience must be >= 0")
+        if self.patience < 0 or self.seed < 0:
+            raise ValueError("patience and seed must be >= 0")
         if self.lr < 0:
             raise ValueError("lr must be >= 0")
         if not 0.0 <= self.dropout < 1.0:
             raise ValueError("dropout must lie in [0, 1)")
         if self.alpha < 0 or self.beta < 0:
             raise ValueError("alpha and beta must be non-negative")
-        if self.patch_len > self.seq_len:
-            raise ValueError("patch_len must not exceed seq_len")
-        if self.stride > self.patch_len:
-            raise ValueError("stride must not exceed patch_len")
+        patch_count(self.seq_len, self.patch_len, self.stride)  # rejects P > L and S > P
         if self.d_model % self.n_heads != 0:
             raise ValueError("d_model must be divisible by n_heads")
         if self.pi_mode not in ("subspace", "linear"):
@@ -94,75 +142,32 @@ class TrainConfig:
                 raise ValueError("d_model must be divisible by k_time")
             if self.branches in ("both", "frequency") and self.d_model % self.k_freq != 0:
                 raise ValueError("d_model must be divisible by k_freq")
-        if len(self.split_ratios) != 3 or any(r <= 0 for r in self.split_ratios):
+        if any(r <= 0 for r in self.split_ratios):
             raise ValueError("split_ratios must be three positive fractions")
         if abs(sum(self.split_ratios) - 1.0) > 1e-9:
             raise ValueError("split_ratios must sum to 1")
 
     def to_dict(self) -> dict:
-        d = dataclasses.asdict(self)
-        d["split_ratios"] = list(self.split_ratios)
-        return d
-
-
-# JSON schema: name -> (type(s), required). Documented in the README.
-_SCHEMA: dict[str, tuple] = {
-    "seq_len": (int,),
-    "pred_len": (int,),
-    "patch_len": (int,),
-    "stride": (int,),
-    "d_model": (int,),
-    "n_layers": (int,),
-    "n_heads": (int,),
-    "d_ff": (int, type(None)),
-    "k_time": (int,),
-    "k_freq": (int,),
-    "top_k": (int,),
-    "expert_hidden": (int, type(None)),
-    "alpha": (int, float),
-    "beta": (int, float),
-    "pi_mode": (str,),
-    "branches": (str,),
-    "time_norm": (str,),
-    "dropout": (int, float),
-    "instance_norm": (bool,),
-    "lr": (int, float),
-    "batch_size": (int,),
-    "max_epochs": (int,),
-    "patience": (int,),
-    "seed": (int,),
-    "scale": (bool,),
-    "split_ratios": (list,),
-}
+        return dataclasses.asdict(self)
 
 
 def config_from_dict(obj: dict) -> TrainConfig:
-    """Validate a JSON object against the schema and build a TrainConfig."""
+    """Build a TrainConfig from a JSON object, rejecting unknown keys; the
+    constructor checks each value's type."""
     if not isinstance(obj, dict):
         raise ValueError("config must be a JSON object")
-    unknown = sorted(set(obj) - set(_SCHEMA))
+    unknown = sorted(set(obj) - set(_field_types(TrainConfig)))
     if unknown:
         raise ValueError(f"unknown config keys: {unknown}")
-    for key, value in obj.items():
-        types = _SCHEMA[key]
-        if isinstance(value, bool) and bool not in types:
-            raise ValueError(f"config key {key!r}: expected {types}, got bool")
-        if not isinstance(value, types):
-            names = "/".join(t.__name__ for t in types)
-            raise ValueError(f"config key {key!r}: expected {names}, got {type(value).__name__}")
-    if "split_ratios" in obj:
-        obj = dict(obj)
-        obj["split_ratios"] = tuple(float(r) for r in obj["split_ratios"])
     return TrainConfig(**obj)
 
 
 def config_from_json(path) -> TrainConfig:
-    with open(path) as fh:
-        try:
-            obj = json.load(fh)
-        except json.JSONDecodeError as e:
-            raise ValueError(f"{path}: invalid JSON ({e})") from None
+    """Read and check a JSON config; any fault is a ValueError naming `path`."""
     try:
-        return config_from_dict(obj)
-    except (ValueError, TypeError) as e:
+        with open(path) as fh:
+            return config_from_dict(json.load(fh))
+    except json.JSONDecodeError as e:
+        raise ValueError(f"{path}: invalid JSON ({e})") from None
+    except (OSError, ValueError) as e:
         raise ValueError(f"{path}: {e}") from None

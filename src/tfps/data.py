@@ -12,6 +12,7 @@ from datetime import datetime, timezone
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
+from .config import check_types
 from .errors import DataError
 
 log = logging.getLogger(__name__)
@@ -105,8 +106,8 @@ class Scaler:
     def __post_init__(self):
         self.mean = np.asarray(self.mean, dtype=np.float64)
         self.std = np.asarray(self.std, dtype=np.float64)
-        if self.degenerate is None:
-            self.degenerate = np.zeros(self.mean.shape, dtype=bool)
+        flags = np.zeros(self.mean.shape) if self.degenerate is None else self.degenerate
+        self.degenerate = np.asarray(flags, dtype=bool)
         if np.any(self.std <= 0):
             raise DataError("scaler std must be positive for every channel")
 
@@ -268,6 +269,9 @@ class RegimeSpec:
     noise: float = 0.0  # Gaussian std
     offset: float = 0.0
 
+    def __post_init__(self):
+        check_types(self)
+
 
 @dataclass(frozen=True)
 class SynthSpec:
@@ -276,6 +280,11 @@ class SynthSpec:
     seed: int = 0
     step_seconds: float = 3600.0
     start_epoch: float = 946684800.0  # 2000-01-01T00:00:00Z
+
+    def __post_init__(self):
+        check_types(self)
+        if self.seed < 0:
+            raise ValueError("seed must be >= 0")
 
 
 def synth_generate(spec: SynthSpec) -> tuple[MultivariateSeries, list[int]]:

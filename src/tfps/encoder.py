@@ -22,6 +22,16 @@ BN_MOMENTUM = 0.1
 
 
 @dataclass
+class MLPParams:
+    """`relu(x @ w1 + b1) @ w2 + b2`: a block's feed-forward sublayer, or one expert."""
+
+    w1: Tensor
+    b1: Tensor
+    w2: Tensor
+    b2: Tensor
+
+
+@dataclass
 class LayerParams:
     """One encoder block. `wq..wo` are None in the frequency branch, whose
     mixer has no parameters."""
@@ -32,10 +42,7 @@ class LayerParams:
     wo: Tensor | None
     norm1_scale: Tensor
     norm1_shift: Tensor
-    ff_w1: Tensor
-    ff_b1: Tensor
-    ff_w2: Tensor
-    ff_b2: Tensor
+    ff: MLPParams
     norm2_scale: Tensor
     norm2_shift: Tensor
     # running stats, used only when the block normalizes batch-wise
@@ -118,8 +125,8 @@ def attention(tokens: Tensor, wq: Tensor, wk: Tensor, wv: Tensor, wo: Tensor, n_
     return merged @ wo
 
 
-def feed_forward(t: Tensor, p: LayerParams) -> Tensor:
-    return ad.linear(ad.relu(ad.linear(t, p.ff_w1, p.ff_b1)), p.ff_w2, p.ff_b2)
+def feed_forward(t: Tensor, p: MLPParams) -> Tensor:
+    return ad.linear(ad.relu(ad.linear(t, p.w1, p.b1)), p.w2, p.b2)
 
 
 def _dropout(t: Tensor, rate: float, rng: np.random.Generator | None) -> Tensor:
@@ -158,6 +165,6 @@ def encode(
             mixed = fourier_mix(x)
         mixed = _dropout(mixed, dropout if training else 0.0, rng)
         x = _norm(x + mixed, p.norm1_scale, p.norm1_shift, norm, p.bn1_stats, training)
-        ff = _dropout(feed_forward(x, p), dropout if training else 0.0, rng)
+        ff = _dropout(feed_forward(x, p.ff), dropout if training else 0.0, rng)
         x = _norm(x + ff, p.norm2_scale, p.norm2_shift, norm, p.bn2_stats, training)
     return x

@@ -44,8 +44,7 @@ class Branch:
     norm: str
     layers: list[encoder.LayerParams]
     identifier: dict[str, Tensor] = field(default_factory=dict)  # "bases", or "gate.w" + "gate.b"
-    experts: list[mope.ExpertParams] = field(default_factory=list)
-    calls: list[int] = field(default_factory=list)  # aggregate evaluations per expert
+    experts: list[encoder.MLPParams] = field(default_factory=list)
 
     def route(self, z: Tensor) -> Tensor:
         """(M, K) routing probabilities of flattened tokens z."""
@@ -62,16 +61,20 @@ class TFPSModel:
         d = cfg.d_model
         n = cfg.n_patches
 
-        def p(name: str, shape, std: float | None = INIT_STD) -> Tensor:
-            data = rng.normal(0.0, std, size=shape) if std else np.zeros(shape)
-            t = ad.parameter(data)
-            self.params[name] = t
+        def const(name: str, value: np.ndarray) -> Tensor:
+            t = self.params[name] = ad.parameter(value)
             return t
 
-        def const(name: str, value: np.ndarray) -> Tensor:
-            t = ad.parameter(value)
-            self.params[name] = t
-            return t
+        def p(name: str, shape, std: float | None = INIT_STD) -> Tensor:
+            return const(name, rng.normal(0.0, std, size=shape) if std else np.zeros(shape))
+
+        def mlp(prefix: str, hidden: int) -> encoder.MLPParams:
+            return encoder.MLPParams(
+                w1=p(f"{prefix}.w1", (d, hidden)),
+                b1=p(f"{prefix}.b1", (hidden,), std=None),
+                w2=p(f"{prefix}.w2", (hidden, d)),
+                b2=p(f"{prefix}.b2", (d,), std=None),
+            )
 
         p("embed.proj", (cfg.patch_len, d))
         p("embed.bias", (d,), std=None)
@@ -99,17 +102,13 @@ class TFPSModel:
                         wo=attn.get("wo"),
                         norm1_scale=const(f"{pre}.norm1.scale", np.ones(d)),
                         norm1_shift=const(f"{pre}.norm1.shift", np.zeros(d)),
-                        ff_w1=p(f"{pre}.ff.w1", (d, cfg.d_ff_eff)),
-                        ff_b1=p(f"{pre}.ff.b1", (cfg.d_ff_eff,), std=None),
-                        ff_w2=p(f"{pre}.ff.w2", (cfg.d_ff_eff, d)),
-                        ff_b2=p(f"{pre}.ff.b2", (d,), std=None),
+                        ff=mlp(f"{pre}.ff", cfg.d_ff_eff),
                         norm2_scale=const(f"{pre}.norm2.scale", np.ones(d)),
                         norm2_shift=const(f"{pre}.norm2.shift", np.zeros(d)),
                     )
                 )
             self.branches[name] = Branch(name, k_experts, mixer, norm, layers)
 
-        hidden = cfg.expert_hidden_eff
         for br in self.branches.values():
             if cfg.pi_mode == "subspace":
                 br.identifier["bases"] = pattern.init_bases(d, br.K, rng)
@@ -117,16 +116,7 @@ class TFPSModel:
             else:
                 br.identifier["gate.w"] = p(f"{br.name}.gate.w", (d, br.K))
                 br.identifier["gate.b"] = p(f"{br.name}.gate.b", (br.K,), std=None)
-            br.experts = [
-                mope.ExpertParams(
-                    w1=p(f"{br.name}.expert{j}.w1", (d, hidden)),
-                    b1=p(f"{br.name}.expert{j}.b1", (hidden,), std=None),
-                    w2=p(f"{br.name}.expert{j}.w2", (hidden, d)),
-                    b2=p(f"{br.name}.expert{j}.b2", (d,), std=None),
-                )
-                for j in range(br.K)
-            ]
-            br.calls = [0] * br.K
+            br.experts = [mlp(f"{br.name}.expert{j}", cfg.expert_hidden_eff) for j in range(br.K)]
 
         width = d * len(self.branches)
         p("head.w", (n * width, cfg.pred_len))
@@ -170,10 +160,6 @@ class TFPSModel:
         for t in self.params.values():
             t.grad = None
 
-    def reset_expert_calls(self) -> None:
-        for br in self.branches.values():
-            br.calls[:] = [0] * br.K
-
     # -- forward ------------------------------------------------------------
 
     def forward(
@@ -208,7 +194,7 @@ class TFPSModel:
             z_flat = z.reshape(b_sz * c_sz * n, cfg.d_model)
             s = s_out[name] = br.route(z_flat)
             gating = mope.gate(s, cfg.top_k_eff(br.K))
-            h = mope.aggregate(gating, z_flat, br.experts, br.calls)
+            h = mope.aggregate(gating, z_flat, br.experts)
             outputs[name] = h.reshape(b_sz, c_sz, n, cfg.d_model)
 
         if cfg.branches == "both":

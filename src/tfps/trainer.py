@@ -16,7 +16,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .config import TrainConfig, config_from_dict
+from .config import TrainConfig, check_value, config_from_dict
 from .data import Scaler, Windows
 from .errors import DataError, NumericError
 from .model import TFPSModel
@@ -109,6 +109,7 @@ def save_checkpoint(ckpt: Checkpoint, path) -> None:
 
 
 def load_checkpoint(path) -> Checkpoint:
+    """Read a checkpoint; any fault in the file is a DataError naming it."""
     import zipfile
 
     try:
@@ -118,33 +119,31 @@ def load_checkpoint(path) -> Checkpoint:
     with npz:
         if "__header__" not in npz:
             raise DataError(f"{path}: not a checkpoint (missing header)")
-        header = json.loads(bytes(npz["__header__"]).decode())
-        if header.get("version") != CHECKPOINT_VERSION:
-            raise DataError(f"{path}: unsupported checkpoint version {header.get('version')}")
-        arrays = {}
-        for key, shape in header["arrays"].items():
+        try:
+            header = json.loads(bytes(npz["__header__"]).decode())
+            if header.get("version") != CHECKPOINT_VERSION:
+                raise DataError(f"unsupported checkpoint version {header.get('version')}")
+            scaler = header["scaler"]
+            ckpt = Checkpoint(
+                version=header["version"],
+                config=config_from_dict(header["config"]),
+                arrays={},
+                scaler=None if scaler is None else Scaler(**scaler),
+                history=header["history"],
+            )
+            shapes = dict(header["arrays"])
+        except (KeyError, TypeError, ValueError, AttributeError) as e:  # DataError is a ValueError
+            cause = f"missing {e}" if isinstance(e, KeyError) else e
+            raise DataError(f"{path}: bad checkpoint header: {cause}") from None
+        for key, shape in shapes.items():
             full = f"array/{key}"
             if full not in npz:
                 raise DataError(f"{path}: header lists {key!r} but the array is missing")
             arr = npz[full]
             if list(arr.shape) != shape:
                 raise DataError(f"{path}: array {key!r} shape {arr.shape} != declared {shape}")
-            arrays[key] = arr.astype(np.float64)
-    scaler = None
-    if header["scaler"] is not None:
-        s = header["scaler"]
-        scaler = Scaler(
-            mean=np.array(s["mean"]),
-            std=np.array(s["std"]),
-            degenerate=np.array(s["degenerate"], dtype=bool),
-        )
-    return Checkpoint(
-        version=header["version"],
-        config=config_from_dict(header["config"]),
-        arrays=arrays,
-        scaler=scaler,
-        history=header["history"],
-    )
+            ckpt.arrays[key] = arr.astype(np.float64)
+    return ckpt
 
 
 def validation_mse(model: TFPSModel, windows: Windows, batch_size: int) -> float:
@@ -216,6 +215,15 @@ def train(
     )
 
 
+def check_grid(space) -> None:
+    """Raise ValueError unless `space` maps config fields to non-empty lists of their type."""
+    if not isinstance(space, dict) or not space or not all(isinstance(v, list) and v for v in space.values()):
+        raise ValueError("grid spec must map config fields to non-empty lists of values")
+    for name, values in space.items():
+        for value in values:
+            check_value(TrainConfig, name, value)
+
+
 def grid_search(
     base: TrainConfig,
     space: dict[str, list],
@@ -226,9 +234,9 @@ def grid_search(
     progress=None,
 ) -> tuple[Checkpoint, list[dict]]:
     """Train every combination in `space`, rank by best validation MSE.
-    Failed cells are recorded in the leaderboard, not fatal."""
-    if not space or any(not v for v in space.values()):
-        raise ValueError("grid space must map config fields to non-empty lists")
+    A cell whose combination fails (a cross-field rule, say) is recorded in
+    the leaderboard, not fatal."""
+    check_grid(space)
     names = sorted(space)
     combos = list(itertools.product(*(space[n] for n in names)))
     if budget is not None:

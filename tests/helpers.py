@@ -127,3 +127,18 @@ def reference_attention(tokens, wq, wk, wv, wo, n_heads: int) -> np.ndarray:
             weights[i] = row / row.sum()
         heads.append(weights @ v)
     return np.concatenate(heads, axis=1) @ wo
+
+
+def record_expert_calls(monkeypatch, mope, experts) -> list[int]:
+    """Wrap `mope.expert_forward` so that each call appends the index in
+    `experts` of the expert it evaluates (-1 for any other expert). Returns
+    the list it fills."""
+    calls: list[int] = []
+    real = mope.expert_forward
+
+    def recorded(z, params):
+        calls.append(next((j for j, e in enumerate(experts) if e is params), -1))
+        return real(z, params)
+
+    monkeypatch.setattr(mope, "expert_forward", recorded)
+    return calls

@@ -120,6 +120,17 @@ class TestPrimitives:
 
 
 class TestTape:
+    @pytest.mark.parametrize("op", [ad.add, ad.mul, ad.div])
+    def test_constant_operand_gets_no_gradient(self, op, monkeypatch):
+        formed = []
+        real = ad.unbroadcast
+        monkeypatch.setattr(ad, "unbroadcast", lambda g, shape: formed.append(shape) or real(g, shape))
+        x, c = ad.parameter(np.ones((3, 4))), np.full((1, 4), 2.0)
+        for args in ((x, c), (c, x)):
+            formed.clear()
+            op(*args).backward(np.ones((3, 4)))
+            assert formed == [(3, 4)]  # the parameter's gradient only
+
     def test_grad_accumulates_over_reuse(self):
         p = ad.parameter(np.array([2.0, 3.0]))
         y = (p * p).sum() + (p * 4.0).sum()

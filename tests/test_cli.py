@@ -25,6 +25,10 @@ TRAIN_CFG = {
 }
 
 
+REGIME = {"length": 300}
+VALID_HEADER = {"version": 1, "config": {}, "scaler": None, "history": {}, "arrays": {}}
+
+
 @pytest.fixture
 def workdir(tmp_path):
     spec = tmp_path / "spec.json"
@@ -218,6 +222,105 @@ class TestGridCommand:
         assert vals == sorted(vals)
         assert (out / "best.npz").exists()
         assert (out / "leaderboard.csv").exists()
+
+
+class TestBoundaryErrors:
+    """Malformed specs, grid specs and checkpoint headers end in their
+    documented exit code with one named cause, never in a traceback."""
+
+    @pytest.mark.parametrize("spec", [
+        {"regimes": [{"length": "300"}]},
+        {"regimes": [{"length": 300, "amplitude": "big"}]},
+        [1],
+        {"regimes": [REGIME], "bogus": 1},
+        {"regimes": [REGIME], "start_epoch": 0.0},  # not settable from JSON
+        {"regimes": [REGIME], "channels": "2"},
+        {"regimes": [REGIME], "seed": -1},
+    ])
+    def test_bad_synth_spec(self, tmp_path, capsys, spec):
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps(spec))
+        out = tmp_path / "o.csv"
+        assert run(["synth", "--spec", str(path), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert "error: bad synth spec" in err and "Traceback" not in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("space,cause", [
+        ({}, "non-empty lists"),
+        ({"lr": []}, "non-empty lists"),
+        ([{"lr": [0.1]}], "non-empty lists"),
+        ({"lr": 0.1}, "non-empty lists"),
+        ({"bogus": [1]}, "bogus"),
+        ({"d_model": ["16"]}, "d_model"),
+        ({"top_k": [True]}, "top_k"),
+        ({"split_ratios": [[0.5, 0.5]]}, "split_ratios"),
+    ])
+    def test_bad_grid_spec(self, workdir, capsys, space, cause):
+        grid = workdir / "grid.json"
+        grid.write_text(json.dumps(space))
+        out = workdir / "gridout"
+        capsys.readouterr()
+        code = run(["grid", "--config", str(workdir / "cfg.json"), "--grid", str(grid),
+                    "--data", str(workdir / "data.csv"), "--out", str(out), "--quiet"])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and cause in err and "Traceback" not in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("config", ["absent.json", "."])
+    def test_unreadable_config(self, workdir, capsys, config):
+        capsys.readouterr()
+        code = run(["train", "--config", str(workdir / config), "--data", str(workdir / "data.csv"),
+                    "--out", str(workdir / "m.npz")])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and config.strip(".") in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("command", ["train", "grid"])
+    def test_negative_seed_flag(self, workdir, capsys, command):
+        grid = workdir / "grid.json"
+        grid.write_text(json.dumps({"lr": [0.001]}))
+        grid_args = ["--grid", str(grid)] if command == "grid" else []
+        capsys.readouterr()
+        code = run([command, "--config", str(workdir / "cfg.json"), *grid_args, "--data",
+                    str(workdir / "data.csv"), "--out", str(workdir / "out"), "--seed", "-1"])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "seed" in err and "Traceback" not in err
+
+    def test_cross_field_failure_is_a_failed_cell(self, workdir):
+        grid = workdir / "grid.json"
+        grid.write_text(json.dumps({"k_time": [3, 2]}))  # d_model=16 is not divisible by 3
+        out = workdir / "gridout"
+        assert run(["grid", "--config", str(workdir / "cfg.json"), "--grid", str(grid),
+                    "--data", str(workdir / "data.csv"), "--out", str(out), "--quiet"]) == 0
+        status = {r["k_time"]: r["status"] for r in json.loads((out / "leaderboard.json").read_text())}
+        assert status[2] == "ok" and "k_time" in status[3]
+
+    @pytest.mark.parametrize("header,cause", [
+        pytest.param("{not json", "header", id="not-json"),
+        pytest.param("[1]", "header", id="not-an-object"),
+        *(pytest.param(json.dumps({k: v for k, v in VALID_HEADER.items() if k != key}), key,
+                       id=f"no-{key}") for key in ("scaler", "config", "history", "arrays")),
+        pytest.param(json.dumps(dict(VALID_HEADER, config={"d_model": "128"})), "d_model",
+                     id="config-type"),
+        pytest.param(json.dumps(dict(VALID_HEADER, config={"bogus": 1})), "bogus", id="config-key"),
+        pytest.param(json.dumps(dict(VALID_HEADER, scaler={"mean": [0.0]})), "std", id="no-scaler-std"),
+    ])
+    def test_bad_checkpoint_header(self, workdir, capsys, header, cause):
+        ckpt = workdir / "bad.npz"
+        with open(ckpt, "wb") as fh:
+            np.savez(fh, __header__=np.frombuffer(header.encode(), dtype=np.uint8))
+        forecast = workdir / "forecast.csv"
+        capsys.readouterr()
+        code = run(["predict", "--ckpt", str(ckpt), "--input", str(workdir / "data.csv"),
+                    "--out", str(forecast)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("data error:") and str(ckpt) in err and cause in err
+        assert "Traceback" not in err
+        assert not forecast.exists()
 
 
 class TestUsage:

@@ -1,7 +1,9 @@
 """Config validation and the JSON schema gate."""
 
+import dataclasses
 import json
 
+import numpy as np
 import pytest
 
 from tfps.config import TrainConfig, config_from_dict, config_from_json
@@ -33,6 +35,7 @@ class TestValidation:
             {"time_norm": "instance"},
             {"split_ratios": (0.5, 0.2, 0.2)},
             {"alpha": -1.0},
+            {"seed": -1},
         ],
     )
     def test_invalid_configs_rejected(self, overrides):
@@ -47,6 +50,32 @@ class TestValidation:
         cfg = TrainConfig(seq_len=48, d_model=32, n_heads=4, seed=9)
         again = config_from_dict(cfg.to_dict())
         assert again == cfg
+
+
+class TestAnnotationTypes:
+    @pytest.mark.parametrize("field,value", [
+        ("d_model", "128"),
+        ("seed", np.int64(3)),  # would train, then fail to serialize the checkpoint header
+        ("top_k", True),
+        ("lr", "fast"),
+        ("instance_norm", 1),
+        ("d_ff", 64.0),
+        ("split_ratios", (0.5, 0.5)),
+        ("split_ratios", (0.6, "0.2", 0.2)),
+    ])
+    def test_wrong_type_names_the_field(self, field, value):
+        with pytest.raises(ValueError, match=f"'{field}': expected"):
+            TrainConfig(**{field: value})
+
+    def test_replace_is_checked(self):
+        cfg = TrainConfig()
+        with pytest.raises(ValueError, match="'seed'"):
+            dataclasses.replace(cfg, seed="1")
+
+    def test_accepted_forms(self):
+        cfg = TrainConfig(lr=1, alpha=0, d_ff=None, expert_hidden=64, split_ratios=[0.7, 0.1, 0.2])
+        assert cfg.split_ratios == (0.7, 0.1, 0.2) and isinstance(cfg.split_ratios, tuple)
+        assert TrainConfig(d_ff=256).d_ff == 256
 
 
 class TestJsonSchema:

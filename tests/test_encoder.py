@@ -20,10 +20,12 @@ def make_layer(rng, d, d_ff, with_attention=True, zero_ff=False):
         wo=w((d, d)) if with_attention else None,
         norm1_scale=ad.parameter(np.ones(d)),
         norm1_shift=ad.parameter(np.zeros(d)),
-        ff_w1=ad.parameter(np.zeros((d, d_ff))) if zero_ff else w((d, d_ff)),
-        ff_b1=ad.parameter(np.zeros(d_ff)),
-        ff_w2=ad.parameter(np.zeros((d_ff, d))) if zero_ff else w((d_ff, d)),
-        ff_b2=ad.parameter(np.zeros(d)),
+        ff=encoder.MLPParams(
+            w1=ad.parameter(np.zeros((d, d_ff))) if zero_ff else w((d, d_ff)),
+            b1=ad.parameter(np.zeros(d_ff)),
+            w2=ad.parameter(np.zeros((d_ff, d))) if zero_ff else w((d_ff, d)),
+            b2=ad.parameter(np.zeros(d)),
+        ),
         norm2_scale=ad.parameter(np.ones(d)),
         norm2_shift=ad.parameter(np.zeros(d)),
     )
@@ -196,7 +198,7 @@ class TestEncodeBlocks:
             return (out * probe).sum()
 
         for mixer in ("time", "frequency"):
-            for p in (layers[0].ff_w1, layers[0].norm1_scale) + (
+            for p in (layers[0].ff.w1, layers[0].norm1_scale) + (
                 (layers[0].wq, layers[0].wo) if mixer == "time" else ()
             ):
                 p.grad = None

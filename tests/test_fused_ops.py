@@ -11,7 +11,7 @@ check in float64.
 import numpy as np
 import pytest
 
-from helpers import numeric_grad, rel_err
+from helpers import numeric_grad, record_expert_calls, rel_err
 from tfps import autodiff as ad
 from tfps import encoder, mope
 
@@ -179,17 +179,17 @@ def test_linear_rejects_a_non_matrix_weight():
 # -- aggregate at top_k == K --------------------------------------------------------
 
 
-def test_dense_aggregate_is_bitwise_the_gathered_path():
+def test_dense_aggregate_is_bitwise_the_gathered_path(monkeypatch):
     rng = np.random.default_rng(9)
     d, m, K = 6, 30, 4
     experts = [
-        mope.ExpertParams(*(ad.parameter(rng.normal(0, 0.3, size=s)) for s in ((d, 8), 8, (8, d), d)))
+        encoder.MLPParams(*(ad.parameter(rng.normal(0, 0.3, size=s)) for s in ((d, 8), 8, (8, d), d)))
         for _ in range(K)
     ]
     z0, s0, probe = rng.normal(size=(m, d)), rng.normal(size=(m, K)), rng.normal(size=(m, d))
-    calls = [0] * K
+    calls = record_expert_calls(monkeypatch, mope, experts)
     results = []
-    for run in (lambda g, z: mope.aggregate(g, z, experts, calls), lambda g, z: gathered_aggregate(g, z, experts)):
+    for run in (lambda g, z: mope.aggregate(g, z, experts), lambda g, z: gathered_aggregate(g, z, experts)):
         for p in experts:
             for t in (p.w1, p.b1, p.w2, p.b2):
                 t.grad = None
@@ -198,6 +198,6 @@ def test_dense_aggregate_is_bitwise_the_gathered_path():
         out.backward(probe)
         grads = [t.grad for p in experts for t in (p.w1, p.b1, p.w2, p.b2)]
         results.append([out.data, z.grad, s.grad] + grads)
-    assert calls == [1] * K
+    assert calls == list(range(K)) * 2  # each expert once in aggregate, once in the reference
     for got, ref in zip(*results):
         assert np.array_equal(got, ref)

@@ -4,7 +4,9 @@ normalization, batch-norm branch, sparsity instrumentation."""
 import numpy as np
 import pytest
 
+from helpers import record_expert_calls
 from tfps import autodiff as ad
+from tfps import mope
 from tfps.config import TrainConfig
 from tfps.model import TFPSModel
 
@@ -45,18 +47,18 @@ class TestForward:
         with pytest.raises(ValueError):
             model.forward(np.zeros((2, 15, 2)))
 
-    def test_expert_call_sparsity(self):
+    def test_expert_call_sparsity(self, monkeypatch):
         rng = np.random.default_rng(2)
         x, _ = batch(rng)
         cfg = TrainConfig(**{**BASE, "k_time": 4, "k_freq": 4, "top_k": 1})
         model = TFPSModel(cfg)
-        model.forward(x)
-        calls = model.branches["time"].calls
-        total_routed = sum(1 for c in calls if c > 0)
-        assert total_routed >= 1
-        # re-run accumulates; reset clears
-        model.reset_expert_calls()
-        assert all(c == 0 for br in model.branches.values() for c in br.calls)
+        calls = record_expert_calls(monkeypatch, mope, model.branches["time"].experts)
+        fwd = model.forward(x)
+        # each time expert runs once, and only if some token's top-1 affinity picks it
+        routed = sorted(set(np.argmax(fwd.s["time"].data, axis=1)))
+        assert len(routed) >= 1
+        assert sorted(c for c in calls if c >= 0) == routed
+        assert calls.count(-1) == len(set(np.argmax(fwd.s["freq"].data, axis=1)))
 
 
 class TestVariants:
