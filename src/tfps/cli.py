@@ -92,6 +92,21 @@ def _resolve_data(path: str) -> str:
     return path
 
 
+def _load_series(path: str, ckpt=None):
+    """Load a CSV series. A checkpoint with a scaler is fixed to the channels
+    that scaler was fitted on; an unscaled model is channel-independent."""
+    from .data import load_csv
+    from .errors import DataError
+
+    series = load_csv(_resolve_data(path))
+    if ckpt is not None and ckpt.scaler is not None and series.n_channels != ckpt.scaler.mean.size:
+        raise DataError(
+            f"{path} has {series.n_channels} channels, but the checkpoint's scaler "
+            f"was fitted on {ckpt.scaler.mean.size}"
+        )
+    return series
+
+
 def _load_json(path, what: str) -> dict:
     try:
         with open(path) as fh:
@@ -126,15 +141,16 @@ def _cmd_synth(args) -> int:
 def _cmd_analyze_drift(args) -> int:
     import numpy as np
 
-    from .data import load_csv
     from .drift import DOMAINS, patch_distance_matrix
 
     if args.patch_len < 1 or args.stride < 1:
         raise UsageError("--patch-len and --stride must be >= 1")
-    series = load_csv(_resolve_data(args.data))
+    series = _load_series(args.data)
     stop = series.length if args.length is None else args.start + args.length
     if not 0 <= args.start < stop <= series.length:
         raise UsageError(f"slice [{args.start}:{stop}] outside series of length {series.length}")
+    if args.patch_len > stop - args.start:
+        raise UsageError(f"--patch-len {args.patch_len} exceeds the {stop - args.start} rows analyzed")
     channels = list(series.channel_names)
     if args.channels:
         wanted = [c.strip() for c in args.channels.split(",")]
@@ -175,10 +191,9 @@ def _cmd_analyze_drift(args) -> int:
     return EXIT_OK
 
 
-def _prepare(cfg, data_path: str):
-    from .data import apply_scaler, fit_scaler, load_csv, make_windows, split
+def _prepare(cfg, series):
+    from .data import apply_scaler, fit_scaler, make_windows, split
 
-    series = load_csv(_resolve_data(data_path))
     min_len = cfg.seq_len + cfg.pred_len
     train_s, val_s, test_s = split(series, cfg.split_ratios, min_length=min_len)
     scaler = None
@@ -211,7 +226,7 @@ def _cmd_train(args) -> int:
     from .trainer import save_checkpoint, train
 
     cfg = _load_config(args.config, args.seed)
-    train_w, val_w, _, scaler = _prepare(cfg, args.data)
+    train_w, val_w, _, scaler = _prepare(cfg, _load_series(args.data))
     progress = None
     if not args.quiet:
         progress = lambda e, tl, vm: print(f"epoch {e}: train_loss {tl:.6f}  val_mse {vm:.6f}")
@@ -227,13 +242,15 @@ def _cmd_grid(args) -> int:
 
     from .trainer import check_grid, grid_search, save_checkpoint
 
+    if args.budget is not None and args.budget < 1:
+        raise UsageError(f"--budget must be >= 1, got {args.budget}")
     cfg = _load_config(args.config, args.seed)
     space = _load_json(args.grid, "grid spec")
     try:
         check_grid(space)
     except ValueError as e:
         raise UsageError(f"{args.grid}: {e}") from None
-    train_w, val_w, _, scaler = _prepare(cfg, args.data)
+    train_w, val_w, _, scaler = _prepare(cfg, _load_series(args.data))
     progress = None
     if not args.quiet:
         progress = lambda row: print(f"cell {row}")
@@ -259,7 +276,7 @@ def _cmd_eval(args) -> int:
 
     ckpt = load_checkpoint(args.ckpt)
     cfg = ckpt.config
-    _, _, test_w, _ = _prepare(cfg, args.data)
+    _, _, test_w, _ = _prepare(cfg, _load_series(args.data, ckpt))
     denorm = ckpt.scaler if args.denormalized else None
     metrics = evaluate_windows(ckpt, test_w, denormalize=denorm)
     name = args.dataset_name or Path(args.data).stem
@@ -286,23 +303,17 @@ def _cmd_eval(args) -> int:
 def _cmd_predict(args) -> int:
     import numpy as np
 
-    from .data import MultivariateSeries, load_csv, save_csv
+    from .data import MultivariateSeries, save_csv
     from .errors import DataError
     from .trainer import load_checkpoint
 
     ckpt = load_checkpoint(args.ckpt)
     cfg = ckpt.config
-    series = load_csv(_resolve_data(args.input))
+    series = _load_series(args.input, ckpt)
     if series.length < cfg.seq_len:
         raise DataError(f"need at least {cfg.seq_len} rows, got {series.length}")
     values = series.values[-cfg.seq_len :]
     if ckpt.scaler is not None:
-        # an unscaled model is channel-independent; a scaled one is fixed to its scaler's channels
-        if series.n_channels != ckpt.scaler.mean.size:
-            raise DataError(
-                f"{args.input} has {series.n_channels} channels, but the checkpoint's scaler "
-                f"was fitted on {ckpt.scaler.mean.size}"
-            )
         values = ckpt.scaler.transform(values)
     yhat = ckpt.build_model().forecast(values[None], 1)[0]
     if ckpt.scaler is not None:

@@ -12,6 +12,7 @@ import dataclasses
 import functools
 import json
 import reprlib
+import sys
 import types
 import typing
 from dataclasses import dataclass
@@ -24,8 +25,9 @@ _field_types = functools.cache(typing.get_type_hints)
 
 
 def _accepts(hint, value) -> bool:
-    """Whether `value` has type `hint`. A float takes an int, a tuple takes a
-    list, `X | None` takes either, and a bool passes only a bool field."""
+    """Whether `value` has type `hint`. A float takes an int or float that is
+    finite as a float, a tuple takes a list, `X | None` takes either, and a
+    bool passes only a bool field."""
     if isinstance(hint, types.UnionType):
         return any(_accepts(h, value) for h in typing.get_args(hint))
     if typing.get_origin(hint) is tuple:
@@ -37,7 +39,9 @@ def _accepts(hint, value) -> bool:
         return len(items) == len(value) and all(map(_accepts, items, value))
     if isinstance(value, bool):
         return hint is bool
-    return isinstance(value, (int, float) if hint is float else hint)
+    if hint is float:
+        return isinstance(value, (int, float)) and abs(value) <= sys.float_info.max  # False for NaN
+    return isinstance(value, hint)
 
 
 def check_value(cls, name: str, value) -> None:
@@ -47,6 +51,8 @@ def check_value(cls, name: str, value) -> None:
         raise ValueError(f"{cls.__name__} has no field {name!r}")
     if not _accepts(hint, value):
         expected = hint.__name__ if isinstance(hint, type) else str(hint)
+        if hint is float:
+            expected = "finite float"
         raise ValueError(f"{cls.__name__} field {name!r}: expected {expected}, "
                          f"got {type(value).__name__} {reprlib.repr(value)}")
 

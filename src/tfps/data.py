@@ -271,6 +271,8 @@ class RegimeSpec:
 
     def __post_init__(self):
         check_types(self)
+        if self.length < 1:
+            raise ValueError(f"regime length must be >= 1, got {self.length}")
 
 
 @dataclass(frozen=True)
@@ -283,6 +285,12 @@ class SynthSpec:
 
     def __post_init__(self):
         check_types(self)
+        if not self.regimes:
+            raise ValueError("need at least one regime")
+        if self.channels < 1:
+            raise ValueError(f"channels must be >= 1, got {self.channels}")
+        if self.step_seconds <= 0:
+            raise ValueError(f"step_seconds must be > 0, got {self.step_seconds}")
         if self.seed < 0:
             raise ValueError("seed must be >= 0")
 
@@ -290,15 +298,11 @@ class SynthSpec:
 def synth_generate(spec: SynthSpec) -> tuple[MultivariateSeries, list[int]]:
     """Deterministic regime-switching sinusoid generator. Returns the series
     and the start indices of regimes 1..R-1 (the drift boundaries)."""
-    if not spec.regimes:
-        raise DataError("need at least one regime")
     rng = np.random.default_rng(spec.seed)
     chunks = []
     boundaries = []
     total = 0
     for regime in spec.regimes:
-        if regime.length < 1:
-            raise DataError("zero-length regime")
         if total > 0:
             boundaries.append(total)
         t = np.arange(regime.length, dtype=np.float64)

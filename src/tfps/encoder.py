@@ -2,13 +2,17 @@
 parameter-free Fourier token mixer (frequency branch), each wrapped in
 pre-residual/post-norm blocks with a shared feed-forward design.
 
+A block is its parameters: with attention projections it attends, without
+them it Fourier-mixes; with running-stat dicts it batch-normalizes (as
+PatchTST's encoder does), without them it layer-normalizes.
+
 Channels never mix: inputs arrive as (..., N, D) where every leading axis is
 batch-like (window, channel), so one set of weights encodes all channels.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -16,8 +20,7 @@ from . import autodiff as ad
 from .autodiff import Tensor
 from .fourier import fourier_mix
 
-LN_EPS = 1e-5
-BN_EPS = 1e-5
+EPS = 1e-5
 BN_MOMENTUM = 0.1
 
 
@@ -33,70 +36,57 @@ class MLPParams:
 
 @dataclass
 class LayerParams:
-    """One encoder block. `wq..wo` are None in the frequency branch, whose
-    mixer has no parameters."""
+    """One encoder block. Without `wq..wo` it mixes tokens with the
+    parameter-free Fourier mixer; without running-stat dicts it
+    layer-normalizes instead of batch-normalizing."""
 
-    wq: Tensor | None
-    wk: Tensor | None
-    wv: Tensor | None
-    wo: Tensor | None
     norm1_scale: Tensor
     norm1_shift: Tensor
     ff: MLPParams
     norm2_scale: Tensor
     norm2_shift: Tensor
-    # running stats, used only when the block normalizes batch-wise
-    bn1_stats: dict = field(default_factory=dict)
-    bn2_stats: dict = field(default_factory=dict)
+    wq: Tensor | None = None
+    wk: Tensor | None = None
+    wv: Tensor | None = None
+    wo: Tensor | None = None
+    bn1_stats: dict | None = None
+    bn2_stats: dict | None = None
 
 
-def layer_norm(t: Tensor, scale: Tensor, shift: Tensor) -> Tensor:
-    """Normalize the last axis, then scale and shift, as one tape node that
-    keeps only the centered input, the deviation and the normalized input.
-    Forward and adjoint run the operations of the mean/var/sqrt/div
-    composite in its order, so every output and gradient rounds the same."""
+def layer_norm(t: Tensor, scale: Tensor, shift: Tensor, axes: tuple[int, ...] = (-1,),
+               stats: dict | None = None) -> Tensor:
+    """Normalize over `axes` (the last axis: layer norm; every leading axis:
+    batch norm), then scale and shift, as one tape node that keeps only the
+    centered input, the deviation and the normalized input. Forward and
+    adjoint run the operations of the mean/var/sqrt/div composite in its
+    order, so every output and gradient rounds the same. Given `stats`, the
+    batch mean and variance also update those running stats: the usual
+    exponential average, seeded by the first batch."""
     x = t.data
-    inv_d = 1.0 / x.shape[-1]
-    c = x + x.sum(-1, keepdims=True) * inv_d * -1.0
-    sd = np.sqrt((c * c).sum(-1, keepdims=True) * inv_d + LN_EPS)
+    inv_n = 1.0 / float(np.prod([x.shape[a] for a in axes]))
+    mu = x.sum(axes, keepdims=True) * inv_n
+    c = x + mu * -1.0
+    var = (c * c).sum(axes, keepdims=True) * inv_n
+    sd = np.sqrt(var + EPS)
     xh = c / sd
+    if stats is not None:
+        for key, batch in (("mean", mu.reshape(-1)), ("var", var.reshape(-1))):
+            if key in stats:
+                stats[key] += BN_MOMENTUM * (batch - stats[key])
+            else:
+                stats[key] = batch.copy()
 
     def backward(g):
         ad.accumulate(shift, ad.unbroadcast(g, shift.data.shape))
         gxh = g * scale.data
         ad.accumulate(scale, ad.unbroadcast(g * xh, scale.data.shape))
         gc = gxh / sd
-        gsd = (-gxh * c / (sd * sd)).sum(-1, keepdims=True)
-        gsq = gsd * 0.5 / sd * inv_d
+        gsd = ad.unbroadcast(-gxh * c / (sd * sd), sd.shape)
+        gsq = gsd * 0.5 / sd * inv_n
         gc = gc + gsq * c + gsq * c
-        ad.accumulate(t, gc + gc.sum(-1, keepdims=True) * -1.0 * inv_d)
+        ad.accumulate(t, gc + ad.unbroadcast(gc, sd.shape) * -1.0 * inv_n)
 
     return ad.make_op(xh * scale.data + shift.data, (t, scale, shift), backward)
-
-
-def batch_norm(t: Tensor, scale: Tensor, shift: Tensor, stats: dict, training: bool) -> Tensor:
-    """Normalize each feature over every leading (token) axis. Training
-    updates the running stats (the usual exponential average, seeded by the
-    first batch), and evaluation uses them; evaluation before any training
-    normalizes with the batch's own stats and stores nothing."""
-    d = t.shape[-1]
-    axes = tuple(range(t.ndim - 1))
-    if training or "mean" not in stats:
-        mu = t.mean(axis=axes, keepdims=True)
-        centered = t - mu
-        var = (centered * centered).mean(axis=axes, keepdims=True)
-        batch_mu = mu.data.reshape(d)
-        batch_var = var.data.reshape(d)
-        if training and "mean" not in stats:
-            stats["mean"] = batch_mu.copy()
-            stats["var"] = batch_var.copy()
-        elif training:
-            stats["mean"] += BN_MOMENTUM * (batch_mu - stats["mean"])
-            stats["var"] += BN_MOMENTUM * (batch_var - stats["var"])
-        return centered / ad.sqrt(var + BN_EPS) * scale + shift
-    mu = stats["mean"]
-    var = stats["var"]
-    return (t - mu) / np.sqrt(var + BN_EPS) * scale + shift
 
 
 def attention(tokens: Tensor, wq: Tensor, wk: Tensor, wv: Tensor, wo: Tensor, n_heads: int) -> Tensor:
@@ -132,39 +122,32 @@ def feed_forward(t: Tensor, p: MLPParams) -> Tensor:
 def _dropout(t: Tensor, rate: float, rng: np.random.Generator | None) -> Tensor:
     if rate <= 0.0 or rng is None:
         return t
-    mask = (rng.random(t.shape) >= rate) / (1.0 - rate)
-    return t * mask
+    return t * ((rng.random(t.shape) >= rate) / (1.0 - rate))
 
 
-def _norm(t, p_scale, p_shift, kind, stats, training):
-    if kind == "batch":
-        return batch_norm(t, p_scale, p_shift, stats, training)
-    return layer_norm(t, p_scale, p_shift)
+def norm(t: Tensor, scale: Tensor, shift: Tensor, stats: dict | None, training: bool) -> Tensor:
+    """Layer norm without running stats. With them, batch norm: each feature
+    over every leading (token) axis. Training normalizes with the batch's
+    stats and updates the running stats, and evaluation uses them; evaluation
+    before any training normalizes with the batch's own stats and stores
+    nothing."""
+    if stats is None:
+        return layer_norm(t, scale, shift)
+    if training or "mean" not in stats:
+        return layer_norm(t, scale, shift, tuple(range(t.ndim - 1)), stats if training else None)
+    return (t - stats["mean"]) / np.sqrt(stats["var"] + EPS) * scale + shift
 
 
-def encode(
-    tokens: Tensor,
-    layers: list[LayerParams],
-    n_heads: int,
-    mixer: str,
-    norm: str = "layer",
-    dropout: float = 0.0,
-    training: bool = False,
-    rng: np.random.Generator | None = None,
-) -> Tensor:
+def encode(tokens: Tensor, layers: list[LayerParams], n_heads: int, dropout: float = 0.0,
+           training: bool = False, rng: np.random.Generator | None = None) -> Tensor:
     """Stack of {normalized residual mixer; normalized residual feed-forward}
-    blocks. `mixer` selects self-attention ("time") or the Fourier sublayer
-    ("frequency")."""
-    if mixer not in ("time", "frequency"):
-        raise ValueError(f"mixer must be 'time' or 'frequency', got {mixer!r}")
+    blocks; each block attends or Fourier-mixes, and layer- or
+    batch-normalizes, as its parameters say."""
+    rate = dropout if training else 0.0
     x = tokens
     for p in layers:
-        if mixer == "time":
-            mixed = attention(x, p.wq, p.wk, p.wv, p.wo, n_heads)
-        else:
-            mixed = fourier_mix(x)
-        mixed = _dropout(mixed, dropout if training else 0.0, rng)
-        x = _norm(x + mixed, p.norm1_scale, p.norm1_shift, norm, p.bn1_stats, training)
-        ff = _dropout(feed_forward(x, p.ff), dropout if training else 0.0, rng)
-        x = _norm(x + ff, p.norm2_scale, p.norm2_shift, norm, p.bn2_stats, training)
+        mixed = fourier_mix(x) if p.wq is None else attention(x, p.wq, p.wk, p.wv, p.wo, n_heads)
+        x = norm(x + _dropout(mixed, rate, rng), p.norm1_scale, p.norm1_shift, p.bn1_stats, training)
+        ff = _dropout(feed_forward(x, p.ff), rate, rng)
+        x = norm(x + ff, p.norm2_scale, p.norm2_shift, p.bn2_stats, training)
     return x

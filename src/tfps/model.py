@@ -34,14 +34,10 @@ class Forward:
 @dataclass
 class Branch:
     """One encoder path: its encoder layers, pattern identifier and experts.
-    `name` ("time" or "freq") prefixes the branch's checkpoint keys; `mixer`
-    is the token mixer `encoder.encode` runs ("time" attention or
-    "frequency" Fourier mixing)."""
+    `name` ("time" or "freq") prefixes the branch's checkpoint keys."""
 
     name: str
     K: int  # experts
-    mixer: str
-    norm: str
     layers: list[encoder.LayerParams]
     identifier: dict[str, Tensor] = field(default_factory=dict)  # "bases", or "gate.w" + "gate.b"
     experts: list[encoder.MLPParams] = field(default_factory=list)
@@ -80,34 +76,30 @@ class TFPSModel:
         p("embed.bias", (d,), std=None)
         p("embed.pos", (n, d))
 
-        # name -> (K, mixer, norm); the time branch alone attends and may batch-normalize
-        spec = {"time": (cfg.k_time, "time", cfg.time_norm), "freq": (cfg.k_freq, "frequency", "layer")}
         names = {"both": ("time", "freq"), "time": ("time",), "frequency": ("freq",)}[cfg.branches]
         # seeded initializations depend on the RNG draw order: every branch's
         # encoder layers, then each branch's identifier and experts, then the head
         self.branches: dict[str, Branch] = {}
         for name in names:
-            k_experts, mixer, norm = spec[name]
+            # the time branch alone attends and may batch-normalize
+            batch_norm = name == "time" and cfg.time_norm == "batch"
             layers = []
             for layer in range(cfg.n_layers):
                 pre = f"{name}.enc{layer}"
-                attn = {}
-                if mixer == "time":
-                    attn = {w: p(f"{pre}.{w}", (d, d)) for w in ("wq", "wk", "wv", "wo")}
+                attn = {w: p(f"{pre}.{w}", (d, d)) for w in ("wq", "wk", "wv", "wo") if name == "time"}
                 layers.append(
                     encoder.LayerParams(
-                        wq=attn.get("wq"),
-                        wk=attn.get("wk"),
-                        wv=attn.get("wv"),
-                        wo=attn.get("wo"),
                         norm1_scale=const(f"{pre}.norm1.scale", np.ones(d)),
                         norm1_shift=const(f"{pre}.norm1.shift", np.zeros(d)),
                         ff=mlp(f"{pre}.ff", cfg.d_ff_eff),
                         norm2_scale=const(f"{pre}.norm2.scale", np.ones(d)),
                         norm2_shift=const(f"{pre}.norm2.shift", np.zeros(d)),
+                        bn1_stats={} if batch_norm else None,
+                        bn2_stats={} if batch_norm else None,
+                        **attn,
                     )
                 )
-            self.branches[name] = Branch(name, k_experts, mixer, norm, layers)
+            self.branches[name] = Branch(name, cfg.k_time if name == "time" else cfg.k_freq, layers)
 
         for br in self.branches.values():
             if cfg.pi_mode == "subspace":
@@ -125,12 +117,12 @@ class TFPSModel:
     # -- plumbing ---------------------------------------------------------
 
     def _norm_stats(self):
-        """(checkpoint key prefix, running-stat dict) of every encoder norm;
-        only batch-normalized layers ever fill their dicts."""
+        """(checkpoint key prefix, running-stat dict) of every batch norm."""
         for br in self.branches.values():
             for i, layer in enumerate(br.layers):
-                yield f"{br.name}.enc{i}.bn1", layer.bn1_stats
-                yield f"{br.name}.enc{i}.bn2", layer.bn2_stats
+                for key, stats in (("bn1", layer.bn1_stats), ("bn2", layer.bn2_stats)):
+                    if stats is not None:
+                        yield f"{br.name}.enc{i}.{key}", stats
 
     def named_arrays(self) -> dict[str, np.ndarray]:
         """Parameters plus batch-norm running stats, for checkpointing."""
@@ -187,10 +179,7 @@ class TFPSModel:
         outputs: dict[str, Tensor] = {}
         s_out: dict[str, Tensor] = {}
         for name, br in self.branches.items():
-            z = encoder.encode(
-                tokens, br.layers, cfg.n_heads, br.mixer,
-                norm=br.norm, dropout=cfg.dropout, training=training, rng=rng,
-            )
+            z = encoder.encode(tokens, br.layers, cfg.n_heads, cfg.dropout, training, rng)
             z_flat = z.reshape(b_sz * c_sz * n, cfg.d_model)
             s = s_out[name] = br.route(z_flat)
             gating = mope.gate(s, cfg.top_k_eff(br.K))

@@ -90,6 +90,16 @@ class TestAnalyzeDrift:
         assert run(["analyze-drift", "--data", str(workdir / "absent.csv"),
                     "--patch-len", "8", "--stride", "4", "--out", str(workdir / "x")]) == 2
 
+    def test_patch_longer_than_slice_is_usage_error(self, workdir, capsys):
+        out = workdir / "x"
+        capsys.readouterr()
+        code = run(["analyze-drift", "--data", str(workdir / "data.csv"), "--patch-len", "500",
+                    "--stride", "8", "--length", "100", "--out", str(out)])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "500" in err and "100" in err and "Traceback" not in err
+        assert not out.exists()
+
 
 class TestTrainEvalPredict:
     def test_full_pipeline(self, workdir):
@@ -196,6 +206,25 @@ class TestTrainEvalPredict:
             f = load_csv(forecast)
             assert f.n_channels == 1 and f.length == TRAIN_CFG["pred_len"]
 
+    @pytest.mark.parametrize("denormalized", [False, True])
+    def test_eval_channel_count_against_checkpoint(self, workdir, capsys, denormalized):
+        from tfps.data import MultivariateSeries, load_csv, save_csv
+
+        ckpt = workdir / "model.npz"
+        assert run(["train", "--config", str(workdir / "cfg.json"), "--data",
+                    str(workdir / "data.csv"), "--out", str(ckpt), "--quiet"]) == 0
+        two = load_csv(workdir / "data.csv")
+        three = workdir / "three.csv"
+        save_csv(MultivariateSeries(two.timestamps, two.values[:, [0, 1, 0]], ("a", "b", "c")), three)
+        out = workdir / "eval"
+        capsys.readouterr()
+        code = run(["eval", "--ckpt", str(ckpt), "--data", str(three), "--out", str(out)]
+                   + ["--denormalized"] * denormalized)
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "3 channels" in err and "fitted on 2" in err and "Traceback" not in err
+        assert not out.exists()
+
     def test_numeric_failure_exit_code(self, workdir):
         cfg = dict(TRAIN_CFG, lr=1e160, max_epochs=3)
         cfg_path = workdir / "diverge.json"
@@ -223,6 +252,20 @@ class TestGridCommand:
         assert (out / "best.npz").exists()
         assert (out / "leaderboard.csv").exists()
 
+    @pytest.mark.parametrize("budget", ["-1", "0"])
+    def test_budget_below_one_is_usage_error(self, workdir, capsys, budget):
+        grid = workdir / "grid.json"
+        grid.write_text(json.dumps({"lr": [0.001, 0.005]}))
+        out = workdir / "gridout"
+        capsys.readouterr()
+        code = run(["grid", "--config", str(workdir / "cfg.json"), "--grid", str(grid),
+                    "--data", str(workdir / "data.csv"), "--out", str(out), "--quiet",
+                    "--budget", budget])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "--budget" in err and "Traceback" not in err
+        assert not out.exists()
+
 
 class TestBoundaryErrors:
     """Malformed specs, grid specs and checkpoint headers end in their
@@ -236,6 +279,11 @@ class TestBoundaryErrors:
         {"regimes": [REGIME], "start_epoch": 0.0},  # not settable from JSON
         {"regimes": [REGIME], "channels": "2"},
         {"regimes": [REGIME], "seed": -1},
+        {"regimes": [REGIME], "channels": 0},
+        {"regimes": [REGIME], "step_seconds": 0},
+        {"regimes": []},
+        {"regimes": [{"length": 0}]},
+        {"regimes": [{"length": 300, "amplitude": float("nan")}]},
     ])
     def test_bad_synth_spec(self, tmp_path, capsys, spec):
         path = tmp_path / "spec.json"

@@ -62,6 +62,10 @@ class TestAnnotationTypes:
         ("d_ff", 64.0),
         ("split_ratios", (0.5, 0.5)),
         ("split_ratios", (0.6, "0.2", 0.2)),
+        ("lr", float("nan")),  # would fail only once training starts
+        ("alpha", float("inf")),
+        ("lr", 10**400),  # an int too large for a float
+        ("split_ratios", (0.6, float("nan"), 0.2)),
     ])
     def test_wrong_type_names_the_field(self, field, value):
         with pytest.raises(ValueError, match=f"'{field}': expected"):

@@ -245,5 +245,6 @@ class TestSynth:
         assert series.length == 400
 
     def test_zero_length_regime_rejected(self):
-        with pytest.raises(DataError):
-            synth_generate(SynthSpec(regimes=(RegimeSpec(length=0),)))
+        # a bad spec is rejected when it is built, before any generation
+        with pytest.raises(ValueError, match="regime length"):
+            RegimeSpec(length=0)

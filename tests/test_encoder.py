@@ -9,15 +9,17 @@ from tfps import encoder
 from tfps.fourier import fft2_real
 
 
-def make_layer(rng, d, d_ff, with_attention=True, zero_ff=False):
+def make_layer(rng, d, d_ff, with_attention=True, zero_ff=False, batch_norm=False):
+    """A block that attends (or, without attention, Fourier-mixes) and
+    layer-normalizes (or batch-normalizes)."""
     def w(shape):
         return ad.parameter(rng.normal(0, 0.2, size=shape))
 
+    attn = {k: w((d, d)) for k in ("wq", "wk", "wv", "wo")} if with_attention else {}
     return encoder.LayerParams(
-        wq=w((d, d)) if with_attention else None,
-        wk=w((d, d)) if with_attention else None,
-        wv=w((d, d)) if with_attention else None,
-        wo=w((d, d)) if with_attention else None,
+        **attn,
+        bn1_stats={} if batch_norm else None,
+        bn2_stats={} if batch_norm else None,
         norm1_scale=ad.parameter(np.ones(d)),
         norm1_shift=ad.parameter(np.zeros(d)),
         ff=encoder.MLPParams(
@@ -105,13 +107,13 @@ class TestNorms:
         scale = ad.parameter(np.ones(3))
         shift = ad.parameter(np.zeros(3))
         t = ad.Tensor(rng.normal(5.0, 2.0, size=(40, 3)))
-        out = encoder.batch_norm(t, scale, shift, stats, training=True)
+        out = encoder.norm(t, scale, shift, stats, training=True)
         np.testing.assert_allclose(out.data.mean(axis=0), 0.0, atol=1e-9)
         assert "mean" in stats and "var" in stats
         held = {k: v.copy() for k, v in stats.items()}
-        out_eval = encoder.batch_norm(t, scale, shift, stats, training=False)
+        out_eval = encoder.norm(t, scale, shift, stats, training=False)
         np.testing.assert_allclose(stats["mean"], held["mean"])  # eval does not update
-        expect = (t.data - held["mean"]) / np.sqrt(held["var"] + encoder.BN_EPS)
+        expect = (t.data - held["mean"]) / np.sqrt(held["var"] + encoder.EPS)
         np.testing.assert_allclose(out_eval.data, expect, atol=1e-12)
 
     def test_batch_norm_eval_without_stats_uses_batch_and_stores_nothing(self):
@@ -121,13 +123,13 @@ class TestNorms:
         a = ad.Tensor(rng.normal(5.0, 2.0, size=(40, 3)))
         b = ad.Tensor(rng.normal(-1.0, 0.5, size=(40, 3)))
         stats = {}
-        out_a = encoder.batch_norm(a, scale, shift, stats, training=False)
-        out_b = encoder.batch_norm(b, scale, shift, stats, training=False)
+        out_a = encoder.norm(a, scale, shift, stats, training=False)
+        out_b = encoder.norm(b, scale, shift, stats, training=False)
         assert stats == {}
-        again_a = encoder.batch_norm(a, scale, shift, stats, training=False)
+        again_a = encoder.norm(a, scale, shift, stats, training=False)
         np.testing.assert_array_equal(out_a.data, again_a.data)
         for t, out in ((a, out_a), (b, out_b)):
-            expect = (t.data - t.data.mean(axis=0)) / np.sqrt(t.data.var(axis=0) + encoder.BN_EPS)
+            expect = (t.data - t.data.mean(axis=0)) / np.sqrt(t.data.var(axis=0) + encoder.EPS)
             np.testing.assert_allclose(out.data, expect, atol=1e-12)
 
 
@@ -137,19 +139,19 @@ class TestEncodeBlocks:
         d = 8
         layers = [make_layer(rng, d, 16)]
         tokens = ad.Tensor(rng.normal(size=(2, 3, 5, d)))
-        a = encoder.encode(tokens, layers, n_heads=2, mixer="time")
-        b = encoder.encode(tokens, layers, n_heads=2, mixer="time")
+        a = encoder.encode(tokens, layers, n_heads=2)
+        b = encoder.encode(tokens, layers, n_heads=2)
         np.testing.assert_array_equal(a.data, b.data)
 
     def test_channel_permutation_equivariance(self):
         rng = np.random.default_rng(7)
         d = 8
-        for mixer in ("time", "frequency"):
-            layers = [make_layer(rng, d, 16, with_attention=(mixer == "time"))]
+        for with_attention in (True, False):
+            layers = [make_layer(rng, d, 16, with_attention)]
             tokens = rng.normal(size=(1, 4, 5, d))
             perm = [3, 1, 0, 2]
-            out = encoder.encode(ad.Tensor(tokens), layers, 2, mixer).data
-            out_perm = encoder.encode(ad.Tensor(tokens[:, perm]), layers, 2, mixer).data
+            out = encoder.encode(ad.Tensor(tokens), layers, 2).data
+            out_perm = encoder.encode(ad.Tensor(tokens[:, perm]), layers, 2).data
             np.testing.assert_allclose(out[:, perm], out_perm, atol=1e-12)
 
     def test_shape_contract(self):
@@ -157,7 +159,7 @@ class TestEncodeBlocks:
         d = 8
         layers = [make_layer(rng, d, 16) for _ in range(2)]
         tokens = ad.Tensor(rng.normal(size=(3, 5, d)))
-        out = encoder.encode(tokens, layers, n_heads=4, mixer="time")
+        out = encoder.encode(tokens, layers, n_heads=4)
         assert out.shape == (3, 5, d)
         assert np.all(np.isfinite(out.data))
 
@@ -166,13 +168,13 @@ class TestEncodeBlocks:
         def ln(x):
             mu = x.mean(-1, keepdims=True)
             var = ((x - mu) ** 2).mean(-1, keepdims=True)
-            return (x - mu) / np.sqrt(var + encoder.LN_EPS)
+            return (x - mu) / np.sqrt(var + encoder.EPS)
 
         rng = np.random.default_rng(9)
         d = 8
         layers = [make_layer(rng, d, 16, with_attention=False, zero_ff=True)]
         tokens = rng.normal(size=(2, 5, d))
-        out = encoder.encode(ad.Tensor(tokens), layers, 2, "frequency").data
+        out = encoder.encode(ad.Tensor(tokens), layers, 2).data
         expect = ln(ln(tokens + fft2_real(tokens)))
         np.testing.assert_allclose(out, expect, atol=1e-12)
 
@@ -181,27 +183,38 @@ class TestEncodeBlocks:
         d = 8
         layers = [make_layer(rng, d, 16)]
         tokens = ad.Tensor(rng.normal(size=(2, 5, d)))
-        train = encoder.encode(tokens, layers, 2, "time", dropout=0.0,
+        train = encoder.encode(tokens, layers, 2, dropout=0.0,
                                training=True, rng=np.random.default_rng(0))
-        infer = encoder.encode(tokens, layers, 2, "time", training=False)
+        infer = encoder.encode(tokens, layers, 2, training=False)
         np.testing.assert_array_equal(train.data, infer.data)
 
+    def test_batch_norm_block_uses_and_fills_its_stats(self):
+        # a block with running-stat dicts normalizes each feature over every token
+        rng = np.random.default_rng(12)
+        d = 8
+        layers = [make_layer(rng, d, 16, with_attention=False, zero_ff=True, batch_norm=True)]
+        tokens = rng.normal(2.0, 3.0, size=(2, 3, 5, d))
+        out = encoder.encode(ad.Tensor(tokens), layers, 2, training=True).data
+        np.testing.assert_allclose(out.mean(axis=(0, 1, 2)), 0.0, atol=1e-12)
+        assert set(layers[0].bn1_stats) == set(layers[0].bn2_stats) == {"mean", "var"}
+        assert layers[0].bn1_stats["mean"].shape == (d,)
+
     def test_gradients_match_finite_differences(self):
-        rng = np.random.default_rng(11)
-        d, n = 8, 3
-        layers = [make_layer(rng, d, 12)]
-        tokens = rng.normal(size=(1, 2, n, d))
-        probe = rng.normal(size=(1, 2, n, d))
+        # every block kind: attention or Fourier mixing, layer or batch norm
+        for with_attention in (True, False):
+            for batch_norm in (False, True):
+                rng = np.random.default_rng(11)
+                d, n = 8, 3
+                block = make_layer(rng, d, 12, with_attention, batch_norm=batch_norm)
+                tokens = rng.normal(size=(1, 2, n, d))
+                probe = rng.normal(size=(1, 2, n, d))
 
-        def scalar(mixer):
-            out = encoder.encode(ad.Tensor(tokens), layers, 2, mixer)
-            return (out * probe).sum()
+                def scalar():
+                    out = encoder.encode(ad.Tensor(tokens), [block], 2, training=batch_norm)
+                    return (out * probe).sum()
 
-        for mixer in ("time", "frequency"):
-            for p in (layers[0].ff.w1, layers[0].norm1_scale) + (
-                (layers[0].wq, layers[0].wo) if mixer == "time" else ()
-            ):
-                p.grad = None
-                scalar(mixer).backward()
-                num = numeric_grad(lambda: float(scalar(mixer).data), p.data)
-                assert rel_err(p.grad, num) < 1e-4
+                for p in (block.ff.w1, block.norm1_scale) + ((block.wq, block.wo) if with_attention else ()):
+                    p.grad = None
+                    scalar().backward()
+                    num = numeric_grad(lambda: float(scalar().data), p.data)
+                    assert rel_err(p.grad, num) < 1e-4

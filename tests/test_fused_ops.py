@@ -1,6 +1,7 @@
 """Single-node composites against the chains of tape ops they replace.
 
-`encoder.layer_norm`, `ad.softmax`, `ad.linear` and the dense path of
+`encoder.layer_norm` (over the last axis, and over every leading axis as
+batch norm), `ad.softmax`, `ad.linear` and the dense path of
 `mope.aggregate` record fewer tape nodes than the composites kept below, but
 must repeat their floating-point operations exactly: outputs and every
 gradient are compared with `np.array_equal`, not a tolerance, so a training
@@ -21,11 +22,11 @@ SHAPES = [(7, 8), (4, 3, 5, 16), (32, 7, 12, 128)]
 # -- the composites the fused ops replace -------------------------------------
 
 
-def composite_layer_norm(t, scale, shift):
-    mu = t.mean(axis=-1, keepdims=True)
+def composite_layer_norm(t, scale, shift, axes=(-1,)):
+    mu = t.mean(axis=axes, keepdims=True)
     centered = t - mu
-    var = (centered * centered).mean(axis=-1, keepdims=True)
-    return centered / ad.sqrt(var + encoder.LN_EPS) * scale + shift
+    var = (centered * centered).mean(axis=axes, keepdims=True)
+    return centered / ad.sqrt(var + encoder.EPS) * scale + shift
 
 
 def composite_softmax(a, axis):
@@ -95,18 +96,56 @@ def assert_matches_differences(op, arrays, probe, rtol=1e-6):
 # -- layer_norm -----------------------------------------------------------------
 
 
-@pytest.mark.parametrize("shape", SHAPES)
-def test_layer_norm_is_bitwise_the_composite(shape):
+def leading_axes(shape):
+    return tuple(range(len(shape) - 1))
+
+
+# layer norm over the last axis; batch norm over every leading axis
+NORM_CASES = [pytest.param(shape, (-1,), id=f"shape{i}") for i, shape in enumerate(SHAPES)] + [
+    pytest.param(shape, leading_axes(shape), id=f"batch-shape{i}") for i, shape in enumerate(SHAPES)
+]
+
+
+@pytest.mark.parametrize("shape,axes", NORM_CASES)
+def test_layer_norm_is_bitwise_the_composite(shape, axes):
     rng = np.random.default_rng(1)
     d = shape[-1]
     arrays = [rng.normal(0.5, 2.0, size=shape), rng.normal(1.0, 0.3, size=d), rng.normal(size=d)]
-    assert_bitwise(encoder.layer_norm, composite_layer_norm, arrays, rng.normal(size=shape))
+    assert_bitwise(
+        lambda t, scale, shift: encoder.layer_norm(t, scale, shift, axes),
+        lambda t, scale, shift: composite_layer_norm(t, scale, shift, axes),
+        arrays, rng.normal(size=shape),
+    )
 
 
-def test_layer_norm_matches_finite_differences():
+@pytest.mark.parametrize("axes", [(-1,), (0, 1)], ids=["last-axis", "leading-axes"])
+def test_layer_norm_matches_finite_differences(axes):
     rng = np.random.default_rng(2)
     arrays = [rng.normal(size=(3, 2, 5)), rng.normal(1.0, 0.3, size=5), rng.normal(size=5)]
-    assert_matches_differences(encoder.layer_norm, arrays, rng.normal(size=(3, 2, 5)))
+    assert_matches_differences(
+        lambda t, scale, shift: encoder.layer_norm(t, scale, shift, axes), arrays,
+        rng.normal(size=(3, 2, 5)),
+    )
+
+
+def test_batch_norm_with_batch_stats_is_one_node(monkeypatch):
+    # training and evaluation before any training both normalize with the
+    # batch's stats through the one layer_norm node
+    rng = np.random.default_rng(3)
+    scale, shift = ad.parameter(np.ones(4)), ad.parameter(np.zeros(4))
+    nodes = []
+    real = ad.make_op
+
+    def recording(*args):
+        nodes.append(real(*args))
+        return nodes[-1]
+
+    monkeypatch.setattr(ad, "make_op", recording)
+    for training in (True, False):
+        nodes.clear()
+        t = ad.parameter(rng.normal(size=(6, 3, 4)))
+        encoder.norm(t, scale, shift, {}, training)
+        assert len(nodes) == 1
 
 
 # -- softmax ----------------------------------------------------------------------
