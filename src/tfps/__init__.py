@@ -18,7 +18,7 @@ from .data import (
     split,
     synth_generate,
 )
-from .drift import DriftMatrix, average_wasserstein, patch_distance_matrix, wasserstein_1d
+from .drift import average_wasserstein, patch_distance_matrix, wasserstein_1d
 from .errors import DataError, NumericError
 from .model import TFPSModel
 from .patching import patch_count, segment_batch
@@ -29,7 +29,6 @@ __version__ = "0.1.0"
 __all__ = [
     "Checkpoint",
     "DataError",
-    "DriftMatrix",
     "ForecastWindow",
     "MultivariateSeries",
     "NumericError",

@@ -33,10 +33,10 @@ class Tensor:
 
     __slots__ = ("data", "grad", "requires_grad", "_backward", "_parents")
 
-    def __init__(self, data, requires_grad: bool = False):
+    def __init__(self, data):
         self.data = np.asarray(data, dtype=np.float64)
         self.grad: np.ndarray | None = None
-        self.requires_grad = bool(requires_grad) and _GRAD_ENABLED
+        self.requires_grad = False  # set by `parameter` and `make_op`
         self._backward = None
         self._parents: tuple[Tensor, ...] | None = ()  # None once backward freed it
 

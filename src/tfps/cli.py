@@ -9,10 +9,20 @@ loads, which importing the package already does.
 from __future__ import annotations
 
 import argparse
+import csv
+import dataclasses
 import json
 import os
 import sys
 from pathlib import Path
+
+import numpy as np
+
+# Call through the modules, not names bound here: perfbench/layer_trace.py
+# times these calls by replacing the module attributes.
+from . import data, drift, evaluate, trainer
+from .config import config_from_json
+from .errors import DataError, NumericError
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -95,10 +105,7 @@ def _resolve_data(path: str) -> str:
 def _load_series(path: str, ckpt=None):
     """Load a CSV series. A checkpoint with a scaler is fixed to the channels
     that scaler was fitted on; an unscaled model is channel-independent."""
-    from .data import load_csv
-    from .errors import DataError
-
-    series = load_csv(_resolve_data(path))
+    series = data.load_csv(_resolve_data(path))
     if ckpt is not None and ckpt.scaler is not None and series.n_channels != ckpt.scaler.mean.size:
         raise DataError(
             f"{path} has {series.n_channels} channels, but the checkpoint's scaler "
@@ -118,20 +125,18 @@ def _load_json(path, what: str) -> dict:
 
 
 def _cmd_synth(args) -> int:
-    from .data import RegimeSpec, SynthSpec, save_csv, synth_generate
-
     obj = _load_json(args.spec, "synth spec")
     if not isinstance(obj, dict) or not set(obj) <= {"regimes", "channels", "seed", "step_seconds"}:
         raise UsageError("bad synth spec: expected an object of regimes, channels, seed, step_seconds")
     if args.seed is not None:
         obj["seed"] = args.seed
     try:
-        regimes = tuple(RegimeSpec(**r) for r in obj.get("regimes", ()))
-        spec = SynthSpec(**{**obj, "regimes": regimes})
+        regimes = tuple(data.RegimeSpec(**r) for r in obj.get("regimes", ()))
+        spec = data.SynthSpec(**{**obj, "regimes": regimes})
     except (TypeError, ValueError) as e:
         raise UsageError(f"bad synth spec: {e}") from None
-    series, boundaries = synth_generate(spec)
-    save_csv(series, args.out)
+    series, boundaries = data.synth_generate(spec)
+    data.save_csv(series, args.out)
     print(f"wrote {series.length} rows x {series.n_channels} channels to {args.out}")
     if boundaries:
         print(f"regime boundaries at indices {boundaries}")
@@ -139,10 +144,6 @@ def _cmd_synth(args) -> int:
 
 
 def _cmd_analyze_drift(args) -> int:
-    import numpy as np
-
-    from .drift import DOMAINS, patch_distance_matrix
-
     if args.patch_len < 1 or args.stride < 1:
         raise UsageError("--patch-len and --stride must be >= 1")
     series = _load_series(args.data)
@@ -158,7 +159,10 @@ def _cmd_analyze_drift(args) -> int:
         if missing:
             raise UsageError(f"unknown channels: {missing}")
         channels = wanted
-    domains = DOMAINS if args.domain == "both" else (args.domain,)
+    for name in channels:  # each name becomes part of an output file name
+        if set(name) & {"/", os.sep, "\0"} or name in (".", ".."):
+            raise DataError(f"channel name {name!r} cannot be part of a file name")
+    domains = drift.DOMAINS if args.domain == "both" else (args.domain,)
     outdir = Path(args.out)
     outdir.mkdir(parents=True, exist_ok=True)
     summary = {
@@ -171,12 +175,12 @@ def _cmd_analyze_drift(args) -> int:
     for name in channels:
         col = series.values[args.start : stop, series.channel_names.index(name)]
         for domain in domains:
-            dm = patch_distance_matrix(col, args.patch_len, args.stride, domain)
+            dm = drift.patch_distance_matrix(col, args.patch_len, args.stride, domain)
             path = outdir / f"drift_{name}_{domain}.csv"
-            np.savetxt(path, dm.distances, delimiter=",")
-            iu = np.triu_indices(dm.n_patches, k=1)
+            np.savetxt(path, dm, delimiter=",")
+            iu = np.triu_indices(len(dm), k=1)
             if iu[0].size:
-                flat = dm.distances[iu]
+                flat = dm[iu]
                 top = int(np.argmax(flat))
                 pair = {"i": int(iu[0][top]), "j": int(iu[1][top]), "value": float(flat[top])}
                 avg = float(flat.mean())
@@ -185,34 +189,28 @@ def _cmd_analyze_drift(args) -> int:
             summary["channels"].append(
                 {"channel": name, "domain": domain, "average": avg, "max_pair": pair}
             )
-            print(f"{name}/{domain}: {dm.n_patches} patches, average W1 {avg:.6g}")
+            print(f"{name}/{domain}: {len(dm)} patches, average W1 {avg:.6g}")
     with open(outdir / "summary.json", "w") as fh:
         json.dump(summary, fh, indent=2)
     return EXIT_OK
 
 
 def _prepare(cfg, series):
-    from .data import apply_scaler, fit_scaler, make_windows, split
-
     min_len = cfg.seq_len + cfg.pred_len
-    train_s, val_s, test_s = split(series, cfg.split_ratios, min_length=min_len)
+    train_s, val_s, test_s = data.split(series, cfg.split_ratios, min_length=min_len)
     scaler = None
     if cfg.scale:
-        scaler = fit_scaler(train_s)
-        train_s, val_s, test_s = (apply_scaler(s, scaler) for s in (train_s, val_s, test_s))
+        scaler = data.fit_scaler(train_s)
+        train_s, val_s, test_s = (data.apply_scaler(s, scaler) for s in (train_s, val_s, test_s))
     return (
-        make_windows(train_s, cfg.seq_len, cfg.pred_len),
-        make_windows(val_s, cfg.seq_len, cfg.pred_len),
-        make_windows(test_s, cfg.seq_len, cfg.pred_len),
+        data.make_windows(train_s, cfg.seq_len, cfg.pred_len),
+        data.make_windows(val_s, cfg.seq_len, cfg.pred_len),
+        data.make_windows(test_s, cfg.seq_len, cfg.pred_len),
         scaler,
     )
 
 
 def _load_config(path, seed_override):
-    import dataclasses
-
-    from .config import config_from_json
-
     try:
         cfg = config_from_json(path)
         if seed_override is not None:
@@ -223,47 +221,41 @@ def _load_config(path, seed_override):
 
 
 def _cmd_train(args) -> int:
-    from .trainer import save_checkpoint, train
-
     cfg = _load_config(args.config, args.seed)
     train_w, val_w, _, scaler = _prepare(cfg, _load_series(args.data))
     progress = None
     if not args.quiet:
         progress = lambda e, tl, vm: print(f"epoch {e}: train_loss {tl:.6f}  val_mse {vm:.6f}")
-    ckpt = train(cfg, train_w, val_w, scaler=scaler, progress=progress)
-    save_checkpoint(ckpt, args.out)
+    ckpt = trainer.train(cfg, train_w, val_w, scaler=scaler, progress=progress)
+    trainer.save_checkpoint(ckpt, args.out)
     best = min(ckpt.history["val_mse"])
     print(f"saved checkpoint to {args.out} (best val MSE {best:.6f})")
     return EXIT_OK
 
 
 def _cmd_grid(args) -> int:
-    import csv as csv_mod
-
-    from .trainer import check_grid, grid_search, save_checkpoint
-
     if args.budget is not None and args.budget < 1:
         raise UsageError(f"--budget must be >= 1, got {args.budget}")
     cfg = _load_config(args.config, args.seed)
     space = _load_json(args.grid, "grid spec")
     try:
-        check_grid(space)
+        trainer.check_grid(space)
     except ValueError as e:
         raise UsageError(f"{args.grid}: {e}") from None
     train_w, val_w, _, scaler = _prepare(cfg, _load_series(args.data))
     progress = None
     if not args.quiet:
         progress = lambda row: print(f"cell {row}")
-    best, board = grid_search(cfg, space, train_w, val_w, scaler=scaler,
+    best, board = trainer.grid_search(cfg, space, train_w, val_w, scaler=scaler,
                               budget=args.budget, progress=progress)
     outdir = Path(args.out)
     outdir.mkdir(parents=True, exist_ok=True)
-    save_checkpoint(best, outdir / "best.npz")
+    trainer.save_checkpoint(best, outdir / "best.npz")
     with open(outdir / "leaderboard.json", "w") as fh:
         json.dump(board, fh, indent=2)
     keys = list(board[0].keys())
     with open(outdir / "leaderboard.csv", "w", newline="") as fh:
-        writer = csv_mod.DictWriter(fh, fieldnames=keys)
+        writer = csv.DictWriter(fh, fieldnames=keys)
         writer.writeheader()
         writer.writerows(board)
     print(f"best cell: {board[0]}")
@@ -271,16 +263,13 @@ def _cmd_grid(args) -> int:
 
 
 def _cmd_eval(args) -> int:
-    from .evaluate import evaluate_windows, report_table, routing_report
-    from .trainer import load_checkpoint
-
-    ckpt = load_checkpoint(args.ckpt)
+    ckpt = trainer.load_checkpoint(args.ckpt)
     cfg = ckpt.config
     _, _, test_w, _ = _prepare(cfg, _load_series(args.data, ckpt))
     denorm = ckpt.scaler if args.denormalized else None
-    metrics = evaluate_windows(ckpt, test_w, denormalize=denorm)
+    metrics = evaluate.evaluate_windows(ckpt, test_w, denormalize=denorm)
     name = args.dataset_name or Path(args.data).stem
-    table = report_table(
+    table = evaluate.report_table(
         [{"dataset": name, "H": cfg.pred_len, "MSE": metrics["mse"], "MAE": metrics["mae"], "IMP": None}]
     )
     outdir = Path(args.out)
@@ -289,11 +278,9 @@ def _cmd_eval(args) -> int:
         json.dump({"rows": table["json"], "detail": metrics}, fh, indent=2)
     (outdir / "metrics.csv").write_text(table["csv"])
     affinities: dict = {}
-    report = routing_report(ckpt, test_w, seed=args.seed, affinity_out=affinities)
+    report = evaluate.routing_report(ckpt, test_w, seed=args.seed, affinity_out=affinities)
     with open(outdir / "routing.json", "w") as fh:
         json.dump(report, fh, indent=2)
-    import numpy as np
-
     for branch, snapshot in affinities.items():
         np.savetxt(outdir / f"affinity_{branch}.csv", snapshot, delimiter=",")
     print(table["text"])
@@ -301,13 +288,7 @@ def _cmd_eval(args) -> int:
 
 
 def _cmd_predict(args) -> int:
-    import numpy as np
-
-    from .data import MultivariateSeries, save_csv
-    from .errors import DataError
-    from .trainer import load_checkpoint
-
-    ckpt = load_checkpoint(args.ckpt)
+    ckpt = trainer.load_checkpoint(args.ckpt)
     cfg = ckpt.config
     series = _load_series(args.input, ckpt)
     if series.length < cfg.seq_len:
@@ -320,7 +301,7 @@ def _cmd_predict(args) -> int:
         yhat = ckpt.scaler.inverse(yhat)
     step = float(np.median(np.diff(series.timestamps))) if series.length > 1 else 3600.0
     future = series.timestamps[-1] + step * np.arange(1, cfg.pred_len + 1)
-    save_csv(MultivariateSeries(future, yhat, series.channel_names), args.out)
+    data.save_csv(data.MultivariateSeries(future, yhat, series.channel_names), args.out)
     print(f"wrote {cfg.pred_len}-step forecast for {series.n_channels} channels to {args.out}")
     return EXIT_OK
 
@@ -342,8 +323,6 @@ def run(argv=None) -> int:
     except UsageError as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_USAGE
-    from .errors import DataError, NumericError
-
     try:
         return _COMMANDS[args.command](args)
     except UsageError as e:

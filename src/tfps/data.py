@@ -39,11 +39,15 @@ class MultivariateSeries:
         if ts.size > 1 and not np.all(np.diff(ts) > 0):
             r = int(np.argmin(np.diff(ts) > 0))
             raise DataError(f"timestamps not strictly increasing at row {r + 1}")
+        names = tuple(self.channel_names)
+        if len(set(names)) < len(names):
+            dup = next(n for i, n in enumerate(names) if n in names[:i])
+            raise DataError(f"duplicate channel name {dup!r}")
         ts.setflags(write=False)
         vals.setflags(write=False)
         object.__setattr__(self, "timestamps", ts)
         object.__setattr__(self, "values", vals)
-        object.__setattr__(self, "channel_names", tuple(self.channel_names))
+        object.__setattr__(self, "channel_names", names)
 
     @property
     def length(self) -> int:
@@ -133,10 +137,9 @@ def _parse_timestamp(text: str, row: int) -> float:
     return dt.timestamp()
 
 
-def load_csv(path, columns: list[str] | None = None) -> MultivariateSeries:
+def load_csv(path) -> MultivariateSeries:
     """Read a series from CSV: header row, first column timestamp (ISO-8601 or
-    epoch), remaining columns decimal floats. `columns` optionally restricts
-    the loaded channels by name."""
+    epoch), remaining columns decimal floats."""
     try:
         fh = open(path, newline="")
     except OSError as e:
@@ -148,14 +151,6 @@ def load_csv(path, columns: list[str] | None = None) -> MultivariateSeries:
         except StopIteration:
             raise DataError(f"{path}: empty file") from None
         names = [h.strip() for h in header[1:]]
-        if columns is not None:
-            missing = [c for c in columns if c not in names]
-            if missing:
-                raise DataError(f"{path}: columns not found: {missing}")
-            keep = [names.index(c) for c in columns]
-            names = list(columns)
-        else:
-            keep = list(range(len(names)))
         if not names:
             raise DataError(f"{path}: no data columns after the timestamp column")
         ts: list[float] = []
@@ -167,16 +162,16 @@ def load_csv(path, columns: list[str] | None = None) -> MultivariateSeries:
                 raise DataError(f"{path}: row {row_idx} has {len(row)} fields, expected {len(header)}")
             ts.append(_parse_timestamp(row[0], row_idx))
             parsed = []
-            for pos, j in enumerate(keep):
-                cell = row[1 + j].strip()
+            for name, cell in zip(names, row[1:]):
+                cell = cell.strip()
                 try:
                     v = float(cell)
                 except ValueError:
                     raise DataError(
-                        f"{path}: row {row_idx}, column {names[pos]!r}: cannot parse {cell!r}"
+                        f"{path}: row {row_idx}, column {name!r}: cannot parse {cell!r}"
                     ) from None
                 if not math.isfinite(v):
-                    raise DataError(f"{path}: row {row_idx}, column {names[pos]!r}: non-finite value")
+                    raise DataError(f"{path}: row {row_idx}, column {name!r}: non-finite value")
                 parsed.append(v)
             rows.append(parsed)
     if not rows:
@@ -184,14 +179,23 @@ def load_csv(path, columns: list[str] | None = None) -> MultivariateSeries:
     return MultivariateSeries(np.array(ts), np.array(rows), tuple(names))
 
 
-def save_csv(series: MultivariateSeries, path, timestamp_name: str = "date") -> None:
-    """Write a series back to the CSV format load_csv reads."""
-    integral = np.array_equal(series.timestamps, np.round(series.timestamps))
+# 1000-01-01 to 9999-12-31 UTC in epoch seconds: datetime ends at year 9999,
+# and strftime writes no four-digit year before 1000, which fromisoformat
+# then cannot read back.
+_DATE_SPAN = (-30610224000.0, 253402300799.0)
+
+
+def save_csv(series: MultivariateSeries, path) -> None:
+    """Write a series back to the CSV format load_csv reads. Timestamps are
+    written as UTC dates when every one is a whole second in the years
+    1000-9999, else as epoch seconds."""
+    ts = series.timestamps
+    dated = np.array_equal(ts, np.round(ts)) and _DATE_SPAN[0] <= ts[0] and ts[-1] <= _DATE_SPAN[1]
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow([timestamp_name, *series.channel_names])
-        for t, row in zip(series.timestamps, series.values):
-            if integral:
+        writer.writerow(["date", *series.channel_names])
+        for t, row in zip(ts, series.values):
+            if dated:
                 stamp = datetime.fromtimestamp(t, tz=timezone.utc).strftime("%Y-%m-%d %H:%M:%S")
             else:
                 stamp = repr(float(t))
@@ -289,10 +293,18 @@ class SynthSpec:
             raise ValueError("need at least one regime")
         if self.channels < 1:
             raise ValueError(f"channels must be >= 1, got {self.channels}")
-        if self.step_seconds <= 0:
-            raise ValueError(f"step_seconds must be > 0, got {self.step_seconds}")
+        with np.errstate(over="ignore", invalid="ignore"):  # a step that overflows fails too
+            increasing = np.all(np.diff(self.timestamps()) > 0)
+        if not increasing:
+            raise ValueError(
+                f"step_seconds {self.step_seconds!r} does not make the timestamps strictly increasing"
+            )
         if self.seed < 0:
             raise ValueError("seed must be >= 0")
+
+    def timestamps(self) -> np.ndarray:
+        """Epoch seconds of every row the spec generates."""
+        return self.start_epoch + self.step_seconds * np.arange(sum(r.length for r in self.regimes))
 
 
 def synth_generate(spec: SynthSpec) -> tuple[MultivariateSeries, list[int]]:
@@ -317,6 +329,5 @@ def synth_generate(spec: SynthSpec) -> tuple[MultivariateSeries, list[int]]:
         chunks.append(block)
         total += regime.length
     values = np.concatenate(chunks, axis=0)
-    timestamps = spec.start_epoch + spec.step_seconds * np.arange(total)
     names = tuple(f"ch{i}" for i in range(spec.channels))
-    return MultivariateSeries(timestamps, values, names), boundaries
+    return MultivariateSeries(spec.timestamps(), values, names), boundaries

@@ -14,8 +14,6 @@ artifact a drift analyzer must not introduce.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
@@ -24,18 +22,6 @@ from .fourier import amplitude_spectrum
 
 DOMAINS = ("time", "frequency")
 _BLOCK_ELEMENTS = 1 << 18  # 2 MB of float64 per pairwise_w1 block
-
-
-@dataclass(frozen=True)
-class DriftMatrix:
-    distances: np.ndarray  # (N, N), symmetric, zero diagonal
-    domain: str
-    patch_len: int
-    stride: int
-
-    @property
-    def n_patches(self) -> int:
-        return self.distances.shape[0]
 
 
 def wasserstein_1d(u, v) -> float:
@@ -78,8 +64,9 @@ def analysis_patches(channel: np.ndarray, P: int, S: int) -> np.ndarray:
     return sliding_window_view(channel, P)[::S]
 
 
-def patch_distance_matrix(channel: np.ndarray, P: int, S: int, domain: str) -> DriftMatrix:
-    """Pairwise W1 distances between the patches of one channel."""
+def patch_distance_matrix(channel: np.ndarray, P: int, S: int, domain: str) -> np.ndarray:
+    """Pairwise W1 distances between the N patches of one channel: an (N, N)
+    symmetric matrix with a zero diagonal."""
     if domain not in DOMAINS:
         raise ValueError(f"domain must be one of {DOMAINS}, got {domain!r}")
     patches = analysis_patches(channel, P, S)
@@ -94,14 +81,14 @@ def patch_distance_matrix(channel: np.ndarray, P: int, S: int, domain: str) -> D
         block = pairwise_w1(patches[lo : lo + rows], patches[lo:])
         dist[lo : lo + rows, lo:] = block
         dist[lo:, lo : lo + rows] = block.T
-    return DriftMatrix(distances=dist, domain=domain, patch_len=P, stride=S)
+    return dist
 
 
 def average_wasserstein(series: MultivariateSeries, P: int, S: int, domain: str) -> float:
     """Mean upper-triangle drift per channel, averaged over channels."""
     per_channel = []
     for c in range(series.n_channels):
-        m = patch_distance_matrix(series.values[:, c], P, S, domain).distances
+        m = patch_distance_matrix(series.values[:, c], P, S, domain)
         iu = np.triu_indices(m.shape[0], k=1)
         if iu[0].size == 0:
             raise ValueError("need at least two patches to average drift")

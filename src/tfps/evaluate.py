@@ -41,18 +41,13 @@ def imp(model_mse: float, baseline_mses: list[float]) -> float:
     return (avg - model_mse) / avg * 100.0
 
 
-def evaluate_windows(
-    ckpt: Checkpoint,
-    windows: Windows,
-    denormalize: Scaler | None = None,
-    batch_size: int | None = None,
-) -> dict:
-    """Aggregate MSE/MAE over windows. Inputs are expected on the model's
-    working (normalized) scale; pass a scaler to also report original-unit
-    errors."""
+def evaluate_windows(ckpt: Checkpoint, windows: Windows, denormalize: Scaler | None = None) -> dict:
+    """Aggregate MSE/MAE over windows, in batches of the checkpoint's
+    `batch_size`. Inputs are expected on the model's working (normalized)
+    scale; pass a scaler to also report original-unit errors."""
     if not windows:
         raise ValueError("no windows to evaluate")
-    yhat = ckpt.build_model().forecast(windows.inputs, batch_size or ckpt.config.batch_size)
+    yhat = ckpt.build_model().forecast(windows.inputs, ckpt.config.batch_size)
     y = windows.targets
     out = {"mse": mse(yhat, y), "mae": mae(yhat, y), "n_windows": len(windows)}
     if denormalize is not None:
@@ -63,14 +58,12 @@ def evaluate_windows(
     return out
 
 
-def routing_report(
-    ckpt: Checkpoint,
-    windows: Windows,
-    max_tokens: int = 4096,
-    max_patches_per_cluster: int = 64,
-    seed: int = 0,
-    affinity_out: dict | None = None,
-) -> dict:
+MAX_TOKENS = 4096  # tokens the routing report samples per branch
+MAX_PATCHES_PER_CLUSTER = 64  # patches per expert in the cluster drift summary
+
+
+def routing_report(ckpt: Checkpoint, windows: Windows, seed: int = 0,
+                   affinity_out: dict | None = None) -> dict:
     """Argmax-expert shares per branch plus an intra/inter-cluster drift
     summary over the routed raw patches. Patch pools are subsampled
     deterministically to keep the pairwise distance count bounded. Pass a
@@ -83,7 +76,7 @@ def routing_report(
     rng = np.random.default_rng(seed)
     report: dict = {"branches": {}}
     xs = windows.inputs
-    max_windows = max(1, max_tokens // (cfg.n_patches * xs.shape[2]))
+    max_windows = max(1, MAX_TOKENS // (cfg.n_patches * xs.shape[2]))
     if len(xs) > max_windows:
         xs = xs[np.sort(rng.choice(len(xs), size=max_windows, replace=False))]
     with ad.no_grad():
@@ -92,8 +85,8 @@ def routing_report(
     pools = {}
     for branch, s in fwd.s.items():
         assign = np.argmax(s.data, axis=1)
-        if assign.size > max_tokens:
-            pick = rng.choice(assign.size, size=max_tokens, replace=False)
+        if assign.size > MAX_TOKENS:
+            pick = rng.choice(assign.size, size=MAX_TOKENS, replace=False)
         else:
             pick = np.arange(assign.size)
         pools[branch] = (assign, pick)
@@ -108,7 +101,7 @@ def routing_report(
         if branch == "freq":
             samples = amplitude_spectrum(samples)
         labels = assign[pick]
-        intra, inter = _cluster_drift(samples, labels, K, max_patches_per_cluster, rng)
+        intra, inter = _cluster_drift(samples, labels, K, MAX_PATCHES_PER_CLUSTER, rng)
         report["branches"][branch] = {
             "expert_share": shares.tolist(),
             "intra_cluster_w1": intra,

@@ -9,6 +9,7 @@ import itertools
 import json
 import logging
 import os
+import zipfile
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -41,11 +42,11 @@ class Adam:
     """Standard Adam with bias correction; state keyed by parameter name so
     checkpoints stay self-describing."""
 
-    def __init__(self, params: dict[str, Tensor], lr: float,
-                 beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8):
+    beta1, beta2, eps = 0.9, 0.999, 1e-8
+
+    def __init__(self, params: dict[str, Tensor], lr: float):
         self.params = params
         self.lr = lr
-        self.beta1, self.beta2, self.eps = beta1, beta2, eps
         self.m = {k: np.zeros_like(t.data) for k, t in params.items()}
         self.v = {k: np.zeros_like(t.data) for k, t in params.items()}
         self.t = 0
@@ -110,8 +111,6 @@ def save_checkpoint(ckpt: Checkpoint, path) -> None:
 
 def load_checkpoint(path) -> Checkpoint:
     """Read a checkpoint; any fault in the file is a DataError naming it."""
-    import zipfile
-
     try:
         npz = np.load(path)
     except (OSError, ValueError, zipfile.BadZipFile) as e:

@@ -370,11 +370,11 @@ def test_criterion_7_benchmark_drift(tmp_path):
         col = series.values[:window, c]
         for domain in ("time", "frequency"):
             dm = patch_distance_matrix(col, P, S, domain)
-            assert dm.n_patches == 12
-            np.savetxt(tmp_path / f"drift_{name}_{domain}.csv", dm.distances, delimiter=",")
+            assert len(dm) == 12
+            np.savetxt(tmp_path / f"drift_{name}_{domain}.csv", dm, delimiter=",")
             if domain == "time":
-                off = dm.distances.copy()
-                row_mean = off.sum(axis=1) / (dm.n_patches - 1)
+                off = dm.copy()
+                row_mean = off.sum(axis=1) / (len(dm) - 1)
                 peak_by_channel[name] = int(np.argmax(row_mean))
     sudden = [name for name, peak in peak_by_channel.items() if peak in (9, 10)]
     assert sudden, f"no channel peaks at patches 9-10; peaks were {peak_by_channel}"

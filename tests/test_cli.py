@@ -100,6 +100,22 @@ class TestAnalyzeDrift:
         assert err.startswith("error:") and "500" in err and "100" in err and "Traceback" not in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("header,cause", [
+        ("date,a,a", "duplicate channel name 'a'"),
+        ("date,a/b", "channel name 'a/b'"),
+    ])
+    def test_bad_channel_name_is_data_error(self, tmp_path, capsys, header, cause):
+        path = tmp_path / "named.csv"
+        rows = [",".join([str(t)] + [f"{t % 5}.0"] * header.count(",")) for t in range(40)]
+        path.write_text("\n".join([header, *rows]) + "\n")
+        out = tmp_path / "drift"
+        code = run(["analyze-drift", "--data", str(path), "--patch-len", "8", "--stride", "4",
+                    "--out", str(out)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("data error:") and cause in err and "Traceback" not in err
+        assert not out.exists()
+
 
 class TestTrainEvalPredict:
     def test_full_pipeline(self, workdir):
@@ -225,6 +241,22 @@ class TestTrainEvalPredict:
         assert "3 channels" in err and "fitted on 2" in err and "Traceback" not in err
         assert not out.exists()
 
+    def test_predict_past_year_9999_writes_epoch_stamps(self, workdir):
+        from tfps.data import load_csv
+
+        ckpt = workdir / "model.npz"
+        assert run(["train", "--config", str(workdir / "cfg.json"), "--data",
+                    str(workdir / "data.csv"), "--out", str(ckpt), "--quiet"]) == 0
+        series = load_csv(workdir / "data.csv")
+        late = workdir / "late.csv"
+        rows = [f"{3e11 + 3600 * t!r},{a!r},{b!r}" for t, (a, b) in enumerate(series.values.tolist())]
+        late.write_text("\n".join(["date,ch0,ch1", *rows]) + "\n")
+        forecast = workdir / "forecast.csv"
+        assert run(["predict", "--ckpt", str(ckpt), "--input", str(late), "--out", str(forecast)]) == 0
+        last = 3e11 + 3600 * (series.length - 1)
+        expected = last + 3600 * np.arange(1, TRAIN_CFG["pred_len"] + 1)
+        np.testing.assert_array_equal(load_csv(forecast).timestamps, expected)
+
     def test_numeric_failure_exit_code(self, workdir):
         cfg = dict(TRAIN_CFG, lr=1e160, max_epochs=3)
         cfg_path = workdir / "diverge.json"
@@ -234,6 +266,37 @@ class TestTrainEvalPredict:
                         "--data", str(workdir / "data.csv"),
                         "--out", str(workdir / "d.npz"), "--quiet"])
         assert code == 3
+
+
+def test_commands_call_through_module_attributes(workdir, monkeypatch):
+    """perfbench/layer_trace.py times these functions by replacing the module
+    attributes, so the CLI must look each one up at call time."""
+    from tfps import data, drift, evaluate, trainer
+
+    ckpt = workdir / "model.npz"
+    assert run(["train", "--config", str(workdir / "cfg.json"), "--data",
+                str(workdir / "data.csv"), "--out", str(ckpt), "--quiet"]) == 0
+    targets = [(data, "load_csv"), (data, "save_csv"), (trainer, "load_checkpoint"),
+               (evaluate, "evaluate_windows"), (evaluate, "routing_report"),
+               (drift, "patch_distance_matrix")]
+    calls = {}
+
+    def counting(key, fn):
+        calls[key] = 0
+
+        def wrapper(*args, **kwargs):
+            calls[key] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for module, name in targets:
+        monkeypatch.setattr(module, name, counting(f"{module.__name__}.{name}", getattr(module, name)))
+    csv = str(workdir / "data.csv")
+    assert run(["eval", "--ckpt", str(ckpt), "--data", csv, "--out", str(workdir / "eval")]) == 0
+    assert run(["predict", "--ckpt", str(ckpt), "--input", csv, "--out", str(workdir / "f.csv")]) == 0
+    assert run(["analyze-drift", "--data", csv, "--patch-len", "16", "--stride", "8",
+                "--out", str(workdir / "drift")]) == 0
+    assert all(calls.values()), calls
 
 
 class TestGridCommand:
@@ -284,14 +347,17 @@ class TestBoundaryErrors:
         {"regimes": []},
         {"regimes": [{"length": 0}]},
         {"regimes": [{"length": 300, "amplitude": float("nan")}]},
+        {"regimes": [REGIME], "step_seconds": 1e-300},  # too small to move start_epoch
+        {"regimes": [REGIME], "step_seconds": 1e308},  # overflows
     ])
+    @pytest.mark.filterwarnings("error")  # a NumPy warning would print on the command line
     def test_bad_synth_spec(self, tmp_path, capsys, spec):
         path = tmp_path / "spec.json"
         path.write_text(json.dumps(spec))
         out = tmp_path / "o.csv"
         assert run(["synth", "--spec", str(path), "--out", str(out)]) == 1
         err = capsys.readouterr().err
-        assert "error: bad synth spec" in err and "Traceback" not in err
+        assert err.startswith("error: bad synth spec") and err.count("\n") == 1
         assert not out.exists()
 
     @pytest.mark.parametrize("space,cause", [

@@ -66,12 +66,11 @@ class TestLoadCsv:
         s = load_csv(p)
         assert s.timestamps[1] - s.timestamps[0] == 3600.0
 
-    def test_column_subset(self, tmp_path):
+    def test_duplicate_channel_names_rejected(self, tmp_path):
         p = tmp_path / "t.csv"
-        p.write_text("date,a,b,c\n1,1,2,3\n2,4,5,6\n")
-        s = load_csv(p, columns=["c", "a"])
-        assert s.channel_names == ("c", "a")
-        np.testing.assert_allclose(s.values, [[3, 1], [6, 4]])
+        p.write_text("date,a,b,a\n1,1,2,3\n2,4,5,6\n")
+        with pytest.raises(DataError, match="duplicate channel name 'a'"):
+            load_csv(p)
 
     def test_roundtrip_via_save(self, tmp_path):
         orig, _ = synth_generate(SynthSpec(regimes=(RegimeSpec(length=10, noise=0.3),), seed=1))
@@ -82,10 +81,17 @@ class TestLoadCsv:
         np.testing.assert_allclose(again.timestamps, orig.timestamps)
 
     def test_roundtrip_keeps_sub_second_timestamps(self, tmp_path):
-        orig = series_of([1.0, 2.0, 3.0, 4.0], start=1.46e9, step=0.5)
-        path = tmp_path / "s.csv"
-        save_csv(orig, path)
-        np.testing.assert_array_equal(load_csv(path).timestamps, orig.timestamps)
+        for start, step in [
+            (1.46e9, 0.5),
+            (3e11, 3600.0),  # whole seconds past year 9999
+            (946684800.0, 1e300),  # past what datetime can hold
+            (-62009366400.0, 3600.0),  # year 5: strftime writes no four-digit year
+            (-1e12, 1.0),  # before year 1
+        ]:
+            orig = series_of([1.0, 2.0, 3.0, 4.0], start=start, step=step)
+            path = tmp_path / "s.csv"
+            save_csv(orig, path)
+            np.testing.assert_array_equal(load_csv(path).timestamps, orig.timestamps)
 
 
 class TestSplit:

@@ -102,7 +102,7 @@ class TestPatchDistanceMatrix:
         pattern = np.array([0.3, -1.1, 0.8, 2.0])
         channel = np.tile(pattern, 12)
         dm = patch_distance_matrix(channel, P=8, S=4, domain="time")
-        np.testing.assert_allclose(dm.distances, 0.0, atol=1e-12)
+        np.testing.assert_allclose(dm, 0.0, atol=1e-12)
 
     def test_mean_shift_block_structure(self):
         spec = SynthSpec(
@@ -111,39 +111,39 @@ class TestPatchDistanceMatrix:
         )
         series, _ = synth_generate(spec)
         dm = patch_distance_matrix(series.values[:, 0], P=16, S=16, domain="time")
-        n = dm.n_patches
+        n = len(dm)
         first = n // 2
         for i in range(first):
             for j in range(first, n):
-                assert dm.distances[i, j] == pytest.approx(2.0, abs=1e-12)
+                assert dm[i, j] == pytest.approx(2.0, abs=1e-12)
         for block in (range(first), range(first, n)):
             for i in block:
                 for j in block:
-                    assert dm.distances[i, j] == pytest.approx(0.0, abs=1e-12)
+                    assert dm[i, j] == pytest.approx(0.0, abs=1e-12)
 
     def test_symmetry_zero_diagonal(self):
         rng = np.random.default_rng(6)
         dm = patch_distance_matrix(rng.normal(size=100), P=16, S=8, domain="frequency")
-        np.testing.assert_array_equal(dm.distances, dm.distances.T)
-        np.testing.assert_array_equal(np.diag(dm.distances), 0.0)
-        assert np.all(dm.distances >= 0)
+        np.testing.assert_array_equal(dm, dm.T)
+        np.testing.assert_array_equal(np.diag(dm), 0.0)
+        assert np.all(dm >= 0)
 
     def test_matrix_entries_equal_wasserstein_calls(self):
         rng = np.random.default_rng(7)
         channel = rng.normal(size=40)
         dm = patch_distance_matrix(channel, P=8, S=8, domain="time")
         patches = analysis_patches(channel, 8, 8)
-        for i in range(dm.n_patches):
-            for j in range(dm.n_patches):
+        for i in range(len(dm)):
+            for j in range(len(dm)):
                 expect = 0.0 if i == j else wasserstein_1d(patches[i], patches[j])
-                assert dm.distances[i, j] == pytest.approx(expect, abs=1e-12)
+                assert dm[i, j] == pytest.approx(expect, abs=1e-12)
 
     @pytest.mark.parametrize("block_elements", [1, 1000])
     def test_row_blocks_equal_one_block(self, block_elements, monkeypatch):
         channel = np.random.default_rng(10).normal(size=120)
-        whole = patch_distance_matrix(channel, P=8, S=4, domain="time").distances
+        whole = patch_distance_matrix(channel, P=8, S=4, domain="time")
         monkeypatch.setattr(drift, "_BLOCK_ELEMENTS", block_elements)  # 1 and 4 rows a block
-        blocked = patch_distance_matrix(channel, P=8, S=4, domain="time").distances
+        blocked = patch_distance_matrix(channel, P=8, S=4, domain="time")
         np.testing.assert_array_equal(blocked, whole)
 
     def test_frequency_domain_uses_spectra(self):
@@ -152,7 +152,7 @@ class TestPatchDistanceMatrix:
         dm = patch_distance_matrix(channel, P=8, S=8, domain="frequency")
         patches = analysis_patches(channel, 8, 8)
         expect = wasserstein_1d(amplitude_spectrum(patches[0]), amplitude_spectrum(patches[1]))
-        assert dm.distances[0, 1] == pytest.approx(expect, abs=1e-12)
+        assert dm[0, 1] == pytest.approx(expect, abs=1e-12)
 
 
 class TestAverageWasserstein:
@@ -186,7 +186,7 @@ class TestAverageWasserstein:
         series = self._series(vals)
         per_channel = []
         for c in range(3):
-            m = patch_distance_matrix(vals[:, c], 8, 8, "time").distances
+            m = patch_distance_matrix(vals[:, c], 8, 8, "time")
             iu = np.triu_indices(m.shape[0], k=1)
             per_channel.append(m[iu].mean())
         assert average_wasserstein(series, 8, 8, "time") == pytest.approx(np.mean(per_channel))

@@ -1,5 +1,6 @@
 """Module boundaries: no module of the package imports another module's
-private (underscore) names or reaches them through a module attribute."""
+private (underscore) names or reaches them through a module attribute, and
+every import sits at the top of its module."""
 
 import ast
 from pathlib import Path
@@ -7,6 +8,9 @@ from pathlib import Path
 import tfps
 
 SRC = Path(tfps.__file__).parent
+# model.loss imports trainer.total_loss at call time to break the import cycle
+# model -> trainer -> model; it goes when the model owns its loss.
+ALLOWED_FUNCTION_IMPORTS = {"model.py: from .trainer import total_loss"}
 
 
 def private_imports(path: Path) -> list[str]:
@@ -78,4 +82,39 @@ def test_detects_a_private_attribute(tmp_path):
     assert [line.split(": ", 1)[1] for line in private_attributes(probe)] == [
         "ad._unbroadcast",
         "tfps.drift._BLOCK_ELEMENTS",
+    ]
+
+
+def function_level_imports(path: Path) -> list[str]:
+    """Import statements inside a function or method body of one file."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    return sorted({
+        f"{path.name}: {ast.unparse(node)}"
+        for fn in ast.walk(tree) if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef))
+        for node in ast.walk(fn) if isinstance(node, (ast.Import, ast.ImportFrom))
+    })
+
+
+def test_no_function_level_imports():
+    found = [line for path in sorted(SRC.glob("*.py")) for line in function_level_imports(path)]
+    extra = [line for line in found if line not in ALLOWED_FUNCTION_IMPORTS]
+    assert not extra, "imports inside functions:\n" + "\n".join(extra)
+
+
+def test_detects_a_function_level_import(tmp_path):
+    probe = tmp_path / "probe.py"
+    probe.write_text(
+        "import numpy as np\n"
+        "def f():\n"
+        "    import csv\n"
+        "    def g():\n"
+        "        from .data import load_csv\n"
+        "class C:\n"
+        "    def m(self):\n"
+        "        from . import drift\n"
+    )
+    assert function_level_imports(probe) == [
+        "probe.py: from . import drift",
+        "probe.py: from .data import load_csv",
+        "probe.py: import csv",
     ]
