@@ -4,10 +4,16 @@ seeded synthetic regime-switch generator used throughout the tests."""
 from __future__ import annotations
 
 import csv
+import io
+import itertools
 import logging
 import math
+import os
+import warnings
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
+from pathlib import Path
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -122,84 +128,202 @@ class Scaler:
         return values * self.std + self.mean
 
 
-def _parse_timestamp(text: str, row: int) -> float:
-    text = text.strip()
+@contextmanager
+def atomic_write(path, mode: str, **kwargs):
+    """Open a temporary file next to `path` for writing. A `with` block that
+    exits cleanly renames it over `path`; one that raises removes it, so a
+    write that fails part-way leaves any previous file at `path` intact. A
+    symlink at `path` is followed, so the file it names is the one replaced."""
+    path = Path(os.path.realpath(path))
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
     try:
-        return float(text)  # epoch seconds
+        with open(tmp, mode, **kwargs) as fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
+def _parse_timestamp(text: str) -> float:
+    """Epoch seconds of one stripped stamp: a float, or an ISO-8601 text that
+    datetime.fromisoformat reads, taken as UTC when it names no offset."""
+    try:
+        return float(text)
     except ValueError:
-        pass
-    try:
         dt = datetime.fromisoformat(text)
-    except ValueError:
-        raise DataError(f"row {row}: cannot parse timestamp {text!r}") from None
     if dt.tzinfo is None:
         dt = dt.replace(tzinfo=timezone.utc)
     return dt.timestamp()
 
 
+def _parse_cell(text: str) -> float:
+    """One stripped value cell, read as np.loadtxt reads it: Python's float
+    syntax without digit underscores or non-ASCII digits."""
+    if "_" in text or not text.isascii():
+        raise ValueError(text)
+    return float(text)
+
+
+# Canonical ISO-8601 forms by length, and the datetime64 unit whose text is
+# exactly that form: YYYY-MM-DD, then HH:MM, HH:MM:SS, HH:MM:SS.fff or
+# HH:MM:SS.ffffff after a 'T' or a space.
+_ISO_UNITS = {10: "D", 16: "m", 19: "s", 23: "ms", 26: "us"}
+
+
+def _iso_seconds(stamps: np.ndarray) -> np.ndarray | None:
+    """Epoch seconds of stripped stamps that all share one canonical form,
+    bit-equal to _parse_timestamp on each; None when any stamp is in another
+    form. datetime64 also reads NaT, now, today, year 0, partial dates and
+    UTC offsets, which fromisoformat rejects or reads otherwise, so each stamp
+    must be the exact text of the instant it parses to, in the years 1-9999."""
+    lengths = np.char.str_len(stamps)
+    unit = _ISO_UNITS.get(int(lengths.max()))
+    if unit is None or lengths.min() != lengths.max():
+        return None
+    text = np.char.replace(stamps, " ", "T", count=1)
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # datetime64 warns on UTC offsets
+            instants = text.astype("datetime64[us]")
+    except ValueError:
+        return None
+    if not (
+        np.all(np.datetime_as_string(instants, unit=unit) == text)
+        and instants.min() >= np.datetime64("0001-01-01")
+    ):
+        return None
+    micros = instants.astype(np.int64)
+    # micros / 1e6 rounds once, as timedelta.total_seconds does, when micros
+    # is exact in float64; whole seconds stay exact up to year 9999.
+    if not np.all((np.abs(micros) < 2**53) | (micros % 10**6 == 0)):
+        return None
+    return micros / 1e6
+
+
+def _epoch_seconds(stamps: np.ndarray) -> np.ndarray:
+    """Epoch seconds of a column of stamp strings, bit-equal to
+    _parse_timestamp on each: all numeric, all in one canonical ISO form, or
+    else one stamp at a time. Raises ValueError on a stamp neither reads."""
+    stamps = np.char.strip(stamps)
+    try:
+        return stamps.astype(np.float64)  # float() on each, as _parse_timestamp
+    except ValueError:
+        pass
+    seconds = _iso_seconds(stamps)
+    if seconds is None:
+        seconds = np.array([_parse_timestamp(t) for t in stamps.tolist()])
+    return seconds
+
+
+def _records(path):
+    """(row number, fields) of each non-blank record after the header, as the
+    csv module splits the file; rows count from 1 at the first line after the
+    header, blank lines included."""
+    with open(path, newline="") as fh:
+        reader = csv.reader(fh)
+        next(reader)
+        yield from ((n, row) for n, row in enumerate(reader, start=1) if row)
+
+
+def _row_fault(path, header: list[str]) -> DataError | None:
+    """The first record of the file that load_csv rejects, as a DataError that
+    names its row (and column), or None when every record reads."""
+    names = [h.strip() for h in header[1:]]
+    for n, row in _records(path):
+        if len(row) != len(header):
+            return DataError(f"{path}: row {n} has {len(row)} fields, expected {len(header)}")
+        stamp = row[0].strip()
+        try:
+            _parse_timestamp(stamp)
+        except ValueError:
+            return DataError(f"row {n}: cannot parse timestamp {stamp!r}")
+        for name, cell in zip(names, row[1:]):
+            cell = cell.strip()
+            try:
+                v = _parse_cell(cell)
+            except ValueError:
+                return DataError(f"{path}: row {n}, column {name!r}: cannot parse {cell!r}")
+            if not math.isfinite(v):
+                return DataError(f"{path}: row {n}, column {name!r}: non-finite value")
+    return None
+
+
+def _parse_body(fh, n_channels: int) -> tuple[np.ndarray, np.ndarray]:
+    """Timestamps and (T, C) values of the rows left in `fh`, in one pass of
+    NumPy's tokenizer. Raises ValueError when any row is faulty."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)  # np.loadtxt warns on a body with no rows
+        table = np.loadtxt(
+            fh,
+            dtype=[("date", object), ("values", np.float64, (n_channels,))],
+            delimiter=",",
+            quotechar='"',
+            comments=None,
+            ndmin=1,
+        )
+    values = np.ascontiguousarray(table["values"])
+    if not np.isfinite(values).all():
+        raise ValueError("non-finite value")
+    return _epoch_seconds(table["date"].astype(str)), values
+
+
 def load_csv(path) -> MultivariateSeries:
     """Read a series from CSV: header row, first column timestamp (ISO-8601 or
-    epoch), remaining columns decimal floats."""
+    epoch), remaining columns decimal floats. The body is parsed in one pass;
+    when that fails, the file is read once more to name the first faulty
+    row."""
     try:
         fh = open(path, newline="")
     except OSError as e:
         raise DataError(f"cannot open {path}: {e}") from None
     with fh:
-        reader = csv.reader(fh)
         try:
-            header = next(reader)
-        except StopIteration:
-            raise DataError(f"{path}: empty file") from None
-        names = [h.strip() for h in header[1:]]
-        if not names:
-            raise DataError(f"{path}: no data columns after the timestamp column")
-        ts: list[float] = []
-        rows: list[list[float]] = []
-        for row_idx, row in enumerate(reader, start=1):
-            if not row:
-                continue
-            if len(row) != len(header):
-                raise DataError(f"{path}: row {row_idx} has {len(row)} fields, expected {len(header)}")
-            ts.append(_parse_timestamp(row[0], row_idx))
-            parsed = []
-            for name, cell in zip(names, row[1:]):
-                cell = cell.strip()
-                try:
-                    v = float(cell)
-                except ValueError:
-                    raise DataError(
-                        f"{path}: row {row_idx}, column {name!r}: cannot parse {cell!r}"
-                    ) from None
-                if not math.isfinite(v):
-                    raise DataError(f"{path}: row {row_idx}, column {name!r}: non-finite value")
-                parsed.append(v)
-            rows.append(parsed)
-    if not rows:
+            header = next(csv.reader(fh), None)
+            names = [h.strip() for h in header[1:]] if header else []
+            if names:
+                timestamps, values = _parse_body(fh, len(names))
+        except UnicodeDecodeError as e:  # a ValueError, but no row's fault
+            raise DataError(f"cannot read {path}: {e}") from None
+        except ValueError as e:
+            raise _row_fault(path, header) or DataError(f"{path}: {e}") from None
+    if header is None:
+        raise DataError(f"{path}: empty file")
+    if not names:
+        raise DataError(f"{path}: no data columns after the timestamp column")
+    if not len(values):
         raise DataError(f"{path}: no data rows")
-    return MultivariateSeries(np.array(ts), np.array(rows), tuple(names))
+    increasing = np.diff(timestamps) > 0
+    if not increasing.all():
+        later = int(np.argmin(increasing)) + 1
+        n = next(itertools.islice(_records(path), later, None))[0]
+        raise DataError(f"{path}: row {n}: timestamps not strictly increasing")
+    return MultivariateSeries(timestamps, values, tuple(names))
 
 
-# 1000-01-01 to 9999-12-31 UTC in epoch seconds: datetime ends at year 9999,
-# and strftime writes no four-digit year before 1000, which fromisoformat
-# then cannot read back.
+# 1000-01-01 to 9999-12-31 UTC in epoch seconds: fromisoformat reads no year
+# past 9999, and years before 1000 stay epoch seconds, as they were when
+# strftime (which writes no four-digit year there) wrote the stamps.
 _DATE_SPAN = (-30610224000.0, 253402300799.0)
 
 
 def save_csv(series: MultivariateSeries, path) -> None:
-    """Write a series back to the CSV format load_csv reads. Timestamps are
-    written as UTC dates when every one is a whole second in the years
-    1000-9999, else as epoch seconds."""
+    """Write a series back to the CSV format load_csv reads, atomically (see
+    atomic_write). Timestamps are written as UTC dates when every one is a
+    whole second in the years 1000-9999, else as epoch seconds."""
     ts = series.timestamps
     dated = np.array_equal(ts, np.round(ts)) and _DATE_SPAN[0] <= ts[0] and ts[-1] <= _DATE_SPAN[1]
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["date", *series.channel_names])
-        for t, row in zip(ts, series.values):
-            if dated:
-                stamp = datetime.fromtimestamp(t, tz=timezone.utc).strftime("%Y-%m-%d %H:%M:%S")
-            else:
-                stamp = repr(float(t))
-            writer.writerow([stamp] + [repr(float(v)) for v in row])
+    if dated:
+        stamps = np.datetime_as_string(ts.astype(np.int64).astype("datetime64[s]"))
+        stamps = np.char.replace(stamps, "T", " ").tolist()
+    else:
+        stamps = map(repr, ts.tolist())
+    with atomic_write(path, "w", newline="") as fh:
+        csv.writer(fh).writerow(["date", *series.channel_names])
+        # stamps and reprs never need quoting; rows end in \r\n, as csv.writer ends them
+        fh.writelines(
+            f"{t},{','.join(map(repr, row))}\r\n" for t, row in zip(stamps, series.values.tolist())
+        )
 
 
 def split(

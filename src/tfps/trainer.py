@@ -8,17 +8,15 @@ import dataclasses
 import itertools
 import json
 import logging
-import os
 import zipfile
 from dataclasses import dataclass, field
-from pathlib import Path
 
 import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
 from .config import TrainConfig, check_value, config_from_dict
-from .data import Scaler, Windows
+from .data import Scaler, Windows, atomic_write
 from .errors import DataError, NumericError
 from .model import TFPSModel
 
@@ -80,9 +78,8 @@ class Checkpoint:
 
 
 def save_checkpoint(ckpt: Checkpoint, path) -> None:
-    """Write `ckpt` to exactly `path`, atomically: a temporary file in the same
-    directory is written and then renamed over the target, so a save that
-    fails part-way leaves any previous checkpoint intact."""
+    """Write `ckpt` to exactly `path`, atomically (see data.atomic_write): a
+    save that fails part-way leaves any previous checkpoint intact."""
     header = {
         "version": ckpt.version,
         "config": ckpt.config.to_dict(),
@@ -98,15 +95,8 @@ def save_checkpoint(ckpt: Checkpoint, path) -> None:
     }
     payload = {f"array/{k}": v for k, v in ckpt.arrays.items()}
     payload["__header__"] = np.frombuffer(json.dumps(header).encode(), dtype=np.uint8)
-    path = Path(path)
-    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
-    try:
-        with open(tmp, "wb") as fh:  # a file object: np.savez would append .npz to a name
-            np.savez(fh, **payload)
-        os.replace(tmp, path)
-    except BaseException:
-        tmp.unlink(missing_ok=True)
-        raise
+    with atomic_write(path, "wb") as fh:  # a file object: np.savez would append .npz to a name
+        np.savez(fh, **payload)
 
 
 def load_checkpoint(path) -> Checkpoint:

@@ -7,6 +7,10 @@ attention loops) so it cannot share a bug with the package code it checks.
 
 from __future__ import annotations
 
+import csv
+import math
+from datetime import datetime, timezone
+
 import numpy as np
 
 
@@ -142,3 +146,74 @@ def record_expert_calls(monkeypatch, mope, experts) -> list[int]:
 
     monkeypatch.setattr(mope, "expert_forward", recorded)
     return calls
+
+
+def reference_load_csv(path):
+    """The row-by-row CSV reader that `data.load_csv` replaced: csv.reader
+    records, one float() per cell, one fromisoformat per non-numeric stamp.
+    Returns a MultivariateSeries or raises DataError with the old messages
+    (its non-increasing-timestamp message is the series' own, 0-based)."""
+    from tfps.data import MultivariateSeries
+    from tfps.errors import DataError
+
+    def parse_timestamp(text, row):
+        text = text.strip()
+        try:
+            return float(text)
+        except ValueError:
+            pass
+        try:
+            dt = datetime.fromisoformat(text)
+        except ValueError:
+            raise DataError(f"row {row}: cannot parse timestamp {text!r}") from None
+        if dt.tzinfo is None:
+            dt = dt.replace(tzinfo=timezone.utc)
+        return dt.timestamp()
+
+    with open(path, newline="") as fh:
+        reader = csv.reader(fh)
+        try:
+            header = next(reader)
+        except StopIteration:
+            raise DataError(f"{path}: empty file") from None
+        names = [h.strip() for h in header[1:]]
+        if not names:
+            raise DataError(f"{path}: no data columns after the timestamp column")
+        ts, rows = [], []
+        for row_idx, row in enumerate(reader, start=1):
+            if not row:
+                continue
+            if len(row) != len(header):
+                raise DataError(f"{path}: row {row_idx} has {len(row)} fields, expected {len(header)}")
+            ts.append(parse_timestamp(row[0], row_idx))
+            parsed = []
+            for name, cell in zip(names, row[1:]):
+                cell = cell.strip()
+                try:
+                    v = float(cell)
+                except ValueError:
+                    raise DataError(f"{path}: row {row_idx}, column {name!r}: cannot parse {cell!r}") from None
+                if not math.isfinite(v):
+                    raise DataError(f"{path}: row {row_idx}, column {name!r}: non-finite value")
+                parsed.append(v)
+            rows.append(parsed)
+    if not rows:
+        raise DataError(f"{path}: no data rows")
+    return MultivariateSeries(np.array(ts), np.array(rows), tuple(names))
+
+
+def reference_save_csv(series, path) -> None:
+    """The csv.writer loop that `data.save_csv` replaced: one strftime per
+    dated row, one repr per cell, one writerow per row."""
+    ts = series.timestamps
+    span = (-30610224000.0, 253402300799.0)  # 1000-01-01 to 9999-12-31 UTC
+    dated = np.array_equal(ts, np.round(ts)) and span[0] <= ts[0] and ts[-1] <= span[1]
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["date", *series.channel_names])
+        for t, row in zip(ts, series.values):
+            if dated:
+                stamp = datetime.fromtimestamp(t, tz=timezone.utc).strftime("%Y-%m-%d %H:%M:%S")
+            else:
+                stamp = repr(float(t))
+            writer.writerow([stamp] + [repr(float(v)) for v in row])

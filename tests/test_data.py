@@ -1,5 +1,7 @@
 """Loader contracts, split arithmetic, scaler roundtrips, windowing, synth."""
 
+import os
+
 import numpy as np
 import pytest
 
@@ -19,6 +21,8 @@ from tfps.data import (
 )
 from tfps.errors import DataError
 
+from helpers import reference_load_csv, reference_save_csv
+
 
 def series_of(values, start=0.0, step=1.0):
     values = np.atleast_2d(np.asarray(values, dtype=float))
@@ -27,6 +31,89 @@ def series_of(values, start=0.0, step=1.0):
     ts = start + step * np.arange(values.shape[0])
     names = tuple(f"c{i}" for i in range(values.shape[1]))
     return MultivariateSeries(ts, values, names)
+
+
+def bits(a: np.ndarray) -> np.ndarray:
+    """The float64 bit patterns of `a`, so that -0.0 != 0.0 and NaN == NaN."""
+    return np.ascontiguousarray(a, dtype=np.float64).view(np.uint64)
+
+
+def benchmark_shaped_series() -> MultivariateSeries:
+    """17,420 hourly rows x 7 channels in five regimes, as the benchmark's."""
+    regimes = tuple(
+        RegimeSpec(length=3484, amplitude=a, frequency=1.0 / p, trend=t, noise=n, offset=o)
+        for a, p, t, n, o in [
+            (0.5, 24, 1e-4, 0.1, -1.0),
+            (3.0, 168, -2e-4, 0.6, 2.5),
+            (1.2, 12, 0.0, 0.3, 0.0),
+            (2.1, 48, 3e-4, 0.2, -3.2),
+            (0.8, 24, -1e-4, 0.5, 1.1),
+        ]
+    )
+    return synth_generate(SynthSpec(regimes=regimes, channels=7, seed=11))[0]
+
+
+# (start, step) of series that save_csv writes with epoch-second stamps.
+EPOCH_FALLBACKS = [
+    (1.46e9, 0.5),
+    (3e11, 3600.0),  # whole seconds past year 9999
+    (946684800.0, 1e300),  # past what datetime can hold
+    (-62009366400.0, 3600.0),  # year 5: strftime writes no four-digit year
+    (-1e12, 1.0),  # before year 1
+]
+
+# Bodies (after a "date,a,b" header) that the row-by-row reader accepts.
+ACCEPTED = {
+    "iso-space": "2016-07-01 00:00:00,1.5,-2\n2016-07-01 01:00:00,2.25,3e-5\n",
+    "iso-T": "2016-07-01T00:00:00,1,2\n2016-07-01T01:00:00,3,4\n",
+    "iso-T-and-space": "2016-07-01 00:00:00,1,2\n2016-07-01T01:00:00,3,4\n",
+    "date-only": "2016-07-01,1,2\n2016-07-02,3,4\n2016-08-31,5,6\n",
+    "minutes": "2016-07-01 00:00,1,2\n2016-07-01 00:01,3,4\n",
+    "fraction-ms": "2016-07-01 00:00:00.125,1,2\n2016-07-01 00:00:00.250,3,4\n",
+    "fraction-us": "2016-07-01 00:00:00.123456,1,2\n2016-07-01 00:00:01.654321,3,4\n",
+    "fraction-one-digit": "2016-07-01 00:00:00.5,1,2\n2016-07-01 00:00:01.5,3,4\n",
+    "fraction-us-far-future": "2400-01-01 00:00:00.000001,1,2\n2400-01-01 00:00:00.100003,3,4\n",
+    "utc-z": "2016-07-01T00:00:00Z,1,2\n2016-07-01T01:00:00Z,3,4\n",
+    "offset": "2016-07-01T02:00:00+02:00,1,2\n2016-07-01T03:00:00+02:00,3,4\n",
+    "years-1-and-9999": "0001-01-01 00:00:00,1,2\n9999-12-31 23:59:59,3,4\n",
+    "leap-day": "2020-02-28,1,2\n2020-02-29,3,4\n2020-03-01,5,6\n",
+    "epoch-int": "1,1,2\n2,3,4\n",
+    "epoch-float": "1.5,1,2\n2.75,3,4\n1e9,5,6\n",
+    "epoch-negative": "-100,1,2\n-50.5,3,4\n0,5,6\n",
+    "epoch-then-iso": "1,1,2\n2016-07-01,3,4\n",
+    "epoch-python-literal": "1_000,1,2\n2_000,3,4\n",  # stamps keep float()'s syntax
+    "quoted": '"2016-07-01 00:00:00","1.5","2"\n"2016-07-01 01:00:00",3,"-4e2"\n',
+    "padded": " 2016-07-01 00:00:00 , 1.5 ,\t2\n2016-07-01 01:00:00,  3  ,4 \n",
+    "blank-lines": "\n1,1,2\n\n\n2,3,4\n\n",
+    "crlf": "1,1,2\r\n2,3,4\r\n",
+    "no-trailing-newline": "1,1,2\n2,3,4",
+    "single-row": "2016-07-01 00:00:00,1,2\n",
+    "signed-zero-and-exponents": "1,-0.0,+0\n2,1e-400,-1E+2\n",
+}
+
+# Bodies with one fault; the message must be the row-by-row reader's.
+FAULTS = {
+    "too-many-fields": "1,1,2\n2,3,4,5\n",
+    "too-few-fields-after-blank": "1,1,2\n\n2,3\n",
+    "whitespace-line": "1,1,2\n  \n2,3,4\n",
+    "bad-cell": "1,1.0,2.0\n2,1.0,oops\n",
+    "empty-cell": "1,1,\n",
+    "nan-cell": "1,1,2\n2,nan,4\n",
+    "inf-cell": "1,1,2\n2,3,-inf\n",
+    "overflow-cell": "1,1,1e999\n",
+    "bad-stamp": "1,1,2\nyesterday,3,4\n",
+    "nat": "2016-07-01,1,2\nNaT,3,4\n",
+    "now": "2016-07-01,1,2\nnow,3,4\n",
+    "today": "today,1,2\n",
+    "year-zero": "0000-01-01,1,2\n",
+    "february-30": "2016-02-30 00:00:00,1,2\n",
+    "hour-24": "2016-07-01 24:00:00,1,2\n",
+    "partial-date": "2016-07,1,2\n",
+    "stamp-before-cell": "1,1,2\nbad,3,4\n3,oops,6\n",
+    "cell-before-stamp": "1,1,2\n2,oops,4\nbad,5,6\n",
+    "no-rows": "",
+    "only-blank-lines": "\n\r\n\n",
+}
 
 
 class TestLoadCsv:
@@ -81,17 +168,124 @@ class TestLoadCsv:
         np.testing.assert_allclose(again.timestamps, orig.timestamps)
 
     def test_roundtrip_keeps_sub_second_timestamps(self, tmp_path):
-        for start, step in [
-            (1.46e9, 0.5),
-            (3e11, 3600.0),  # whole seconds past year 9999
-            (946684800.0, 1e300),  # past what datetime can hold
-            (-62009366400.0, 3600.0),  # year 5: strftime writes no four-digit year
-            (-1e12, 1.0),  # before year 1
-        ]:
+        for start, step in EPOCH_FALLBACKS:
             orig = series_of([1.0, 2.0, 3.0, 4.0], start=start, step=step)
             path = tmp_path / "s.csv"
             save_csv(orig, path)
             np.testing.assert_array_equal(load_csv(path).timestamps, orig.timestamps)
+
+    @pytest.mark.parametrize("body", ACCEPTED.values(), ids=ACCEPTED.keys())
+    def test_matches_row_by_row_reader(self, tmp_path, body):
+        p = tmp_path / "t.csv"
+        p.write_bytes(f"date,a,b\n{body}".encode())
+        got, want = load_csv(p), reference_load_csv(p)
+        assert got.channel_names == want.channel_names
+        np.testing.assert_array_equal(bits(got.timestamps), bits(want.timestamps))
+        np.testing.assert_array_equal(bits(got.values), bits(want.values))
+
+    def test_benchmark_shaped_series_matches_row_by_row_reader(self, tmp_path):
+        p = tmp_path / "s.csv"
+        save_csv(benchmark_shaped_series(), p)
+        got, want = load_csv(p), reference_load_csv(p)
+        assert got.values.shape == (17420, 7)
+        np.testing.assert_array_equal(bits(got.timestamps), bits(want.timestamps))
+        np.testing.assert_array_equal(bits(got.values), bits(want.values))
+
+    @pytest.mark.parametrize("body", FAULTS.values(), ids=FAULTS.keys())
+    def test_fault_message_matches_row_by_row_reader(self, tmp_path, body):
+        p = tmp_path / "t.csv"
+        p.write_bytes(f"date,a,b\n{body}".encode())
+        with pytest.raises(DataError) as want:
+            reference_load_csv(p)
+        with pytest.raises(DataError) as got:
+            load_csv(p)
+        assert str(got.value) == str(want.value)
+
+    @pytest.mark.parametrize("text", ["", "date\n1\n", "\ndate,a\n"], ids=["empty", "no-columns", "blank-header"])
+    def test_header_fault_matches_row_by_row_reader(self, tmp_path, text):
+        p = tmp_path / "t.csv"
+        p.write_text(text)
+        with pytest.raises(DataError) as want:
+            reference_load_csv(p)
+        with pytest.raises(DataError) as got:
+            load_csv(p)
+        assert str(got.value) == str(want.value)
+
+    @pytest.mark.parametrize(
+        "body, row",
+        [("1,1.0\n2,2.0\n2,3.0\n", 3), ("5,1\n\n3,2\n", 3), ("1,1\n2,2\nnan,3\n", 3)],
+        ids=["repeated", "after-blank-line", "nan"],
+    )
+    def test_non_increasing_timestamp_names_path_and_row(self, tmp_path, body, row):
+        p = tmp_path / "t.csv"
+        p.write_text(f"date,a\n{body}")
+        with pytest.raises(DataError) as e:
+            load_csv(p)
+        assert str(e.value) == f"{p}: row {row}: timestamps not strictly increasing"
+
+    def test_python_only_float_literal_is_a_cell_error(self, tmp_path):
+        # float() reads "1_000"; NumPy's tokenizer, like most CSV readers, does not
+        p = tmp_path / "t.csv"
+        p.write_text("date,a\n1,1_000\n")
+        with pytest.raises(DataError) as e:
+            load_csv(p)
+        assert str(e.value) == f"{p}: row 1, column 'a': cannot parse '1_000'"
+
+    def test_undecodable_file_is_data_error(self, tmp_path):
+        p = tmp_path / "t.csv"
+        p.write_bytes(b"date,a\n1,\xff\n")
+        with pytest.raises(DataError, match="cannot read"):
+            load_csv(p)
+
+
+class TestSaveCsv:
+    @pytest.mark.parametrize(
+        "series",
+        [
+            benchmark_shaped_series(),
+            MultivariateSeries(
+                np.array([0.0, 3600.0]), np.array([[1.0, -0.0], [1e-300, 2.5e17]]), ("a,b", 'say "hi"')
+            ),
+        ],
+        ids=["benchmark-shaped", "quoted-names"],
+    )
+    def test_dated_bytes_match_csv_writer(self, tmp_path, series):
+        save_csv(series, tmp_path / "new.csv")
+        reference_save_csv(series, tmp_path / "old.csv")
+        assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
+
+    @pytest.mark.parametrize("start, step", EPOCH_FALLBACKS)
+    def test_epoch_bytes_match_csv_writer(self, tmp_path, start, step):
+        series = series_of([1.0, 2.0, 3.0, 4.0], start=start, step=step)
+        save_csv(series, tmp_path / "new.csv")
+        reference_save_csv(series, tmp_path / "old.csv")
+        assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
+
+    def test_failed_save_keeps_previous_file(self, tmp_path, monkeypatch):
+        path = tmp_path / "s.csv"
+        save_csv(series_of([1.0, 2.0]), path)
+        before = path.read_bytes()
+
+        def fail(src, dst):
+            raise OSError("disk full")
+
+        monkeypatch.setattr(os, "replace", fail)
+        with pytest.raises(OSError, match="disk full"):
+            save_csv(series_of([3.0, 4.0, 5.0]), path)
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["s.csv"]
+
+    def test_save_through_symlink_replaces_its_target(self, tmp_path):
+        target = tmp_path / "data" / "s.csv"
+        target.parent.mkdir()
+        target.write_text("old\n")
+        link = tmp_path / "link.csv"
+        link.symlink_to(target)
+        save_csv(series_of([1.0, 2.0]), link)
+        assert link.is_symlink()
+        reference_save_csv(series_of([1.0, 2.0]), tmp_path / "old.csv")
+        assert target.read_bytes() == (tmp_path / "old.csv").read_bytes()
+        assert sorted(p.name for p in target.parent.iterdir()) == ["s.csv"]
 
 
 class TestSplit:
