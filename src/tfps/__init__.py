@@ -11,7 +11,6 @@ from .data import (
     Windows,
     apply_scaler,
     fit_scaler,
-    invert_scaler,
     load_csv,
     make_windows,
     save_csv,
@@ -44,7 +43,6 @@ __all__ = [
     "config_from_json",
     "fit_scaler",
     "grid_search",
-    "invert_scaler",
     "load_csv",
     "load_checkpoint",
     "make_windows",

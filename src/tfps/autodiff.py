@@ -52,9 +52,6 @@ class Tensor:
     def size(self) -> int:
         return self.data.size
 
-    def detach(self) -> "Tensor":
-        return Tensor(self.data)
-
     def __repr__(self) -> str:
         tag = ", grad" if self.requires_grad else ""
         return f"Tensor(shape={self.data.shape}{tag})"
@@ -123,15 +120,6 @@ class Tensor:
 
     def __truediv__(self, other):
         return div(self, other)
-
-    def __rtruediv__(self, other):
-        return div(other, self)
-
-    def __neg__(self):
-        return mul(self, -1.0)
-
-    def __pow__(self, exponent):
-        return power(self, exponent)
 
     def __matmul__(self, other):
         return matmul(self, other)
@@ -237,16 +225,6 @@ def div(a, b) -> Tensor:
             accumulate(b, unbroadcast(-g * a.data / (b.data * b.data), b.data.shape))
 
     return make_op(a.data / b.data, (a, b), backward)
-
-
-def power(a, exponent: float) -> Tensor:
-    a = as_tensor(a)
-    p = float(exponent)
-
-    def backward(g):
-        accumulate(a, g * p * np.power(a.data, p - 1.0))
-
-    return make_op(np.power(a.data, p), (a,), backward)
 
 
 def matmul(a, b) -> Tensor:
@@ -362,26 +340,11 @@ def tsum(a, axis=None, keepdims: bool = False) -> Tensor:
 
 def tmean(a, axis=None, keepdims: bool = False) -> Tensor:
     a = as_tensor(a)
-    count = a.data.size if axis is None else np.prod([a.data.shape[ax] for ax in _norm_axes(axis, a.ndim)])
-    return mul(tsum(a, axis=axis, keepdims=keepdims), 1.0 / float(count))
-
-
-def _norm_axes(axis, ndim: int) -> tuple[int, ...]:
-    axes = axis if isinstance(axis, tuple) else (axis,)
-    return tuple(ax % ndim for ax in axes)
+    total = tsum(a, axis=axis, keepdims=keepdims)
+    return mul(total, 1.0 / float(a.data.size // total.data.size))
 
 
 # -- elementwise nonlinearities ------------------------------------------------
-
-
-def exp(a) -> Tensor:
-    a = as_tensor(a)
-    out_data = np.exp(a.data)
-
-    def backward(g):
-        accumulate(a, g * out_data)
-
-    return make_op(out_data, (a,), backward)
 
 
 def log(a) -> Tensor:
@@ -391,16 +354,6 @@ def log(a) -> Tensor:
         accumulate(a, g / a.data)
 
     return make_op(np.log(a.data), (a,), backward)
-
-
-def sqrt(a) -> Tensor:
-    a = as_tensor(a)
-    out_data = np.sqrt(a.data)
-
-    def backward(g):
-        accumulate(a, g * 0.5 / out_data)
-
-    return make_op(out_data, (a,), backward)
 
 
 def relu(a) -> Tensor:

@@ -133,13 +133,18 @@ def atomic_write(path, mode: str, **kwargs):
     """Open a temporary file next to `path` for writing. A `with` block that
     exits cleanly renames it over `path`; one that raises removes it, so a
     write that fails part-way leaves any previous file at `path` intact. A
-    symlink at `path` is followed, so the file it names is the one replaced."""
-    path = Path(os.path.realpath(path))
-    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    symlink at `path` is followed, so the file it names is the one replaced.
+    An OSError is raised again with `path`, not the temporary file, as its
+    filename."""
+    target = Path(os.path.realpath(path))
+    tmp = target.with_name(f".{target.name}.{os.getpid()}.tmp")
     try:
         with open(tmp, mode, **kwargs) as fh:
             yield fh
-        os.replace(tmp, path)
+        os.replace(tmp, target)
+    except OSError as e:
+        tmp.unlink(missing_ok=True)
+        raise OSError(e.errno, e.strerror or str(e), str(path)) from None
     except BaseException:
         tmp.unlink(missing_ok=True)
         raise
@@ -371,19 +376,15 @@ def apply_scaler(series: MultivariateSeries, scaler: Scaler) -> MultivariateSeri
     return MultivariateSeries(series.timestamps, scaler.transform(series.values), series.channel_names)
 
 
-def invert_scaler(series: MultivariateSeries, scaler: Scaler) -> MultivariateSeries:
-    return MultivariateSeries(series.timestamps, scaler.inverse(series.values), series.channel_names)
-
-
-def make_windows(series: MultivariateSeries, L: int, H: int, stride: int = 1) -> Windows:
-    """All contiguous (input, target) pairs; count = floor((T-L-H)/stride) + 1."""
-    if L < 1 or H < 1 or stride < 1:
-        raise DataError(f"L, H, stride must be >= 1, got {(L, H, stride)}")
+def make_windows(series: MultivariateSeries, L: int, H: int) -> Windows:
+    """All T-L-H+1 contiguous (input, target) pairs, one per start row."""
+    if L < 1 or H < 1:
+        raise DataError(f"L, H must be >= 1, got {(L, H)}")
     T = series.length
     if T < L + H:
         raise DataError(f"series length {T} shorter than L+H={L + H}")
     view = sliding_window_view(series.values, L + H, axis=0)  # (T-L-H+1, C, L+H)
-    return Windows(view.swapaxes(1, 2)[::stride], L, np.arange(0, T - L - H + 1, stride))
+    return Windows(view.swapaxes(1, 2), L, np.arange(T - L - H + 1))
 
 
 @dataclass(frozen=True)
@@ -403,13 +404,15 @@ class RegimeSpec:
             raise ValueError(f"regime length must be >= 1, got {self.length}")
 
 
+SYNTH_START_EPOCH = 946684800.0  # 2000-01-01T00:00:00Z, the first synthetic timestamp
+
+
 @dataclass(frozen=True)
 class SynthSpec:
     regimes: tuple[RegimeSpec, ...]
     channels: int = 1
     seed: int = 0
     step_seconds: float = 3600.0
-    start_epoch: float = 946684800.0  # 2000-01-01T00:00:00Z
 
     def __post_init__(self):
         check_types(self)
@@ -428,7 +431,7 @@ class SynthSpec:
 
     def timestamps(self) -> np.ndarray:
         """Epoch seconds of every row the spec generates."""
-        return self.start_epoch + self.step_seconds * np.arange(sum(r.length for r in self.regimes))
+        return SYNTH_START_EPOCH + self.step_seconds * np.arange(sum(r.length for r in self.regimes))
 
 
 def synth_generate(spec: SynthSpec) -> tuple[MultivariateSeries, list[int]]:

@@ -31,16 +31,6 @@ def mae(yhat: np.ndarray, y: np.ndarray) -> float:
     return float(np.mean(np.abs(yhat - y)))
 
 
-def imp(model_mse: float, baseline_mses: list[float]) -> float:
-    """Signed percentage improvement over the baseline average."""
-    if not baseline_mses:
-        raise ValueError("need at least one baseline MSE")
-    avg = float(np.mean(baseline_mses))
-    if avg <= 0:
-        raise ValueError("baseline average must be positive")
-    return (avg - model_mse) / avg * 100.0
-
-
 def evaluate_windows(ckpt: Checkpoint, windows: Windows, denormalize: Scaler | None = None) -> dict:
     """Aggregate MSE/MAE over windows, in batches of the checkpoint's
     `batch_size`. Inputs are expected on the model's working (normalized)
@@ -144,7 +134,7 @@ def regime_purity(assignments: np.ndarray, regimes: np.ndarray) -> float:
     return correct / assignments.size
 
 
-COLUMNS = ("dataset", "H", "MSE", "MAE", "IMP")
+COLUMNS = ("dataset", "H", "MSE", "MAE")
 
 
 def report_table(rows: list[dict]) -> dict:
@@ -152,31 +142,18 @@ def report_table(rows: list[dict]) -> dict:
     if not rows:
         raise ValueError("need at least one result row")
     ordered = sorted(rows, key=lambda r: (str(r["dataset"]), int(r["H"])))
-    records = []
-    for r in ordered:
-        records.append(
-            {
-                "dataset": str(r["dataset"]),
-                "H": int(r["H"]),
-                "MSE": float(r["MSE"]),
-                "MAE": float(r["MAE"]),
-                "IMP": None if r.get("IMP") is None else float(r["IMP"]),
-            }
-        )
+    records = [
+        {"dataset": str(r["dataset"]), "H": int(r["H"]), "MSE": float(r["MSE"]), "MAE": float(r["MAE"])}
+        for r in ordered
+    ]
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(COLUMNS)
     for r in records:
-        writer.writerow(
-            [r["dataset"], r["H"], repr(r["MSE"]), repr(r["MAE"]),
-             "" if r["IMP"] is None else repr(r["IMP"])]
-        )
+        writer.writerow([r["dataset"], r["H"], repr(r["MSE"]), repr(r["MAE"])])
     widths = [max(len(str(c)), 10) for c in COLUMNS]
     lines = ["  ".join(str(c).ljust(w) for c, w in zip(COLUMNS, widths))]
     for r in records:
-        cells = [
-            r["dataset"], str(r["H"]), f"{r['MSE']:.6f}", f"{r['MAE']:.6f}",
-            "-" if r["IMP"] is None else f"{r['IMP']:.1f}%",
-        ]
+        cells = [r["dataset"], str(r["H"]), f"{r['MSE']:.6f}", f"{r['MAE']:.6f}"]
         lines.append("  ".join(c.ljust(w) for c, w in zip(cells, widths)))
     return {"text": "\n".join(lines), "csv": buf.getvalue(), "json": records}

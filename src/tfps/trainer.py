@@ -128,7 +128,12 @@ def load_checkpoint(path) -> Checkpoint:
             full = f"array/{key}"
             if full not in npz:
                 raise DataError(f"{path}: header lists {key!r} but the array is missing")
-            arr = npz[full]
+            try:
+                arr = npz[full]
+            except ValueError as e:  # an object array, which would need pickle
+                raise DataError(f"{path}: array {key!r} cannot be read: {e}") from None
+            if arr.dtype.kind != "f":
+                raise DataError(f"{path}: array {key!r} has dtype {arr.dtype}, expected float")
             if list(arr.shape) != shape:
                 raise DataError(f"{path}: array {key!r} shape {arr.shape} != declared {shape}")
             ckpt.arrays[key] = arr.astype(np.float64)

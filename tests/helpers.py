@@ -13,6 +13,8 @@ from datetime import datetime, timezone
 
 import numpy as np
 
+from tfps import autodiff as ad
+
 
 def rel_err(a, b) -> float:
     """Relative-with-absolute-floor error: |a-b| / max(|a|, |b|, 1)."""
@@ -49,6 +51,31 @@ def numeric_grad_at(f, array: np.ndarray, index: int, eps: float = 1e-6) -> floa
     lo = f()
     flat[index] = orig
     return (hi - lo) / (2.0 * eps)
+
+
+# -- tape ops the package no longer needs ----------------------------------------
+# Elementwise nodes built from the public tape API, for the composites that
+# test_fused_ops.py keeps as oracles of the fused ops.
+
+
+def exp(a) -> ad.Tensor:
+    a = ad.as_tensor(a)
+    out_data = np.exp(a.data)
+
+    def backward(g):
+        ad.accumulate(a, g * out_data)
+
+    return ad.make_op(out_data, (a,), backward)
+
+
+def sqrt(a) -> ad.Tensor:
+    a = ad.as_tensor(a)
+    out_data = np.sqrt(a.data)
+
+    def backward(g):
+        ad.accumulate(a, g * 0.5 / out_data)
+
+    return ad.make_op(out_data, (a,), backward)
 
 
 # -- literal DFT definitions ----------------------------------------------------

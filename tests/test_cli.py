@@ -6,7 +6,9 @@ import numpy as np
 import pytest
 
 from tfps.cli import run
-from tfps.trainer import load_checkpoint
+from tfps.config import config_from_dict
+from tfps.model import TFPSModel
+from tfps.trainer import CHECKPOINT_VERSION, Checkpoint, load_checkpoint, save_checkpoint
 
 SYNTH_SPEC = {
     "seed": 7,
@@ -38,6 +40,14 @@ def workdir(tmp_path):
     data = tmp_path / "data.csv"
     assert run(["synth", "--spec", str(spec), "--out", str(data)]) == 0
     return tmp_path
+
+
+def untrained_checkpoint(path):
+    """Save the freshly initialized TRAIN_CFG model, without a scaler, to `path`."""
+    cfg = config_from_dict(TRAIN_CFG)
+    arrays = TFPSModel(cfg, np.random.default_rng(cfg.seed)).named_arrays()
+    save_checkpoint(Checkpoint(CHECKPOINT_VERSION, cfg, arrays, None, {}), path)
+    return path
 
 
 class TestSynth:
@@ -435,6 +445,70 @@ class TestBoundaryErrors:
         assert err.startswith("data error:") and str(ckpt) in err and cause in err
         assert "Traceback" not in err
         assert not forecast.exists()
+
+    @pytest.mark.parametrize("dtype", ["str", "object", "complex"])
+    @pytest.mark.filterwarnings("error")  # a ComplexWarning would print on the command line
+    def test_non_float_checkpoint_array(self, workdir, capsys, dtype):
+        ckpt = untrained_checkpoint(workdir / "model.npz")
+        with np.load(ckpt) as npz:
+            payload = {k: npz[k] for k in npz.files}
+        w = payload["array/head.w"]
+        payload["array/head.w"] = {"str": w.astype(str), "object": w.astype(object), "complex": w + 1j}[dtype]
+        with open(ckpt, "wb") as fh:
+            np.savez(fh, **payload)
+        forecast = workdir / "forecast.csv"
+        capsys.readouterr()
+        code = run(["predict", "--ckpt", str(ckpt), "--input", str(workdir / "data.csv"),
+                    "--out", str(forecast)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("data error:") and str(ckpt) in err and "'head.w'" in err
+        assert err.count("\n") == 1
+        assert not forecast.exists()
+
+
+def no_temp_files(root) -> bool:
+    return not any(root.rglob("*.tmp"))
+
+
+class TestUnwritableOutput:
+    """An output that cannot be written is exit 1, naming the path the user
+    gave, with no traceback and no temporary file left behind."""
+
+    def test_synth_into_missing_directory(self, tmp_path, capsys):
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps(SYNTH_SPEC))
+        out = tmp_path / "missing_dir" / "x.csv"
+        assert run(["synth", "--spec", str(spec), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err == f"error: cannot write {out}: No such file or directory\n"
+        assert no_temp_files(tmp_path)
+
+    def test_predict_out_names_a_directory(self, workdir, capsys):
+        ckpt = untrained_checkpoint(workdir / "model.npz")
+        out = workdir / "forecast"
+        out.mkdir()
+        capsys.readouterr()
+        code = run(["predict", "--ckpt", str(ckpt), "--input", str(workdir / "data.csv"),
+                    "--out", str(out)])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: cannot write {out}: ") and err.count("\n") == 1
+        assert out.is_dir() and not any(out.iterdir())
+        assert no_temp_files(workdir)
+
+    def test_eval_out_names_a_file(self, workdir, capsys):
+        ckpt = untrained_checkpoint(workdir / "model.npz")
+        out = workdir / "metrics"
+        out.write_text("keep\n")
+        capsys.readouterr()
+        code = run(["eval", "--ckpt", str(ckpt), "--data", str(workdir / "data.csv"),
+                    "--out", str(out)])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err == f"error: cannot write {out}: File exists\n"
+        assert out.read_text() == "keep\n"
+        assert no_temp_files(workdir)
 
 
 class TestUsage:

@@ -12,7 +12,6 @@ from tfps.data import (
     SynthSpec,
     apply_scaler,
     fit_scaler,
-    invert_scaler,
     load_csv,
     make_windows,
     save_csv,
@@ -275,6 +274,12 @@ class TestSaveCsv:
         assert path.read_bytes() == before
         assert [p.name for p in tmp_path.iterdir()] == ["s.csv"]
 
+    def test_failed_write_names_the_target(self, tmp_path):
+        path = tmp_path / "missing" / "s.csv"
+        with pytest.raises(FileNotFoundError) as info:
+            save_csv(series_of([1.0, 2.0]), path)
+        assert info.value.filename == str(path)  # not the temporary file next to it
+
     def test_save_through_symlink_replaces_its_target(self, tmp_path):
         target = tmp_path / "data" / "s.csv"
         target.parent.mkdir()
@@ -341,8 +346,8 @@ class TestScaler:
         rng = np.random.default_rng(1)
         s = series_of(rng.normal(3.0, 5.0, size=(40, 4)))
         sc = fit_scaler(s)
-        back = invert_scaler(apply_scaler(s, sc), sc)
-        assert np.max(np.abs(back.values - s.values) / np.abs(s.values + 1e-12)) < 1e-9
+        back = sc.inverse(apply_scaler(s, sc).values)
+        assert np.max(np.abs(back - s.values) / np.abs(s.values + 1e-12)) < 1e-9
 
     def test_statistics_frozen_across_applications(self):
         rng = np.random.default_rng(2)
@@ -362,7 +367,7 @@ class TestScaler:
 class TestMakeWindows:
     def test_enumeration_count(self):
         s = series_of(np.arange(10.0)[:, None])
-        ws = make_windows(s, L=4, H=2, stride=1)
+        ws = make_windows(s, L=4, H=2)
         assert len(ws) == 5
         assert [w.origin_index for w in ws] == [0, 1, 2, 3, 4]
         np.testing.assert_allclose(ws[0].input[:, 0], [0, 1, 2, 3])
@@ -371,7 +376,6 @@ class TestMakeWindows:
     def test_boundary_single_window(self):
         s = series_of(np.arange(6.0)[:, None])
         assert len(make_windows(s, L=4, H=2)) == 1
-        assert len(make_windows(s, L=2, H=2, stride=6)) == 1
 
     def test_too_short(self):
         s = series_of(np.arange(5.0)[:, None])
@@ -380,8 +384,8 @@ class TestMakeWindows:
 
     def test_purity(self):
         s = series_of(np.arange(12.0)[:, None])
-        a = make_windows(s, L=3, H=2, stride=2)
-        b = make_windows(s, L=3, H=2, stride=2)
+        a = make_windows(s, L=3, H=2)
+        b = make_windows(s, L=3, H=2)
         assert len(a) == len(b)
         for wa, wb in zip(a, b):
             np.testing.assert_array_equal(wa.input, wb.input)
@@ -391,7 +395,7 @@ class TestMakeWindows:
     def test_input_target_adjacent_in_parent(self):
         rng = np.random.default_rng(3)
         s = series_of(rng.normal(size=(20, 2)))
-        for w in make_windows(s, L=5, H=3, stride=4):
+        for w in make_windows(s, L=5, H=3):
             lo = w.origin_index
             np.testing.assert_array_equal(w.input, s.values[lo : lo + 5])
             np.testing.assert_array_equal(w.target, s.values[lo + 5 : lo + 8])
@@ -399,7 +403,7 @@ class TestMakeWindows:
     def test_windows_are_read_only_views(self):
         rng = np.random.default_rng(4)
         s = series_of(rng.normal(size=(30, 2)))
-        ws = make_windows(s, L=5, H=3, stride=2)
+        ws = make_windows(s, L=5, H=3)
         assert ws.array.shape == (len(ws), 8, 2) and ws.inputs.shape == (len(ws), 5, 2)
         assert ws.targets.shape == (len(ws), 3, 2)
         for view in (ws.array, ws.inputs, ws.targets):

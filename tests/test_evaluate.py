@@ -18,7 +18,6 @@ from tfps.data import (
 )
 from tfps.evaluate import (
     evaluate_windows,
-    imp,
     mae,
     mse,
     regime_purity,
@@ -74,30 +73,6 @@ class TestMetrics:
     def test_shape_mismatch(self):
         with pytest.raises(ValueError):
             mse(np.zeros(3), np.zeros(4))
-
-
-class TestImp:
-    def test_formula(self):
-        assert imp(0.45, [0.5]) == pytest.approx(10.0)
-
-    def test_zero_when_equal_to_average(self):
-        assert imp(0.4, [0.3, 0.5]) == pytest.approx(0.0)
-
-    def test_single_baseline_antisymmetry(self):
-        assert imp(0.37, [0.37]) == pytest.approx(0.0)
-
-    def test_errors(self):
-        with pytest.raises(ValueError):
-            imp(0.1, [])
-        with pytest.raises(ValueError):
-            imp(0.1, [0.0])
-
-    def test_published_benchmark_row(self):
-        # ETTh2 horizon-336 row of the public long-horizon benchmark: the
-        # improvement over the eight baseline MSEs is reported as 10.5%;
-        # recomputing from the three-decimal table values gives 10.6%
-        baselines = [0.401, 0.416, 0.424, 0.416, 0.424, 0.429, 0.486, 0.512]
-        assert imp(0.392, baselines) == pytest.approx(10.5, abs=0.2)
 
 
 class TestEvaluateWindows:
@@ -178,9 +153,9 @@ class TestRegimePurity:
 
 class TestReportTable:
     ROWS = [
-        {"dataset": "b", "H": 96, "MSE": 0.5, "MAE": 0.4, "IMP": 10.0},
-        {"dataset": "a", "H": 192, "MSE": 0.25, "MAE": 0.3, "IMP": None},
-        {"dataset": "a", "H": 96, "MSE": 0.125, "MAE": 0.2, "IMP": -1.5},
+        {"dataset": "b", "H": 96, "MSE": 0.5, "MAE": 0.4},
+        {"dataset": "a", "H": 192, "MSE": 0.25, "MAE": 0.3},
+        {"dataset": "a", "H": 96, "MSE": 0.125, "MAE": 0.2},
     ]
 
     def test_sorted_and_headered(self):
@@ -199,10 +174,7 @@ class TestReportTable:
             assert int(row["H"]) == ref["H"]
             assert float(row["MSE"]) == ref["MSE"]
             assert float(row["MAE"]) == ref["MAE"]
-            if ref["IMP"] is None:
-                assert row["IMP"] == ""
-            else:
-                assert float(row["IMP"]) == ref["IMP"]
+        assert list(parsed[0]) == ["dataset", "H", "MSE", "MAE"]
 
     def test_bit_stable_across_runs(self):
         a = report_table(self.ROWS)

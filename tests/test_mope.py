@@ -171,12 +171,14 @@ class TestAggregate:
         z = ad.parameter(rng.normal(size=(m, d)))
         s_raw = ad.parameter(random_affinity(rng, m, K))
 
-        def scalar():
-            gw = mope.gate(ad.Tensor(s_raw.data), k=2)
-            return float((mope.aggregate(gw, ad.Tensor(z.data), experts) ** 2.0).sum().data)
+        def loss(s_in, z_in):
+            out = mope.aggregate(mope.gate(s_in, k=2), z_in, experts)
+            return (out * out).sum()
 
-        gw = mope.gate(s_raw, k=2)
-        (mope.aggregate(gw, z, experts) ** 2.0).sum().backward()
+        def scalar():
+            return float(loss(ad.Tensor(s_raw.data), ad.Tensor(z.data)).data)
+
+        loss(s_raw, z).backward()
         assert rel_err(z.grad, numeric_grad(scalar, z.data)) < 1e-5
         assert rel_err(s_raw.grad, numeric_grad(scalar, s_raw.data)) < 1e-5
         assert rel_err(experts[0].w1.grad, numeric_grad(scalar, experts[0].w1.data)) < 1e-5
