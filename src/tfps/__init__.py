@@ -1,7 +1,7 @@
 """Dual-domain patch forecasting with subspace-clustered pattern experts and a
 Wasserstein patch-drift analyzer."""
 
-from .config import TrainConfig, config_from_dict, config_from_json
+from .config import TrainConfig, config_from_dict
 from .data import (
     ForecastWindow,
     MultivariateSeries,
@@ -40,7 +40,6 @@ __all__ = [
     "apply_scaler",
     "average_wasserstein",
     "config_from_dict",
-    "config_from_json",
     "fit_scaler",
     "grid_search",
     "load_csv",

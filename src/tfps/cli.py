@@ -22,7 +22,7 @@ import numpy as np
 # Call through the modules, not names bound here: perfbench/layer_trace.py
 # times these calls by replacing the module attributes.
 from . import data, drift, evaluate, trainer
-from .config import config_from_json
+from .config import config_from_dict
 from .errors import DataError, NumericError
 
 EXIT_OK = 0
@@ -121,8 +121,22 @@ def _load_json(path, what: str) -> dict:
             return json.load(fh)
     except OSError as e:
         raise UsageError(f"cannot read {what} {path}: {e}") from None
-    except json.JSONDecodeError as e:
+    except ValueError as e:  # a JSONDecodeError or a UnicodeDecodeError
         raise UsageError(f"{what} {path}: invalid JSON ({e})") from None
+
+
+def _write_json(path, obj) -> None:
+    with data.atomic_write(path, "w") as fh:
+        fh.write(json.dumps(obj, indent=2))
+
+
+def _out_dir(path) -> Path:
+    """`path` as an output directory, refused before any work if it names a
+    file; it is made only after the work, so a failed command leaves none."""
+    out = Path(path)
+    if out.exists() and not out.is_dir():
+        raise UsageError(f"cannot write {path}: File exists")
+    return out
 
 
 def _cmd_synth(args) -> int:
@@ -177,8 +191,8 @@ def _cmd_analyze_drift(args) -> int:
         col = series.values[args.start : stop, series.channel_names.index(name)]
         for domain in domains:
             dm = drift.patch_distance_matrix(col, args.patch_len, args.stride, domain)
-            path = outdir / f"drift_{name}_{domain}.csv"
-            np.savetxt(path, dm, delimiter=",")
+            with data.atomic_write(outdir / f"drift_{name}_{domain}.csv", "w") as fh:
+                np.savetxt(fh, dm, delimiter=",")
             iu = np.triu_indices(len(dm), k=1)
             if iu[0].size:
                 flat = dm[iu]
@@ -191,8 +205,7 @@ def _cmd_analyze_drift(args) -> int:
                 {"channel": name, "domain": domain, "average": avg, "max_pair": pair}
             )
             print(f"{name}/{domain}: {len(dm)} patches, average W1 {avg:.6g}")
-    with open(outdir / "summary.json", "w") as fh:
-        json.dump(summary, fh, indent=2)
+    _write_json(outdir / "summary.json", summary)
     return EXIT_OK
 
 
@@ -213,12 +226,13 @@ def _prepare(cfg, series):
 
 def _load_config(path, seed_override):
     try:
-        cfg = config_from_json(path)
-        if seed_override is not None:
-            cfg = dataclasses.replace(cfg, seed=seed_override)
+        cfg = config_from_dict(_load_json(path, "config"))  # a UsageError passes through
+    except ValueError as e:
+        raise UsageError(f"{path}: {e}") from None
+    try:
+        return cfg if seed_override is None else dataclasses.replace(cfg, seed=seed_override)
     except ValueError as e:
         raise UsageError(str(e)) from None
-    return cfg
 
 
 def _cmd_train(args) -> int:
@@ -237,6 +251,7 @@ def _cmd_train(args) -> int:
 def _cmd_grid(args) -> int:
     if args.budget is not None and args.budget < 1:
         raise UsageError(f"--budget must be >= 1, got {args.budget}")
+    outdir = _out_dir(args.out)
     cfg = _load_config(args.config, args.seed)
     space = _load_json(args.grid, "grid spec")
     try:
@@ -249,14 +264,11 @@ def _cmd_grid(args) -> int:
         progress = lambda row: print(f"cell {row}")
     best, board = trainer.grid_search(cfg, space, train_w, val_w, scaler=scaler,
                               budget=args.budget, progress=progress)
-    outdir = Path(args.out)
     outdir.mkdir(parents=True, exist_ok=True)
     trainer.save_checkpoint(best, outdir / "best.npz")
-    with open(outdir / "leaderboard.json", "w") as fh:
-        json.dump(board, fh, indent=2)
-    keys = list(board[0].keys())
-    with open(outdir / "leaderboard.csv", "w", newline="") as fh:
-        writer = csv.DictWriter(fh, fieldnames=keys)
+    _write_json(outdir / "leaderboard.json", board)
+    with data.atomic_write(outdir / "leaderboard.csv", "w", newline="") as fh:
+        writer = csv.DictWriter(fh, fieldnames=list(board[0]))
         writer.writeheader()
         writer.writerows(board)
     print(f"best cell: {board[0]}")
@@ -264,26 +276,25 @@ def _cmd_grid(args) -> int:
 
 
 def _cmd_eval(args) -> int:
+    outdir = _out_dir(args.out)
     ckpt = trainer.load_checkpoint(args.ckpt)
     cfg = ckpt.config
     _, _, test_w, _ = _prepare(cfg, _load_series(args.data, ckpt))
     denorm = ckpt.scaler if args.denormalized else None
     metrics = evaluate.evaluate_windows(ckpt, test_w, denormalize=denorm)
     name = args.dataset_name or Path(args.data).stem
-    table = evaluate.report_table(
-        [{"dataset": name, "H": cfg.pred_len, "MSE": metrics["mse"], "MAE": metrics["mae"]}]
-    )
-    outdir = Path(args.out)
+    row = {"dataset": name, "H": cfg.pred_len, "MSE": metrics["mse"], "MAE": metrics["mae"]}
+    table = evaluate.report_table(row)
     outdir.mkdir(parents=True, exist_ok=True)
-    with open(outdir / "metrics.json", "w") as fh:
-        json.dump({"rows": table["json"], "detail": metrics}, fh, indent=2)
-    (outdir / "metrics.csv").write_text(table["csv"])
+    _write_json(outdir / "metrics.json", {"rows": [table["json"]], "detail": metrics})
+    with data.atomic_write(outdir / "metrics.csv", "w") as fh:
+        fh.write(table["csv"])
     affinities: dict = {}
     report = evaluate.routing_report(ckpt, test_w, seed=args.seed, affinity_out=affinities)
-    with open(outdir / "routing.json", "w") as fh:
-        json.dump(report, fh, indent=2)
+    _write_json(outdir / "routing.json", report)
     for branch, snapshot in affinities.items():
-        np.savetxt(outdir / f"affinity_{branch}.csv", snapshot, delimiter=",")
+        with data.atomic_write(outdir / f"affinity_{branch}.csv", "w") as fh:
+            np.savetxt(fh, snapshot, delimiter=",")
     print(table["text"])
     return EXIT_OK
 

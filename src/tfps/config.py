@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import dataclasses
 import functools
-import json
 import reprlib
 import sys
 import types
@@ -166,14 +165,3 @@ def config_from_dict(obj: dict) -> TrainConfig:
     if unknown:
         raise ValueError(f"unknown config keys: {unknown}")
     return TrainConfig(**obj)
-
-
-def config_from_json(path) -> TrainConfig:
-    """Read and check a JSON config; any fault is a ValueError naming `path`."""
-    try:
-        with open(path) as fh:
-            return config_from_dict(json.load(fh))
-    except json.JSONDecodeError as e:
-        raise ValueError(f"{path}: invalid JSON ({e})") from None
-    except (OSError, ValueError) as e:
-        raise ValueError(f"{path}: {e}") from None

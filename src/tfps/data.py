@@ -4,7 +4,6 @@ seeded synthetic regime-switch generator used throughout the tests."""
 from __future__ import annotations
 
 import csv
-import io
 import itertools
 import logging
 import math

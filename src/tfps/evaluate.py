@@ -137,23 +137,12 @@ def regime_purity(assignments: np.ndarray, regimes: np.ndarray) -> float:
 COLUMNS = ("dataset", "H", "MSE", "MAE")
 
 
-def report_table(rows: list[dict]) -> dict:
-    """Stable-order results table; returns {text, csv, json} renderings."""
-    if not rows:
-        raise ValueError("need at least one result row")
-    ordered = sorted(rows, key=lambda r: (str(r["dataset"]), int(r["H"])))
-    records = [
-        {"dataset": str(r["dataset"]), "H": int(r["H"]), "MSE": float(r["MSE"]), "MAE": float(r["MAE"])}
-        for r in ordered
-    ]
+def report_table(row: dict) -> dict:
+    """One result row under a header, as {text, csv, json} renderings."""
+    r = {"dataset": str(row["dataset"]), "H": int(row["H"]),
+         "MSE": float(row["MSE"]), "MAE": float(row["MAE"])}
     buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(COLUMNS)
-    for r in records:
-        writer.writerow([r["dataset"], r["H"], repr(r["MSE"]), repr(r["MAE"])])
-    widths = [max(len(str(c)), 10) for c in COLUMNS]
-    lines = ["  ".join(str(c).ljust(w) for c, w in zip(COLUMNS, widths))]
-    for r in records:
-        cells = [r["dataset"], str(r["H"]), f"{r['MSE']:.6f}", f"{r['MAE']:.6f}"]
-        lines.append("  ".join(c.ljust(w) for c, w in zip(cells, widths)))
-    return {"text": "\n".join(lines), "csv": buf.getvalue(), "json": records}
+    csv.writer(buf, lineterminator="\n").writerows([COLUMNS, r.values()])  # a float as its repr
+    cells = [r["dataset"], str(r["H"]), f"{r['MSE']:.6f}", f"{r['MAE']:.6f}"]
+    text = "\n".join("  ".join(c.ljust(10) for c in line) for line in (COLUMNS, cells))
+    return {"text": text, "csv": buf.getvalue(), "json": r}

@@ -121,7 +121,8 @@ def load_checkpoint(path) -> Checkpoint:
                 history=header["history"],
             )
             shapes = dict(header["arrays"])
-        except (KeyError, TypeError, ValueError, AttributeError) as e:  # DataError is a ValueError
+        # a DataError is a ValueError; a BadZipFile is a member that fails its CRC check
+        except (KeyError, TypeError, ValueError, AttributeError, zipfile.BadZipFile) as e:
             cause = f"missing {e}" if isinstance(e, KeyError) else e
             raise DataError(f"{path}: bad checkpoint header: {cause}") from None
         for key, shape in shapes.items():
@@ -130,7 +131,7 @@ def load_checkpoint(path) -> Checkpoint:
                 raise DataError(f"{path}: header lists {key!r} but the array is missing")
             try:
                 arr = npz[full]
-            except ValueError as e:  # an object array, which would need pickle
+            except (ValueError, zipfile.BadZipFile) as e:  # pickle needed, or a bad CRC
                 raise DataError(f"{path}: array {key!r} cannot be read: {e}") from None
             if arr.dtype.kind != "f":
                 raise DataError(f"{path}: array {key!r} has dtype {arr.dtype}, expected float")

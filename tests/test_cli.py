@@ -1,10 +1,12 @@
 """Operator-surface contracts: subcommand pipelines, exit codes, seeds."""
 
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from tfps import data, evaluate, trainer
 from tfps.cli import run
 from tfps.config import config_from_dict
 from tfps.model import TFPSModel
@@ -182,11 +184,15 @@ class TestTrainEvalPredict:
         for k in outs[0].arrays:
             np.testing.assert_array_equal(outs[0].arrays[k], outs[1].arrays[k])
 
-    def test_bad_config_is_usage_error(self, workdir):
+    def test_bad_config_is_usage_error(self, workdir, capsys):
         bad = workdir / "bad.json"
-        bad.write_text(json.dumps(dict(TRAIN_CFG, nonsense=True)))
-        assert run(["train", "--config", str(bad), "--data", str(workdir / "data.csv"),
-                    "--out", str(workdir / "x.npz")]) == 1
+        for config, cause in [(dict(TRAIN_CFG, nonsense=True), "nonsense"), ({"lr": "fast"}, "'lr'")]:
+            bad.write_text(json.dumps(config))
+            capsys.readouterr()
+            assert run(["train", "--config", str(bad), "--data", str(workdir / "data.csv"),
+                        "--out", str(workdir / "x.npz")]) == 1
+            err = capsys.readouterr().err
+            assert err.startswith(f"error: {bad}: ") and cause in err and err.count("\n") == 1
 
     def test_checkpoint_missing_parameter_is_data_error(self, workdir, capsys):
         import dataclasses
@@ -392,14 +398,27 @@ class TestBoundaryErrors:
         assert err.startswith("error:") and cause in err and "Traceback" not in err
         assert not out.exists()
 
-    @pytest.mark.parametrize("config", ["absent.json", "."])
-    def test_unreadable_config(self, workdir, capsys, config):
+    @pytest.mark.parametrize("what,argv", [
+        ("config", ["train", "--config", "INPUT", "--data", "data.csv"]),
+        ("grid spec", ["grid", "--config", "cfg.json", "--grid", "INPUT", "--data", "data.csv"]),
+        ("synth spec", ["synth", "--spec", "INPUT"]),
+    ], ids=["train", "grid", "synth"])
+    @pytest.mark.parametrize("fault", ["missing", "directory", "non-utf8", "invalid-json"])
+    def test_unreadable_json_input(self, workdir, capsys, monkeypatch, what, argv, fault):
+        monkeypatch.chdir(workdir)
+        path = workdir / "input.json"
+        if fault == "directory":
+            path.mkdir()
+        elif fault == "non-utf8":
+            path.write_bytes(b'{"seed": "\xff"}')
+        elif fault == "invalid-json":
+            path.write_text("{not json")
         capsys.readouterr()
-        code = run(["train", "--config", str(workdir / config), "--data", str(workdir / "data.csv"),
-                    "--out", str(workdir / "m.npz")])
-        assert code == 1
+        assert run([str(path) if a == "INPUT" else a for a in argv] + ["--out", "out"]) == 1
         err = capsys.readouterr().err
-        assert err.startswith("error:") and config.strip(".") in err and "Traceback" not in err
+        form = "cannot read {} {}: " if fault in ("missing", "directory") else "{} {}: invalid JSON ("
+        assert err.startswith("error: " + form.format(what, path)) and err.count("\n") == 1, err
+        assert not (workdir / "out").exists()
 
     @pytest.mark.parametrize("command", ["train", "grid"])
     def test_negative_seed_flag(self, workdir, capsys, command):
@@ -471,6 +490,10 @@ def no_temp_files(root) -> bool:
     return not any(root.rglob("*.tmp"))
 
 
+def forbidden(*args, **kwargs):
+    pytest.fail("the command did its work before checking --out")
+
+
 class TestUnwritableOutput:
     """An output that cannot be written is exit 1, naming the path the user
     gave, with no traceback and no temporary file left behind."""
@@ -497,7 +520,8 @@ class TestUnwritableOutput:
         assert out.is_dir() and not any(out.iterdir())
         assert no_temp_files(workdir)
 
-    def test_eval_out_names_a_file(self, workdir, capsys):
+    def test_eval_out_names_a_file(self, workdir, capsys, monkeypatch):
+        monkeypatch.setattr(evaluate, "evaluate_windows", forbidden)
         ckpt = untrained_checkpoint(workdir / "model.npz")
         out = workdir / "metrics"
         out.write_text("keep\n")
@@ -509,6 +533,48 @@ class TestUnwritableOutput:
         assert err == f"error: cannot write {out}: File exists\n"
         assert out.read_text() == "keep\n"
         assert no_temp_files(workdir)
+
+    def test_grid_out_names_a_file(self, workdir, capsys, monkeypatch):
+        monkeypatch.setattr(trainer, "grid_search", forbidden)
+        grid = workdir / "grid.json"
+        grid.write_text(json.dumps({"lr": [0.001]}))
+        out = workdir / "gridout"
+        out.write_text("keep\n")
+        capsys.readouterr()
+        code = run(["grid", "--config", str(workdir / "cfg.json"), "--grid", str(grid),
+                    "--data", str(workdir / "data.csv"), "--out", str(out), "--quiet"])
+        assert code == 1
+        assert capsys.readouterr().err == f"error: cannot write {out}: File exists\n"
+        assert out.read_text() == "keep\n"
+
+
+def test_every_output_is_written_atomically(workdir, monkeypatch):
+    """Every file that eval, grid and analyze-drift leave in --out went
+    through data.atomic_write, the one writer that never leaves a truncated
+    file; checkpoints reach it through trainer's own binding."""
+    written = set()
+
+    def recording(path, *args, **kwargs):
+        written.add(Path(path).resolve())
+        return real(path, *args, **kwargs)
+
+    real = data.atomic_write
+    monkeypatch.setattr(data, "atomic_write", recording)
+    monkeypatch.setattr(trainer, "atomic_write", recording)
+    ckpt = untrained_checkpoint(workdir / "model.npz")
+    grid = workdir / "grid.json"
+    grid.write_text(json.dumps({"lr": [0.001]}))
+    csv = str(workdir / "data.csv")
+    commands = {
+        "eval": ["--ckpt", str(ckpt), "--data", csv, "--denormalized"],
+        "grid": ["--config", str(workdir / "cfg.json"), "--grid", str(grid), "--data", csv, "--quiet"],
+        "analyze-drift": ["--data", csv, "--patch-len", "16", "--stride", "8"],
+    }
+    for command, args in commands.items():
+        out = workdir / f"{command}-out"
+        assert run([command, *args, "--out", str(out)]) == 0
+        landed = {p.resolve() for p in out.iterdir()}
+        assert len(landed) >= 3 and landed <= written, (command, sorted(landed - written))
 
 
 class TestUsage:

@@ -1,12 +1,11 @@
 """Config validation and the JSON schema gate."""
 
 import dataclasses
-import json
 
 import numpy as np
 import pytest
 
-from tfps.config import TrainConfig, config_from_dict, config_from_json
+from tfps.config import TrainConfig, config_from_dict
 
 
 class TestValidation:
@@ -92,15 +91,6 @@ class TestJsonSchema:
             config_from_dict({"seq_len": "ninety-six"})
         with pytest.raises(ValueError, match="bool"):
             config_from_dict({"seq_len": True})
-
-    def test_file_loader_reports_path(self, tmp_path):
-        p = tmp_path / "cfg.json"
-        p.write_text("{not json")
-        with pytest.raises(ValueError, match="invalid JSON"):
-            config_from_json(p)
-        p.write_text(json.dumps({"lr": "fast"}))
-        with pytest.raises(ValueError, match="lr"):
-            config_from_json(p)
 
     def test_split_ratios_list_coerced(self):
         cfg = config_from_dict({"split_ratios": [0.7, 0.1, 0.2]})

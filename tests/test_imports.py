@@ -1,6 +1,6 @@
 """Module boundaries: no module of the package imports another module's
-private (underscore) names or reaches them through a module attribute, and
-every import sits at the top of its module."""
+private (underscore) names or reaches them through a module attribute, every
+import sits at the top of its module, and every name it binds is read."""
 
 import ast
 from pathlib import Path
@@ -11,6 +11,8 @@ SRC = Path(tfps.__file__).parent
 # model.loss imports trainer.total_loss at call time to break the import cycle
 # model -> trainer -> model; it goes when the model owns its loss.
 ALLOWED_FUNCTION_IMPORTS = {"model.py: from .trainer import total_loss"}
+# evaluate re-exports wasserstein_1d: perfbench/layer_trace.py counts calls through it.
+ALLOWED_UNUSED_IMPORTS = {"evaluate.py: wasserstein_1d"}
 
 
 def private_imports(path: Path) -> list[str]:
@@ -118,3 +120,41 @@ def test_detects_a_function_level_import(tmp_path):
         "probe.py: from .data import load_csv",
         "probe.py: import csv",
     ]
+
+
+def unused_imports(path: Path) -> list[str]:
+    """Names bound by a module-level import of one file that the file never
+    reads (`from __future__` imports bind nothing)."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    imports = [node for node in tree.body if isinstance(node, (ast.Import, ast.ImportFrom))
+               and getattr(node, "module", None) != "__future__"]
+    return [
+        f"{path.name}: {name}"
+        for node in imports
+        for name in (a.asname or a.name.split(".")[0] for a in node.names)
+        if name not in read
+    ]
+
+
+def test_no_unused_imports():
+    found = [line for path in sorted(SRC.glob("*.py")) if path.name != "__init__.py"
+             for line in unused_imports(path)]
+    extra = [line for line in found if line not in ALLOWED_UNUSED_IMPORTS]
+    assert not extra, "imported names never read:\n" + "\n".join(extra)
+
+
+def test_detects_an_unused_import(tmp_path):
+    probe = tmp_path / "probe.py"
+    probe.write_text(
+        "from __future__ import annotations\n"
+        "import io\n"
+        "import os.path\n"
+        "import numpy as np\n"
+        "from .data import Scaler, Windows\n"
+        "from . import drift\n"
+        "def f(w: Windows):\n"
+        "    import csv\n"
+        "    return np.zeros(1), os.path.sep, csv\n"
+    )
+    assert unused_imports(probe) == ["probe.py: io", "probe.py: Scaler", "probe.py: drift"]

@@ -20,7 +20,9 @@ from tfps.errors import NumericError
 from tfps.model import TFPSModel
 from tfps.pattern import refine
 from tfps.trainer import (
+    CHECKPOINT_VERSION,
     Adam,
+    Checkpoint,
     grid_search,
     load_checkpoint,
     save_checkpoint,
@@ -182,6 +184,17 @@ class TestCheckpoint:
         bad.write_text("garbage")
         with pytest.raises(DataError, match="cannot read checkpoint"):
             load_checkpoint(bad)
+        # one flipped byte inside a member's data fails that member's CRC check
+        cfg = TrainConfig(**TINY)
+        arrays = TFPSModel(cfg, np.random.default_rng(0)).named_arrays()
+        save_checkpoint(Checkpoint(CHECKPOINT_VERSION, cfg, arrays, None, {}), bad)
+        good = bad.read_bytes()
+        for inside, member in [(arrays["head.w"].tobytes(), "head.w"), (b'"history"', "header")]:
+            at = good.index(inside) + 1
+            bad.write_bytes(good[:at] + bytes([good[at] ^ 1]) + good[at + 1:])
+            with pytest.raises(DataError, match=member) as info:
+                load_checkpoint(bad)
+            assert str(bad) in str(info.value) and "CRC" in str(info.value)
 
     def test_failed_save_keeps_previous_checkpoint(self, tmp_path):
         class Unwritable:  # fails once np.savez has written the arrays before it
