@@ -1,6 +1,7 @@
 """Config validation and the JSON schema gate."""
 
 import dataclasses
+import json
 
 import numpy as np
 import pytest
@@ -91,6 +92,19 @@ class TestJsonSchema:
             config_from_dict({"seq_len": "ninety-six"})
         with pytest.raises(ValueError, match="bool"):
             config_from_dict({"seq_len": True})
+
+    def test_file_loader_reports_path(self, tmp_path):
+        from tfps.cli import UsageError, _load_config
+
+        p = tmp_path / "cfg.json"
+        p.write_text("{not json")
+        with pytest.raises(UsageError, match="invalid JSON") as e:
+            _load_config(p, None)
+        assert str(p) in str(e.value)
+        p.write_text(json.dumps({"lr": "fast"}))
+        with pytest.raises(UsageError, match="lr") as e:
+            _load_config(p, None)
+        assert str(e.value).startswith(f"{p}: ")
 
     def test_split_ratios_list_coerced(self):
         cfg = config_from_dict({"split_ratios": [0.7, 0.1, 0.2]})
