@@ -191,8 +191,7 @@ def _cmd_analyze_drift(args) -> int:
         col = series.values[args.start : stop, series.channel_names.index(name)]
         for domain in domains:
             dm = drift.patch_distance_matrix(col, args.patch_len, args.stride, domain)
-            with data.atomic_write(outdir / f"drift_{name}_{domain}.csv", "w") as fh:
-                np.savetxt(fh, dm, delimiter=",")
+            data.save_matrix(outdir / f"drift_{name}_{domain}.csv", dm)
             iu = np.triu_indices(len(dm), k=1)
             if iu[0].size:
                 flat = dm[iu]
@@ -293,8 +292,7 @@ def _cmd_eval(args) -> int:
     report = evaluate.routing_report(ckpt, test_w, seed=args.seed, affinity_out=affinities)
     _write_json(outdir / "routing.json", report)
     for branch, snapshot in affinities.items():
-        with data.atomic_write(outdir / f"affinity_{branch}.csv", "w") as fh:
-            np.savetxt(fh, snapshot, delimiter=",")
+        data.save_matrix(outdir / f"affinity_{branch}.csv", snapshot)
     print(table["text"])
     return EXIT_OK
 

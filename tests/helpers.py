@@ -8,6 +8,7 @@ attention loops) so it cannot share a bug with the package code it checks.
 from __future__ import annotations
 
 import csv
+import io
 import math
 from datetime import datetime, timezone
 
@@ -244,3 +245,11 @@ def reference_save_csv(series, path) -> None:
             else:
                 stamp = repr(float(t))
             writer.writerow([stamp] + [repr(float(v)) for v in row])
+
+
+def savetxt_bytes(m) -> bytes:
+    """What np.savetxt(path, m, delimiter=",") writes for m, one "%.18e"
+    call per value: the writer that `data.save_matrix` must match."""
+    buffer = io.StringIO(newline="")
+    np.savetxt(buffer, m, delimiter=",")
+    return buffer.getvalue().encode()

@@ -6,11 +6,13 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from tfps import data, evaluate, trainer
+from tfps import data, drift, evaluate, trainer
 from tfps.cli import run
 from tfps.config import config_from_dict
 from tfps.model import TFPSModel
 from tfps.trainer import CHECKPOINT_VERSION, Checkpoint, load_checkpoint, save_checkpoint
+
+from helpers import savetxt_bytes
 
 SYNTH_SPEC = {
     "seed": 7,
@@ -546,6 +548,32 @@ class TestUnwritableOutput:
         assert code == 1
         assert capsys.readouterr().err == f"error: cannot write {out}: File exists\n"
         assert out.read_text() == "keep\n"
+
+
+def test_matrix_outputs_match_savetxt(workdir):
+    """drift_*.csv and affinity_*.csv hold the bytes np.savetxt writes for the
+    matrices that drift and the routing report compute."""
+    csv = workdir / "data.csv"
+    series = data.load_csv(csv)
+    out = workdir / "drift"
+    assert run(["analyze-drift", "--data", str(csv), "--patch-len", "16", "--stride", "8",
+                "--domain", "both", "--out", str(out)]) == 0
+    for c, name in enumerate(series.channel_names):
+        for domain in ("time", "frequency"):
+            m = drift.patch_distance_matrix(series.values[:, c], 16, 8, domain)
+            assert (out / f"drift_{name}_{domain}.csv").read_bytes() == savetxt_bytes(m)
+
+    ckpt = untrained_checkpoint(workdir / "model.npz")
+    out = workdir / "eval"
+    assert run(["eval", "--ckpt", str(ckpt), "--data", str(csv), "--seed", "3", "--out", str(out)]) == 0
+    cfg = config_from_dict(TRAIN_CFG)
+    train_s, _, test_s = data.split(series, cfg.split_ratios)
+    test_w = data.make_windows(data.apply_scaler(test_s, data.fit_scaler(train_s)), cfg.seq_len, cfg.pred_len)
+    affinities = {}
+    evaluate.routing_report(load_checkpoint(ckpt), test_w, seed=3, affinity_out=affinities)
+    assert set(affinities) == {"time", "freq"}
+    for branch, m in affinities.items():
+        assert (out / f"affinity_{branch}.csv").read_bytes() == savetxt_bytes(m)
 
 
 def test_every_output_is_written_atomically(workdir, monkeypatch):

@@ -1,10 +1,14 @@
 """Loader contracts, split arithmetic, scaler roundtrips, windowing, synth."""
 
+import csv
+import io
 import os
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
+from tfps import data, drift
 from tfps.data import (
     MultivariateSeries,
     RegimeSpec,
@@ -15,12 +19,13 @@ from tfps.data import (
     load_csv,
     make_windows,
     save_csv,
+    save_matrix,
     split,
     synth_generate,
 )
 from tfps.errors import DataError
 
-from helpers import reference_load_csv, reference_save_csv
+from helpers import reference_load_csv, reference_save_csv, savetxt_bytes
 
 
 def series_of(values, start=0.0, step=1.0):
@@ -260,6 +265,25 @@ class TestSaveCsv:
         reference_save_csv(series, tmp_path / "old.csv")
         assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
 
+    @pytest.mark.parametrize("start, step, dated", [(946684800.0, 3600.0, True), (1.46e9, 0.25, False)],
+                             ids=["dated", "epoch"])
+    def test_series_longer_than_one_block_matches_row_formula(self, tmp_path, start, step, dated):
+        rows = data._CSV_BLOCK + 1
+        values = np.random.default_rng(3).normal(size=(rows, 2)) * 10.0 ** np.arange(-3, 5, 4)
+        series = series_of(values, start=start, step=step)
+        save_csv(series, tmp_path / "s.csv")
+        text = io.StringIO(newline="")
+        csv.writer(text).writerow(["date", *series.channel_names])
+        # the one-pass row formula that save_csv wrote before it took rows in blocks
+        ts = series.timestamps
+        if dated:
+            stamps = np.char.replace(np.datetime_as_string(ts.astype(np.int64).astype("datetime64[s]")), "T", " ")
+            stamps = stamps.tolist()
+        else:
+            stamps = map(repr, ts.tolist())
+        text.writelines(f"{t},{','.join(map(repr, row))}\r\n" for t, row in zip(stamps, values.tolist()))
+        assert (tmp_path / "s.csv").read_bytes() == text.getvalue().encode()
+
     def test_failed_save_keeps_previous_file(self, tmp_path, monkeypatch):
         path = tmp_path / "s.csv"
         save_csv(series_of([1.0, 2.0]), path)
@@ -291,6 +315,107 @@ class TestSaveCsv:
         reference_save_csv(series_of([1.0, 2.0]), tmp_path / "old.csv")
         assert target.read_bytes() == (tmp_path / "old.csv").read_bytes()
         assert sorted(p.name for p in target.parent.iterdir()) == ["s.csv"]
+
+
+def powers_of_ten_and_neighbours(lo: int, hi: int) -> np.ndarray:
+    """The doubles nearest 10**k for k = lo .. hi, and one ulp either side."""
+    p = np.array([float(Fraction(10) ** k) for k in range(lo, hi + 1)])
+    return np.concatenate([np.nextafter(p, 0), p, np.nextafter(p, np.inf)])
+
+
+def ties_at_the_19th_digit() -> np.ndarray:
+    """m * 2**-k whose exact decimal value has 20 significant digits, the
+    last a 5: "%.18e" must round half to even. Consecutive odd m add
+    10 * 5**(k-1) to m * 5**k, so their 19th digits alternate odd and even."""
+    found = []
+    for k in range(5, 24):  # m < 2**53 and the value >= 1e-4
+        first = 10**19 // 5**k + 1
+        first += 1 - first % 2
+        for m in (first, first + 2, first + 4):
+            assert len(str(m * 5**k)) == 20
+            found.append(m / 2**k)
+    return np.array(found)
+
+
+# Values save_matrix formats itself: +0.0 and [1e-4, 1e19).
+FAST = {
+    "powers-of-ten": powers_of_ten_and_neighbours(-3, 18),
+    "decade-literals": np.array([float(f"9.9999999999999999995e{k}") for k in range(-5, 18)]),
+    "ties": ties_at_the_19th_digit(),
+    "integers": np.array([0.0, 1, 2, 7, 9, 10, 99, 12345, 2**31 - 1, 2**52, 2**53 - 1, 2**53]),
+    "lowest-and-highest": np.array([1e-4, np.nextafter(1e-4, 1), np.nextafter(1e19, 0)]),
+    "log-uniform": 10 ** np.random.default_rng(0).uniform(-4, 19, size=2000),
+}
+# Values that send their block to np.savetxt.
+FALLBACK = [-0.0, -1.5, -1e-300, 1e-5, np.nextafter(1e-4, 0), 5e-324, 2.2e-308, 1e19, 1e300,
+            np.nan, np.inf, -np.inf]
+
+
+class TestSaveMatrix:
+    @staticmethod
+    def fast_only(monkeypatch):
+        def fail(*args, **kwargs):
+            raise AssertionError("a block fell back to np.savetxt")
+
+        monkeypatch.setattr(np, "savetxt", fail)
+
+    @pytest.mark.parametrize("values", FAST.values(), ids=FAST.keys())
+    def test_fast_path_matches_savetxt(self, tmp_path, monkeypatch, values):
+        m = values.reshape(1, -1)
+        expected = savetxt_bytes(m)
+        self.fast_only(monkeypatch)
+        save_matrix(tmp_path / "m.csv", m)
+        assert (tmp_path / "m.csv").read_bytes() == expected
+
+    @pytest.mark.parametrize("shift", [-1e-9, 1e-9])
+    def test_exponent_survives_a_log10_off_near_each_power(self, tmp_path, monkeypatch, shift):
+        """floor(log10(x)) is only an estimate: one decade too low or too
+        high near a power of ten is corrected against the decade table."""
+        m = powers_of_ten_and_neighbours(-3, 18).reshape(1, -1)
+        expected = savetxt_bytes(m)
+        log10 = np.log10
+        monkeypatch.setattr(np, "log10", lambda x: log10(x) + shift)
+        self.fast_only(monkeypatch)
+        save_matrix(tmp_path / "m.csv", m)
+        assert (tmp_path / "m.csv").read_bytes() == expected
+
+    @pytest.mark.parametrize("value", FALLBACK, ids=repr)
+    def test_fallback_values_match_savetxt(self, tmp_path, value):
+        m = np.array([[0.5, value, 2.0]])
+        save_matrix(tmp_path / "m.csv", m)
+        assert (tmp_path / "m.csv").read_bytes() == savetxt_bytes(m)
+
+    @pytest.mark.parametrize("shape", [(1, 1), (1, 7), (7, 1), (5, 3)])
+    def test_shapes_match_savetxt(self, tmp_path, monkeypatch, shape):
+        m = np.random.default_rng(1).uniform(0.001, 50.0, size=shape)
+        expected = savetxt_bytes(m)
+        self.fast_only(monkeypatch)
+        save_matrix(tmp_path / "m.csv", m)
+        assert (tmp_path / "m.csv").read_bytes() == expected
+
+    @pytest.mark.parametrize("last", [0.25, -0.0], ids=["fast", "fallback"])
+    def test_one_block_and_one_row_matches_savetxt(self, tmp_path, last):
+        cols = 3
+        rows = data._MATRIX_BLOCK // cols + 1  # the last row is a block of its own
+        m = np.random.default_rng(2).uniform(1e-4, 1e3, size=(rows, cols))
+        m[-1, -1] = last
+        save_matrix(tmp_path / "m.csv", m)
+        assert (tmp_path / "m.csv").read_bytes() == savetxt_bytes(m)
+
+    def test_drift_matrices_take_the_fast_path(self, tmp_path, monkeypatch):
+        """The W1 matrices of a benchmark-shaped channel are all +0.0 or in
+        [1e-4, 1e19), so no block of theirs goes through np.savetxt."""
+        channel = benchmark_shaped_series().values[:, 0]
+        self.fast_only(monkeypatch)
+        for domain in drift.DOMAINS:
+            m = drift.patch_distance_matrix(channel, 16, 8, domain)
+            save_matrix(tmp_path / f"{domain}.csv", m)
+            assert (tmp_path / f"{domain}.csv").stat().st_size == m.size * 25
+
+    def test_rejects_a_one_dimensional_array(self, tmp_path):
+        with pytest.raises(ValueError, match="2-D"):
+            save_matrix(tmp_path / "m.csv", np.ones(3))
+        assert not (tmp_path / "m.csv").exists()
 
 
 class TestSplit:
