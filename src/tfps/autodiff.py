@@ -18,7 +18,11 @@ _GRAD_ENABLED = True
 
 @contextlib.contextmanager
 def no_grad():
-    """Disable tape recording inside the block (inference / metric passes)."""
+    """Disable tape recording inside the block (inference / metric passes).
+
+    The switch is one flag for the whole process, not for one thread:
+    `TFPSModel.forecast` holds it for its worker threads, so no other thread
+    may record a tape while a `forecast` runs."""
     global _GRAD_ENABLED
     prev = _GRAD_ENABLED
     _GRAD_ENABLED = False
@@ -255,7 +259,7 @@ def linear(x, w, b=None) -> Tensor:
     parents = (x, w)
     if b is not None:
         b = as_tensor(b)
-        out = out + b.data
+        out += b.data
         parents = (x, w, b)
 
     def backward(g):

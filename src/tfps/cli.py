@@ -4,7 +4,8 @@ Exit codes: 0 success, 1 usage/config error or an output that cannot be
 written, 2 data error, 3 numeric failure.
 TFPS_DATA_DIR serves as a fallback root for relative data paths. BLAS pools
 are sized from the environment (OPENBLAS_NUM_THREADS and the like) when NumPy
-loads, which importing the package already does.
+loads, which importing the package already does; `eval` and validation then
+forecast on one thread per core the BLAS pool leaves free.
 """
 
 from __future__ import annotations
@@ -158,6 +159,22 @@ def _cmd_synth(args) -> int:
     return EXIT_OK
 
 
+def _upper_triangle_summary(dm: np.ndarray) -> tuple[dict | None, float]:
+    """The largest entry above the diagonal, the first in row-major order
+    (None for one patch), and the mean of those entries. A boolean mask takes
+    the triangle: `np.triu_indices` would hold two int64 arrays of its size."""
+    n = len(dm)
+    flat = dm[np.triu(np.ones((n, n), dtype=bool), 1)]
+    if not flat.size:
+        return None, 0.0
+    top = int(np.argmax(flat))
+    row_len = np.arange(n - 1, 0, -1)
+    offsets = np.cumsum(row_len) - row_len  # the flat index of row i's first entry
+    i = int(np.searchsorted(offsets, top, side="right")) - 1
+    j = i + 1 + top - int(offsets[i])
+    return {"i": i, "j": j, "value": float(flat[top])}, float(flat.mean())
+
+
 def _cmd_analyze_drift(args) -> int:
     if args.patch_len < 1 or args.stride < 1:
         raise UsageError("--patch-len and --stride must be >= 1")
@@ -192,18 +209,12 @@ def _cmd_analyze_drift(args) -> int:
         for domain in domains:
             dm = drift.patch_distance_matrix(col, args.patch_len, args.stride, domain)
             data.save_matrix(outdir / f"drift_{name}_{domain}.csv", dm)
-            iu = np.triu_indices(len(dm), k=1)
-            if iu[0].size:
-                flat = dm[iu]
-                top = int(np.argmax(flat))
-                pair = {"i": int(iu[0][top]), "j": int(iu[1][top]), "value": float(flat[top])}
-                avg = float(flat.mean())
-            else:
-                pair, avg = None, 0.0
+            pair, avg = _upper_triangle_summary(dm)
             summary["channels"].append(
                 {"channel": name, "domain": domain, "average": avg, "max_pair": pair}
             )
             print(f"{name}/{domain}: {len(dm)} patches, average W1 {avg:.6g}")
+            del dm  # free this matrix before the next one is computed
     _write_json(outdir / "summary.json", summary)
     return EXIT_OK
 

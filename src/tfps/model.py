@@ -7,6 +7,8 @@ Ablation variants are pure configuration: `branches` drops one encoder path,
 
 from __future__ import annotations
 
+import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -21,6 +23,21 @@ from .patching import embed, segment_batch
 
 INIT_STD = 0.02
 INSTANCE_EPS = 1e-5
+
+
+def forecast_workers() -> int:
+    """Threads `TFPSModel.forecast` may use: the usable cores divided by the
+    BLAS pool size the environment sets (OPENBLAS_NUM_THREADS, else
+    OMP_NUM_THREADS). With neither set, BLAS already spreads over every core,
+    so one thread."""
+    for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"):
+        try:
+            blas = int(os.environ.get(var, ""))
+        except ValueError:
+            continue
+        if blas >= 1:
+            return max(1, len(os.sched_getaffinity(0)) // blas)
+    return 1
 
 
 @dataclass
@@ -198,12 +215,36 @@ class TFPSModel:
         return Forward(yhat=yhat, s=s_out)
 
     def forecast(self, inputs: np.ndarray, batch_size: int) -> np.ndarray:
-        """(n, H, C) forecasts of (n, L, C) inputs, `batch_size` windows per
-        forward pass, without a tape."""
-        out = np.empty((len(inputs), self.cfg.pred_len, inputs.shape[-1]))
+        """(n, H, C) forecasts of (n, L, C) inputs without a tape, at most
+        `batch_size` windows in flight at once.
+
+        Every no-grad op works per window, token or (window, channel), so the
+        batches run on `forecast_workers()` threads, but no more threads than
+        batches, each with an equal share of `batch_size`; the output equals
+        a serial loop bit for bit. A batch norm without running stats
+        normalizes with the batch's own statistics, so then the caller's
+        batches stay whole and serial."""
+        n = len(inputs)
+        out = np.empty((n, self.cfg.pred_len, inputs.shape[-1]))
+        workers = max(1, min(forecast_workers(), -(-n // batch_size)))
+        if any("mean" not in stats for _, stats in self._norm_stats()):
+            workers = 1
+        step = -(-batch_size // workers)
+        starts = range(0, n, step)
+
+        def run(share: range) -> None:
+            for lo in share:
+                out[lo : lo + step] = self.forward(inputs[lo : lo + step]).yhat.data
+
         with ad.no_grad():
-            for lo in range(0, len(inputs), batch_size):
-                out[lo : lo + batch_size] = self.forward(inputs[lo : lo + batch_size]).yhat.data
+            if workers == 1:
+                run(starts)
+            else:
+                with ThreadPoolExecutor(workers - 1) as pool:
+                    futures = [pool.submit(run, starts[i::workers]) for i in range(1, workers)]
+                    run(starts[::workers])
+                    for f in futures:
+                        f.result()
         return out
 
     # -- loss ---------------------------------------------------------------

@@ -6,7 +6,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from tfps import data, drift, evaluate, trainer
+from tfps import cli, data, drift, evaluate, trainer
+from tfps import model as model_mod
 from tfps.cli import run
 from tfps.config import config_from_dict
 from tfps.model import TFPSModel
@@ -91,6 +92,27 @@ class TestAnalyzeDrift:
         np.testing.assert_allclose(m, m.T)
         np.testing.assert_allclose(np.diag(m), 0.0)
 
+    @pytest.mark.parametrize("m", [
+        np.zeros((1, 1)),  # one patch: max_pair is null
+        np.array([[0.0, 0.5], [0.5, 0.0]]),
+        # 0.9 at (1, 3) and (2, 3): the first in row-major order wins
+        np.array([[0.0, 0.1, 0.2, 0.3],
+                  [0.1, 0.0, 0.4, 0.9],
+                  [0.2, 0.4, 0.0, 0.9],
+                  [0.3, 0.9, 0.9, 0.0]]),
+        np.random.default_rng(0).random((37, 37)),
+    ])
+    def test_upper_triangle_summary_matches_triu_indices(self, m):
+        iu = np.triu_indices(len(m), k=1)
+        pair, avg = None, 0.0
+        if iu[0].size:
+            top = int(np.argmax(m[iu]))
+            pair = {"i": int(iu[0][top]), "j": int(iu[1][top]), "value": float(m[iu][top])}
+            avg = float(m[iu].mean())
+        assert cli._upper_triangle_summary(m) == (pair, avg)
+        if len(m) == 4:
+            assert pair == {"i": 1, "j": 3, "value": 0.9}
+
     def test_twelve_patch_window(self, workdir):
         out = workdir / "drift12"
         code = run(["analyze-drift", "--data", str(workdir / "data.csv"),
@@ -160,6 +182,19 @@ class TestTrainEvalPredict:
 
         f = load_csv(forecast)
         assert f.length == TRAIN_CFG["pred_len"] and f.n_channels == 2
+
+    def test_eval_outputs_do_not_depend_on_forecast_threads(self, workdir, monkeypatch):
+        ckpt = untrained_checkpoint(workdir / "model.npz")
+        outputs = []
+        for workers in (1, 2):
+            monkeypatch.setattr(model_mod, "forecast_workers", lambda: workers)
+            out = workdir / f"eval-{workers}"
+            assert run(["eval", "--ckpt", str(ckpt), "--data", str(workdir / "data.csv"),
+                        "--out", str(out)]) == 0
+            names = ["metrics.json", "routing.json", "affinity_time.csv", "affinity_freq.csv"]
+            outputs.append({name: (out / name).read_bytes() for name in names})
+        assert json.loads(outputs[0]["metrics.json"])["detail"]["n_windows"] > TRAIN_CFG["batch_size"]
+        assert outputs[0] == outputs[1]
 
     def test_lr_zero_checkpoint_equals_init(self, workdir):
         cfg = dict(TRAIN_CFG, lr=0.0, max_epochs=1)

@@ -1,11 +1,16 @@
 """Whole-model behavior: shapes, determinism, ablation variants, instance
-normalization, batch-norm branch, sparsity instrumentation."""
+normalization, batch-norm branch, sparsity instrumentation, threaded
+forecasting."""
+
+import sys
+import threading
 
 import numpy as np
 import pytest
 
 from helpers import record_expert_calls
 from tfps import autodiff as ad
+from tfps import model as model_mod
 from tfps import mope
 from tfps.config import TrainConfig
 from tfps.model import TFPSModel
@@ -176,3 +181,102 @@ class TestDropout:
         a = model.forward(x, training=False).yhat.data
         b = model.forward(x, training=False).yhat.data
         np.testing.assert_array_equal(a, b)
+
+
+def serial_forecast(model, x, batch_size):
+    """The single-threaded batch loop `forecast` must reproduce bit for bit."""
+    with ad.no_grad():
+        return np.concatenate([model.forward(x[lo : lo + batch_size]).yhat.data
+                               for lo in range(0, len(x), batch_size)])
+
+
+class TestForecast:
+    @pytest.mark.parametrize("workers", [2, 3])
+    @pytest.mark.parametrize("n,batch_size", [(1, 4), (2, 1), (11, 4), (13, 5)])
+    @pytest.mark.parametrize("time_norm", ["layer", "batch"])
+    def test_threads_match_serial_loop(self, monkeypatch, workers, n, batch_size, time_norm):
+        # n=1: one window; (2, 1): fewer windows than workers; 11 and 13: a ragged last slice
+        rng = np.random.default_rng(12)
+        x, y = batch(rng, b=max(n, 4))
+        model = TFPSModel(TrainConfig(**{**BASE, "time_norm": time_norm}))
+        if time_norm == "batch":
+            model.loss(x, y, training=True)  # populate running stats
+        x = x[:n]
+        monkeypatch.setattr(model_mod, "forecast_workers", lambda: workers)
+        np.testing.assert_array_equal(model.forecast(x, batch_size), serial_forecast(model, x, batch_size))
+
+    def test_one_caller_batch_is_not_split(self, monkeypatch):
+        rng = np.random.default_rng(16)
+        x, _ = batch(rng, b=5)
+        model = TFPSModel(TrainConfig(**BASE))
+        monkeypatch.setattr(model_mod, "forecast_workers", lambda: 2)
+        forward, sizes = model.forward, []
+        monkeypatch.setattr(model, "forward", lambda inputs: sizes.append(len(inputs)) or forward(inputs))
+        model.forecast(x[:4], 4)
+        assert sizes == [4]
+        sizes.clear()
+        model.forecast(x, 4)
+        assert sorted(sizes) == [1, 2, 2]
+
+    def test_batch_norm_without_running_stats_keeps_caller_batches(self, monkeypatch):
+        rng = np.random.default_rng(13)
+        x, _ = batch(rng, b=10)
+        model = TFPSModel(TrainConfig(**{**BASE, "time_norm": "batch"}))
+        monkeypatch.setattr(model_mod, "forecast_workers", lambda: 2)
+        expected = serial_forecast(model, x, 4)
+        assert not np.array_equal(expected, serial_forecast(model, x, 2))  # batch stats matter
+        np.testing.assert_array_equal(model.forecast(x, 4), expected)
+
+    def test_more_threads_than_cores_under_fast_switching(self, monkeypatch):
+        rng = np.random.default_rng(14)
+        x, _ = batch(rng, b=40)
+        model = TFPSModel(TrainConfig(**BASE))
+        monkeypatch.setattr(model_mod, "forecast_workers", lambda: 8)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            got = model.forecast(x, 16)
+        finally:
+            sys.setswitchinterval(interval)
+        np.testing.assert_array_equal(got, serial_forecast(model, x, 16))
+
+    def test_worker_exception_reaches_caller(self, monkeypatch):
+        rng = np.random.default_rng(15)
+        x, _ = batch(rng, b=8)
+        model = TFPSModel(TrainConfig(**BASE))
+        monkeypatch.setattr(model_mod, "forecast_workers", lambda: 2)
+        forward = model.forward
+        caller = threading.get_ident()
+        ran = []
+
+        def failing(inputs):
+            ran.append(threading.get_ident())
+            if threading.get_ident() != caller:
+                raise RuntimeError("worker failed")
+            return forward(inputs)
+
+        monkeypatch.setattr(model, "forward", failing)
+        threads = threading.active_count()
+        with pytest.raises(RuntimeError, match="worker failed"):
+            model.forecast(x, 4)
+        assert caller in ran and len(set(ran)) == 2
+        assert threading.active_count() == threads
+        assert ad.mul(model.params["head.b"], 2.0).requires_grad  # grad mode is back on
+
+    @pytest.mark.parametrize("env,expected", [
+        ({}, 1),
+        ({"OPENBLAS_NUM_THREADS": "1"}, 4),
+        ({"OPENBLAS_NUM_THREADS": "2", "OMP_NUM_THREADS": "1"}, 2),
+        ({"OMP_NUM_THREADS": "4"}, 1),
+        ({"OPENBLAS_NUM_THREADS": "8"}, 1),
+        ({"OPENBLAS_NUM_THREADS": "many", "OMP_NUM_THREADS": "2"}, 2),
+        ({"OPENBLAS_NUM_THREADS": "0", "OMP_NUM_THREADS": "1"}, 4),
+        ({"OPENBLAS_NUM_THREADS": "", "OMP_NUM_THREADS": "x"}, 1),
+    ])
+    def test_worker_count_from_blas_environment(self, monkeypatch, env, expected):
+        for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"):
+            monkeypatch.delenv(var, raising=False)
+        for var, value in env.items():
+            monkeypatch.setenv(var, value)
+        monkeypatch.setattr(model_mod.os, "sched_getaffinity", lambda pid: {0, 1, 2, 3})
+        assert model_mod.forecast_workers() == expected
