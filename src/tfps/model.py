@@ -29,14 +29,17 @@ def forecast_workers() -> int:
     """Threads `TFPSModel.forecast` may use: the usable cores divided by the
     BLAS pool size the environment sets (OPENBLAS_NUM_THREADS, else
     OMP_NUM_THREADS). With neither set, BLAS already spreads over every core,
-    so one thread."""
+    so one thread. Platforms without `os.sched_getaffinity` count
+    `os.cpu_count()`."""
     for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"):
         try:
             blas = int(os.environ.get(var, ""))
         except ValueError:
             continue
         if blas >= 1:
-            return max(1, len(os.sched_getaffinity(0)) // blas)
+            affinity = getattr(os, "sched_getaffinity", None)
+            cores = len(affinity(0)) if affinity else os.cpu_count() or 1
+            return max(1, cores // blas)
     return 1
 
 
@@ -232,19 +235,22 @@ class TFPSModel:
         step = -(-batch_size // workers)
         starts = range(0, n, step)
 
-        def run(share: range) -> None:
-            for lo in share:
-                out[lo : lo + step] = self.forward(inputs[lo : lo + step]).yhat.data
+        def run(lo: int) -> None:
+            out[lo : lo + step] = self.forward(inputs[lo : lo + step]).yhat.data
 
+        # the calling thread runs every workers-th slice and the pool the rest,
+        # one future per slice, so an error on any thread cancels the slices
+        # not yet started; with one worker the pool never starts a thread
         with ad.no_grad():
-            if workers == 1:
-                run(starts)
-            else:
-                with ThreadPoolExecutor(workers - 1) as pool:
-                    futures = [pool.submit(run, starts[i::workers]) for i in range(1, workers)]
-                    run(starts[::workers])
-                    for f in futures:
-                        f.result()
+            pool = ThreadPoolExecutor(max(1, workers - 1))
+            try:
+                futures = [pool.submit(run, lo) for i, lo in enumerate(starts) if i % workers]
+                for lo in starts[::workers]:
+                    run(lo)
+                for f in futures:
+                    f.result()
+            finally:
+                pool.shutdown(cancel_futures=True)
         return out
 
     # -- loss ---------------------------------------------------------------

@@ -4,6 +4,7 @@ forecasting."""
 
 import sys
 import threading
+import time
 
 import numpy as np
 import pytest
@@ -210,10 +211,16 @@ class TestForecast:
         x, _ = batch(rng, b=5)
         model = TFPSModel(TrainConfig(**BASE))
         monkeypatch.setattr(model_mod, "forecast_workers", lambda: 2)
-        forward, sizes = model.forward, []
-        monkeypatch.setattr(model, "forward", lambda inputs: sizes.append(len(inputs)) or forward(inputs))
+        forward, sizes, threads = model.forward, [], set()
+
+        def recording(inputs):
+            sizes.append(len(inputs))
+            threads.add(threading.get_ident())
+            return forward(inputs)
+
+        monkeypatch.setattr(model, "forward", recording)
         model.forecast(x[:4], 4)
-        assert sizes == [4]
+        assert sizes == [4] and threads == {threading.get_ident()}
         sizes.clear()
         model.forecast(x, 4)
         assert sorted(sizes) == [1, 2, 2]
@@ -263,6 +270,32 @@ class TestForecast:
         assert threading.active_count() == threads
         assert ad.mul(model.params["head.b"], 2.0).requires_grad  # grad mode is back on
 
+    def test_caller_exception_cancels_pending_slices(self, monkeypatch):
+        rng = np.random.default_rng(17)
+        x, _ = batch(rng, b=40)
+        model = TFPSModel(TrainConfig(**BASE))
+        monkeypatch.setattr(model_mod, "forecast_workers", lambda: 2)
+        forward = model.forward
+        caller = threading.get_ident()
+        failed, worker_calls = threading.Event(), []
+
+        def failing(inputs):
+            if threading.get_ident() == caller:
+                failed.set()
+                raise KeyboardInterrupt
+            worker_calls.append(len(inputs))
+            failed.wait(10)
+            time.sleep(0.2)  # still in flight when the caller shuts the pool down
+            return forward(inputs)
+
+        monkeypatch.setattr(model, "forward", failing)
+        threads = threading.active_count()
+        with pytest.raises(KeyboardInterrupt):
+            model.forecast(x, 4)  # 20 slices of 2 windows, 10 for the worker
+        assert worker_calls in ([], [2])  # the worker may not have taken its first slice yet
+        assert threading.active_count() == threads
+        assert ad.mul(model.params["head.b"], 2.0).requires_grad
+
     @pytest.mark.parametrize("env,expected", [
         ({}, 1),
         ({"OPENBLAS_NUM_THREADS": "1"}, 4),
@@ -280,3 +313,12 @@ class TestForecast:
             monkeypatch.setenv(var, value)
         monkeypatch.setattr(model_mod.os, "sched_getaffinity", lambda pid: {0, 1, 2, 3})
         assert model_mod.forecast_workers() == expected
+
+    def test_worker_count_without_sched_getaffinity(self, monkeypatch):
+        # macOS and Windows have no os.sched_getaffinity
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+        monkeypatch.delattr(model_mod.os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(model_mod.os, "cpu_count", lambda: 3)
+        assert model_mod.forecast_workers() == 3
+        monkeypatch.setattr(model_mod.os, "cpu_count", lambda: None)
+        assert model_mod.forecast_workers() == 1
