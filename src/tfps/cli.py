@@ -159,22 +159,6 @@ def _cmd_synth(args) -> int:
     return EXIT_OK
 
 
-def _upper_triangle_summary(dm: np.ndarray) -> tuple[dict | None, float]:
-    """The largest entry above the diagonal, the first in row-major order
-    (None for one patch), and the mean of those entries. A boolean mask takes
-    the triangle: `np.triu_indices` would hold two int64 arrays of its size."""
-    n = len(dm)
-    flat = dm[np.triu(np.ones((n, n), dtype=bool), 1)]
-    if not flat.size:
-        return None, 0.0
-    top = int(np.argmax(flat))
-    row_len = np.arange(n - 1, 0, -1)
-    offsets = np.cumsum(row_len) - row_len  # the flat index of row i's first entry
-    i = int(np.searchsorted(offsets, top, side="right")) - 1
-    j = i + 1 + top - int(offsets[i])
-    return {"i": i, "j": j, "value": float(flat[top])}, float(flat.mean())
-
-
 def _cmd_analyze_drift(args) -> int:
     if args.patch_len < 1 or args.stride < 1:
         raise UsageError("--patch-len and --stride must be >= 1")
@@ -209,7 +193,7 @@ def _cmd_analyze_drift(args) -> int:
         for domain in domains:
             dm = drift.patch_distance_matrix(col, args.patch_len, args.stride, domain)
             data.save_matrix(outdir / f"drift_{name}_{domain}.csv", dm)
-            pair, avg = _upper_triangle_summary(dm)
+            pair, avg = drift.upper_triangle_summary(dm)
             summary["channels"].append(
                 {"channel": name, "domain": domain, "average": avg, "max_pair": pair}
             )
@@ -290,8 +274,9 @@ def _cmd_eval(args) -> int:
     ckpt = trainer.load_checkpoint(args.ckpt)
     cfg = ckpt.config
     _, _, test_w, _ = _prepare(cfg, _load_series(args.data, ckpt))
+    model = ckpt.build_model()
     denorm = ckpt.scaler if args.denormalized else None
-    metrics = evaluate.evaluate_windows(ckpt, test_w, denormalize=denorm)
+    metrics = evaluate.evaluate_windows(model, test_w, denormalize=denorm)
     name = args.dataset_name or Path(args.data).stem
     row = {"dataset": name, "H": cfg.pred_len, "MSE": metrics["mse"], "MAE": metrics["mae"]}
     table = evaluate.report_table(row)
@@ -300,7 +285,7 @@ def _cmd_eval(args) -> int:
     with data.atomic_write(outdir / "metrics.csv", "w") as fh:
         fh.write(table["csv"])
     affinities: dict = {}
-    report = evaluate.routing_report(ckpt, test_w, seed=args.seed, affinity_out=affinities)
+    report = evaluate.routing_report(model, test_w, seed=args.seed, affinity_out=affinities)
     _write_json(outdir / "routing.json", report)
     for branch, snapshot in affinities.items():
         data.save_matrix(outdir / f"affinity_{branch}.csv", snapshot)

@@ -84,13 +84,26 @@ def patch_distance_matrix(channel: np.ndarray, P: int, S: int, domain: str) -> n
     return dist
 
 
+def upper_triangle_summary(dm: np.ndarray) -> tuple[dict | None, float]:
+    """The largest entry above the diagonal, the first in row-major order
+    (None for one patch), and the mean of those entries. A boolean mask takes
+    the triangle: `np.triu_indices` would hold two int64 arrays of its size."""
+    n = len(dm)
+    flat = dm[np.triu(np.ones((n, n), dtype=bool), 1)]
+    if not flat.size:
+        return None, 0.0
+    top = int(np.argmax(flat))
+    row_len = np.arange(n - 1, 0, -1)
+    offsets = np.cumsum(row_len) - row_len  # the flat index of row i's first entry
+    i = int(np.searchsorted(offsets, top, side="right")) - 1
+    j = i + 1 + top - int(offsets[i])
+    return {"i": i, "j": j, "value": float(flat[top])}, float(flat.mean())
+
+
 def average_wasserstein(series: MultivariateSeries, P: int, S: int, domain: str) -> float:
     """Mean upper-triangle drift per channel, averaged over channels."""
-    per_channel = []
-    for c in range(series.n_channels):
-        m = patch_distance_matrix(series.values[:, c], P, S, domain)
-        iu = np.triu_indices(m.shape[0], k=1)
-        if iu[0].size == 0:
-            raise ValueError("need at least two patches to average drift")
-        per_channel.append(float(m[iu].mean()))
-    return float(np.mean(per_channel))
+    summaries = [upper_triangle_summary(patch_distance_matrix(series.values[:, c], P, S, domain))
+                 for c in range(series.n_channels)]
+    if summaries[0][0] is None:  # every channel has as many patches as the first
+        raise ValueError("need at least two patches to average drift")
+    return float(np.mean([avg for _, avg in summaries]))

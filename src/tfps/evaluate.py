@@ -14,30 +14,31 @@ from .data import Scaler, Windows
 # wasserstein_1d stays importable here: perfbench/layer_trace.py counts its calls
 from .drift import pairwise_w1, wasserstein_1d  # noqa: F401
 from .fourier import amplitude_spectrum
-from .trainer import Checkpoint
+from .model import TFPSModel
+
+
+def _error(yhat: np.ndarray, y: np.ndarray) -> np.ndarray:
+    yhat, y = np.asarray(yhat), np.asarray(y)
+    if yhat.shape != y.shape:
+        raise ValueError(f"shape mismatch: {yhat.shape} vs {y.shape}")
+    return yhat - y
 
 
 def mse(yhat: np.ndarray, y: np.ndarray) -> float:
-    yhat, y = np.asarray(yhat), np.asarray(y)
-    if yhat.shape != y.shape:
-        raise ValueError(f"shape mismatch: {yhat.shape} vs {y.shape}")
-    return float(np.mean((yhat - y) ** 2))
+    return float(np.mean(_error(yhat, y) ** 2))
 
 
 def mae(yhat: np.ndarray, y: np.ndarray) -> float:
-    yhat, y = np.asarray(yhat), np.asarray(y)
-    if yhat.shape != y.shape:
-        raise ValueError(f"shape mismatch: {yhat.shape} vs {y.shape}")
-    return float(np.mean(np.abs(yhat - y)))
+    return float(np.mean(np.abs(_error(yhat, y))))
 
 
-def evaluate_windows(ckpt: Checkpoint, windows: Windows, denormalize: Scaler | None = None) -> dict:
-    """Aggregate MSE/MAE over windows, in batches of the checkpoint's
+def evaluate_windows(model: TFPSModel, windows: Windows, denormalize: Scaler | None = None) -> dict:
+    """Aggregate MSE/MAE over windows, in batches of the model config's
     `batch_size`. Inputs are expected on the model's working (normalized)
     scale; pass a scaler to also report original-unit errors."""
     if not windows:
         raise ValueError("no windows to evaluate")
-    yhat = ckpt.build_model().forecast(windows.inputs, ckpt.config.batch_size)
+    yhat = model.forecast(windows.inputs, model.cfg.batch_size)
     y = windows.targets
     out = {"mse": mse(yhat, y), "mae": mae(yhat, y), "n_windows": len(windows)}
     if denormalize is not None:
@@ -52,7 +53,7 @@ MAX_TOKENS = 4096  # tokens the routing report samples per branch
 MAX_PATCHES_PER_CLUSTER = 64  # patches per expert in the cluster drift summary
 
 
-def routing_report(ckpt: Checkpoint, windows: Windows, seed: int = 0,
+def routing_report(model: TFPSModel, windows: Windows, seed: int = 0,
                    affinity_out: dict | None = None) -> dict:
     """Argmax-expert shares per branch plus an intra/inter-cluster drift
     summary over the routed raw patches. Patch pools are subsampled
@@ -61,8 +62,7 @@ def routing_report(ckpt: Checkpoint, windows: Windows, seed: int = 0,
     matrices (token x expert) for CSV export."""
     if not windows:
         raise ValueError("no windows to report on")
-    model = ckpt.build_model()
-    cfg = ckpt.config
+    cfg = model.cfg
     rng = np.random.default_rng(seed)
     report: dict = {"branches": {}}
     xs = windows.inputs

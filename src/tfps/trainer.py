@@ -18,6 +18,7 @@ from .autodiff import Tensor
 from .config import TrainConfig, check_value, config_from_dict
 from .data import Scaler, Windows, atomic_write
 from .errors import DataError, NumericError
+from .evaluate import mse
 from .model import TFPSModel
 
 log = logging.getLogger(__name__)
@@ -121,8 +122,8 @@ def load_checkpoint(path) -> Checkpoint:
                 history=header["history"],
             )
             shapes = dict(header["arrays"])
-        # a DataError is a ValueError; a BadZipFile is a member that fails its CRC check
-        except (KeyError, TypeError, ValueError, AttributeError, zipfile.BadZipFile) as e:
+        # a DataError is a ValueError; a BadZipFile is a bad CRC; an OSError a bad member offset
+        except (KeyError, TypeError, ValueError, AttributeError, OSError, zipfile.BadZipFile) as e:
             cause = f"missing {e}" if isinstance(e, KeyError) else e
             raise DataError(f"{path}: bad checkpoint header: {cause}") from None
         for key, shape in shapes.items():
@@ -131,7 +132,7 @@ def load_checkpoint(path) -> Checkpoint:
                 raise DataError(f"{path}: header lists {key!r} but the array is missing")
             try:
                 arr = npz[full]
-            except (ValueError, zipfile.BadZipFile) as e:  # pickle needed, or a bad CRC
+            except (ValueError, OSError, zipfile.BadZipFile) as e:  # pickle needed, a bad offset or CRC
                 raise DataError(f"{path}: array {key!r} cannot be read: {e}") from None
             if arr.dtype.kind != "f":
                 raise DataError(f"{path}: array {key!r} has dtype {arr.dtype}, expected float")
@@ -145,7 +146,7 @@ def validation_mse(model: TFPSModel, windows: Windows, batch_size: int) -> float
     """Mean squared error over all validation entries, deterministic order."""
     if not windows:
         raise DataError("empty validation set")
-    return float(np.mean((model.forecast(windows.inputs, batch_size) - windows.targets) ** 2))
+    return mse(model.forecast(windows.inputs, batch_size), windows.targets)
 
 
 def train(

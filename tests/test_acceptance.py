@@ -291,7 +291,7 @@ def test_criterion_5_end_to_end_overfit():
     # intra- vs inter-cluster drift, reported (not asserted: no separation bound)
     from tfps.evaluate import routing_report
 
-    rep = routing_report(ckpt, trw, seed=0)["branches"]["time"]
+    rep = routing_report(model, trw, seed=0)["branches"]["time"]
     intra, inter = rep["intra_cluster_w1"], rep["inter_cluster_w1"]
     drift_note = "n/a" if inter is None else f"intra={intra:.3f} inter={inter:.3f}"
     verdict(5, "PASS",
@@ -320,7 +320,7 @@ def test_criterion_6_benchmark_band():
     vaw = make_windows(apply_scaler(va, sc), cfg.seq_len, cfg.pred_len)
     tew = make_windows(apply_scaler(te, sc), cfg.seq_len, cfg.pred_len)
     ckpt = train(cfg, trw, vaw, scaler=sc)
-    metrics = evaluate_windows(ckpt, tew)
+    metrics = evaluate_windows(ckpt.build_model(), tew)
     elapsed = time.time() - start
     assert 0.38 <= metrics["mse"] <= 0.52, f"test MSE {metrics['mse']:.3f} outside band"
     assert elapsed <= 1200.0
@@ -348,7 +348,7 @@ def test_criterion_6_full_profile_grid():
     space = {"lr": [0.0001, 0.0005, 0.001, 0.005, 0.01, 0.05],
              "k_time": [1, 2, 4], "k_freq": [1, 2, 4]}
     best, board = grid_search(base, space, trw, vaw, scaler=sc)
-    metrics = evaluate_windows(best, tew)
+    metrics = evaluate_windows(best.build_model(), tew)
     assert 0.38 <= metrics["mse"] <= 0.48, f"test MSE {metrics['mse']:.3f} outside band"
     verdict(6, "PASS", f"full profile test MSE {metrics['mse']:.3f} in [0.38, 0.48] "
                        f"(published 0.398); best cell {board[0]}")
@@ -420,7 +420,7 @@ def test_criterion_8_ablation_structure():
     for name, overrides in variants.items():
         cfg = dataclasses.replace(base, **overrides)  # runnable from config alone
         ckpt = train(cfg, trw, vaw, scaler=sc)
-        metrics = evaluate_windows(ckpt, tew)
+        metrics = evaluate_windows(ckpt.build_model(), tew)
         schemas.add(tuple(sorted(metrics)))
         results[name] = {"val_mse": min(ckpt.history["val_mse"]), **metrics}
     assert len(schemas) == 1  # identical report schema across variants

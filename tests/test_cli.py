@@ -1,12 +1,13 @@
 """Operator-surface contracts: subcommand pipelines, exit codes, seeds."""
 
 import json
+import shutil
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from tfps import cli, data, drift, evaluate, trainer
+from tfps import data, drift, evaluate, trainer
 from tfps import model as model_mod
 from tfps.cli import run
 from tfps.config import config_from_dict
@@ -92,27 +93,6 @@ class TestAnalyzeDrift:
         np.testing.assert_allclose(m, m.T)
         np.testing.assert_allclose(np.diag(m), 0.0)
 
-    @pytest.mark.parametrize("m", [
-        np.zeros((1, 1)),  # one patch: max_pair is null
-        np.array([[0.0, 0.5], [0.5, 0.0]]),
-        # 0.9 at (1, 3) and (2, 3): the first in row-major order wins
-        np.array([[0.0, 0.1, 0.2, 0.3],
-                  [0.1, 0.0, 0.4, 0.9],
-                  [0.2, 0.4, 0.0, 0.9],
-                  [0.3, 0.9, 0.9, 0.0]]),
-        np.random.default_rng(0).random((37, 37)),
-    ])
-    def test_upper_triangle_summary_matches_triu_indices(self, m):
-        iu = np.triu_indices(len(m), k=1)
-        pair, avg = None, 0.0
-        if iu[0].size:
-            top = int(np.argmax(m[iu]))
-            pair = {"i": int(iu[0][top]), "j": int(iu[1][top]), "value": float(m[iu][top])}
-            avg = float(m[iu].mean())
-        assert cli._upper_triangle_summary(m) == (pair, avg)
-        if len(m) == 4:
-            assert pair == {"i": 1, "j": 3, "value": 0.9}
-
     def test_twelve_patch_window(self, workdir):
         out = workdir / "drift12"
         code = run(["analyze-drift", "--data", str(workdir / "data.csv"),
@@ -195,6 +175,15 @@ class TestTrainEvalPredict:
             outputs.append({name: (out / name).read_bytes() for name in names})
         assert json.loads(outputs[0]["metrics.json"])["detail"]["n_windows"] > TRAIN_CFG["batch_size"]
         assert outputs[0] == outputs[1]
+
+    def test_eval_builds_its_model_once(self, workdir, monkeypatch):
+        ckpt = untrained_checkpoint(workdir / "model.npz")
+        built = []
+        build = Checkpoint.build_model
+        monkeypatch.setattr(Checkpoint, "build_model", lambda self: built.append(1) or build(self))
+        assert run(["eval", "--ckpt", str(ckpt), "--data", str(workdir / "data.csv"),
+                    "--out", str(workdir / "eval")]) == 0
+        assert len(built) == 1
 
     def test_lr_zero_checkpoint_equals_init(self, workdir):
         cfg = dict(TRAIN_CFG, lr=0.0, max_epochs=1)
@@ -522,6 +511,30 @@ class TestBoundaryErrors:
         assert err.count("\n") == 1
         assert not forecast.exists()
 
+    def test_corrupt_zip_directory_is_data_error(self, workdir, capsys):
+        """Flip each byte of the end-of-central-directory record in turn. The
+        3rd and 4th from the end are the high bytes of the central directory's
+        offset: flipped, they used to make a member read raise OSError(EINVAL),
+        reported as an unwritable output named None."""
+        ckpt = untrained_checkpoint(workdir / "model.npz")
+        good = ckpt.read_bytes()
+        forecast, evaldir = workdir / "forecast.csv", workdir / "eval"
+        for at in range(len(good) - 22, len(good)):
+            ckpt.write_bytes(good[:at] + bytes([good[at] ^ 0xFF]) + good[at + 1:])
+            for argv, out in [(["predict", "--input", str(workdir / "data.csv")], forecast),
+                              (["eval", "--data", str(workdir / "data.csv")], evaldir)]:
+                capsys.readouterr()
+                code = run([*argv, "--ckpt", str(ckpt), "--out", str(out)])
+                err = capsys.readouterr().err
+                assert code in (0, 2) and "None" not in err, (at - len(good), argv[0], err)
+                if code == 2:
+                    assert err.startswith("data error:") and str(ckpt) in err
+                    assert not out.exists()
+                elif out.is_dir():  # the next flip must not find this run's output
+                    shutil.rmtree(out)
+                else:
+                    out.unlink()
+
 
 def no_temp_files(root) -> bool:
     return not any(root.rglob("*.tmp"))
@@ -605,7 +618,7 @@ def test_matrix_outputs_match_savetxt(workdir):
     train_s, _, test_s = data.split(series, cfg.split_ratios)
     test_w = data.make_windows(data.apply_scaler(test_s, data.fit_scaler(train_s)), cfg.seq_len, cfg.pred_len)
     affinities = {}
-    evaluate.routing_report(load_checkpoint(ckpt), test_w, seed=3, affinity_out=affinities)
+    evaluate.routing_report(load_checkpoint(ckpt).build_model(), test_w, seed=3, affinity_out=affinities)
     assert set(affinities) == {"time", "freq"}
     for branch, m in affinities.items():
         assert (out / f"affinity_{branch}.csv").read_bytes() == savetxt_bytes(m)

@@ -11,6 +11,7 @@ from tfps.drift import (
     average_wasserstein,
     pairwise_w1,
     patch_distance_matrix,
+    upper_triangle_summary,
     wasserstein_1d,
 )
 from tfps.fourier import amplitude_spectrum
@@ -190,3 +191,30 @@ class TestAverageWasserstein:
             iu = np.triu_indices(m.shape[0], k=1)
             per_channel.append(m[iu].mean())
         assert average_wasserstein(series, 8, 8, "time") == pytest.approx(np.mean(per_channel))
+
+    def test_one_patch_is_an_error(self):
+        with pytest.raises(ValueError, match="two patches"):
+            average_wasserstein(self._series(np.zeros((8, 1))), 8, 8, "time")
+
+
+class TestUpperTriangleSummary:
+    @pytest.mark.parametrize("m", [
+        np.zeros((1, 1)),  # one patch: max_pair is null
+        np.array([[0.0, 0.5], [0.5, 0.0]]),
+        # 0.9 at (1, 3) and (2, 3): the first in row-major order wins
+        np.array([[0.0, 0.1, 0.2, 0.3],
+                  [0.1, 0.0, 0.4, 0.9],
+                  [0.2, 0.4, 0.0, 0.9],
+                  [0.3, 0.9, 0.9, 0.0]]),
+        np.random.default_rng(0).random((37, 37)),
+    ])
+    def test_upper_triangle_summary_matches_triu_indices(self, m):
+        iu = np.triu_indices(len(m), k=1)
+        pair, avg = None, 0.0
+        if iu[0].size:
+            top = int(np.argmax(m[iu]))
+            pair = {"i": int(iu[0][top]), "j": int(iu[1][top]), "value": float(m[iu][top])}
+            avg = float(m[iu].mean())
+        assert upper_triangle_summary(m) == (pair, avg)
+        if len(m) == 4:
+            assert pair == {"i": 1, "j": 3, "value": 0.9}

@@ -31,7 +31,7 @@ CFG = dict(seq_len=32, pred_len=8, patch_len=8, stride=4, d_model=16, n_layers=1
            max_epochs=2, patience=5, seed=4, split_ratios=(0.7, 0.15, 0.15))
 
 
-def trained_checkpoint():
+def trained_model():
     spec = SynthSpec(
         regimes=(RegimeSpec(length=240, frequency=1 / 16),
                  RegimeSpec(length=240, frequency=1 / 8, offset=1.5)),
@@ -43,7 +43,7 @@ def trained_checkpoint():
     trw = make_windows(apply_scaler(tr, sc), cfg.seq_len, cfg.pred_len)
     vaw = make_windows(apply_scaler(va, sc), cfg.seq_len, cfg.pred_len)
     tew = make_windows(apply_scaler(te, sc), cfg.seq_len, cfg.pred_len)
-    return train(cfg, trw, vaw, scaler=sc), tew, sc
+    return train(cfg, trw, vaw, scaler=sc).build_model(), tew, sc
 
 
 class TestMetrics:
@@ -77,15 +77,15 @@ class TestMetrics:
 
 class TestEvaluateWindows:
     def test_metrics_present_and_consistent(self):
-        ckpt, tew, sc = trained_checkpoint()
-        out = evaluate_windows(ckpt, tew)
+        model, tew, sc = trained_model()
+        out = evaluate_windows(model, tew)
         assert out["n_windows"] == len(tew)
         assert out["mse"] >= 0 and out["mae"] >= 0
         assert out["mae"] <= np.sqrt(out["mse"]) + 1e-12
 
     def test_denormalized_scale(self):
-        ckpt, tew, sc = trained_checkpoint()
-        out = evaluate_windows(ckpt, tew, denormalize=sc)
+        model, tew, sc = trained_model()
+        out = evaluate_windows(model, tew, denormalize=sc)
         # single channel: denormalized MSE = std^2 * normalized MSE
         assert out["mse_denorm"] == pytest.approx(out["mse"] * float(sc.std[0]) ** 2, rel=1e-9)
         assert out["mae_denorm"] == pytest.approx(out["mae"] * float(sc.std[0]), rel=1e-9)
@@ -93,8 +93,8 @@ class TestEvaluateWindows:
 
 class TestRoutingReport:
     def test_shares_partition_unity(self):
-        ckpt, tew, _ = trained_checkpoint()
-        rep = routing_report(ckpt, tew, seed=0)
+        model, tew, _ = trained_model()
+        rep = routing_report(model, tew, seed=0)
         for branch in ("time", "freq"):
             shares = np.array(rep["branches"][branch]["expert_share"])
             assert shares.shape == (2,)
@@ -110,15 +110,15 @@ class TestRoutingReport:
         trw = make_windows(apply_scaler(tr, sc), cfg.seq_len, cfg.pred_len)
         vaw = make_windows(apply_scaler(va, sc), cfg.seq_len, cfg.pred_len)
         ckpt = train(cfg, trw, vaw, scaler=sc)
-        rep = routing_report(ckpt, vaw, seed=0)
+        rep = routing_report(ckpt.build_model(), vaw, seed=0)
         assert rep["branches"]["time"]["expert_share"] == [1.0]
         assert rep["branches"]["time"]["intra_cluster_w1"] is not None
         assert rep["branches"]["time"]["inter_cluster_w1"] is None  # nothing to compare
 
     def test_deterministic_given_seed(self):
-        ckpt, tew, _ = trained_checkpoint()
-        a = routing_report(ckpt, tew, seed=5)
-        b = routing_report(ckpt, tew, seed=5)
+        model, tew, _ = trained_model()
+        a = routing_report(model, tew, seed=5)
+        b = routing_report(model, tew, seed=5)
         assert a == b
 
     @pytest.mark.parametrize("K", [1, 3])

@@ -1,6 +1,7 @@
 """Module boundaries: no module of the package imports another module's
 private (underscore) names or reaches them through a module attribute, every
-import sits at the top of its module, and every name it binds is read."""
+import sits at the top of its module, every name it binds is read, and the
+module-level imports form no cycle."""
 
 import ast
 from pathlib import Path
@@ -158,3 +159,63 @@ def test_detects_an_unused_import(tmp_path):
         "    return np.zeros(1), os.path.sep, csv\n"
     )
     assert unused_imports(probe) == ["probe.py: io", "probe.py: Scaler", "probe.py: drift"]
+
+
+def package_imports(path: Path) -> set[str]:
+    """The package modules that one file imports at module level
+    (`from . import drift`, `from .data import Scaler`, `import tfps.model`)."""
+    names = []
+    for node in ast.parse(path.read_text(), filename=str(path)).body:
+        if isinstance(node, ast.Import):
+            names += [a.name for a in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            base = ".".join(filter(None, ["tfps" if node.level else "", node.module]))
+            names += [f"{base}.{a.name}" for a in node.names]
+    parts = [name.split(".") for name in names]
+    return {p[1] for p in parts if p[0] == "tfps" and len(p) > 1 and (path.parent / f"{p[1]}.py").is_file()}
+
+
+def import_cycle(graph: dict[str, set[str]]) -> list[str] | None:
+    """One cycle of `graph` as a path that ends where it starts, or None."""
+    done: set[str] = set()
+
+    def visit(node, path):
+        if node in path:
+            return path[path.index(node):] + [node]
+        if node in done:
+            return None
+        for nxt in sorted(graph.get(node, ())):
+            cycle = visit(nxt, path + [node])
+            if cycle:
+                return cycle
+        done.add(node)
+        return None
+
+    for start in sorted(graph):
+        cycle = visit(start, [])
+        if cycle:
+            return cycle
+    return None
+
+
+def test_module_imports_form_no_cycle():
+    graph = {path.stem: package_imports(path) for path in sorted(SRC.glob("*.py"))}
+    cycle = import_cycle(graph)
+    assert cycle is None, "module-level import cycle: " + " -> ".join(cycle)
+
+
+def test_detects_an_import_cycle(tmp_path):
+    (tmp_path / "a.py").write_text("from .b import f\nimport numpy as np\n")
+    (tmp_path / "b.py").write_text("from . import c\n")
+    (tmp_path / "c.py").write_text("import tfps.a\nfrom tfps.b import g\n")
+    graph = {name: package_imports(tmp_path / f"{name}.py") for name in "abc"}
+    assert graph == {"a": {"b"}, "b": {"c"}, "c": {"a", "b"}}
+    assert import_cycle(graph) == ["a", "b", "c", "a"]
+    assert import_cycle({"a": {"b"}, "b": set(), "c": {"a", "b"}}) is None
+
+
+def test_evaluate_does_not_import_trainer():
+    """trainer calls evaluate (for its validation MSE); evaluate works on a
+    model and never needs a checkpoint."""
+    assert "evaluate" in package_imports(SRC / "trainer.py")
+    assert "trainer" not in package_imports(SRC / "evaluate.py")
