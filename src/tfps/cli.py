@@ -143,14 +143,14 @@ def _out_dir(path) -> Path:
 def _cmd_synth(args) -> int:
     obj = _load_json(args.spec, "synth spec")
     if not isinstance(obj, dict):
-        raise UsageError("bad synth spec: expected a JSON object")
+        raise UsageError(f"bad synth spec {args.spec}: expected a JSON object")
     if args.seed is not None:
         obj["seed"] = args.seed
     try:
         regimes = tuple(data.RegimeSpec(**r) for r in obj.get("regimes", ()))
         spec = data.SynthSpec(**{**obj, "regimes": regimes})
     except (TypeError, ValueError) as e:
-        raise UsageError(f"bad synth spec: {e}") from None
+        raise UsageError(f"bad synth spec {args.spec}: {e}") from None
     series, boundaries = data.synth_generate(spec)
     data.save_csv(series, args.out)
     print(f"wrote {series.length} rows x {series.n_channels} channels to {args.out}")
@@ -165,19 +165,21 @@ def _cmd_analyze_drift(args) -> int:
     series = _load_series(args.data)
     stop = series.length if args.length is None else args.start + args.length
     if not 0 <= args.start < stop <= series.length:
-        raise UsageError(f"slice [{args.start}:{stop}] outside series of length {series.length}")
+        raise UsageError(f"slice [{args.start}:{stop}] outside {args.data} of length {series.length}")
     if args.patch_len > stop - args.start:
-        raise UsageError(f"--patch-len {args.patch_len} exceeds the {stop - args.start} rows analyzed")
+        raise UsageError(
+            f"--patch-len {args.patch_len} exceeds the {stop - args.start} rows analyzed of {args.data}"
+        )
     channels = list(series.channel_names)
     if args.channels:
         wanted = [c.strip() for c in args.channels.split(",")]
         missing = [c for c in wanted if c not in channels]
         if missing:
-            raise UsageError(f"unknown channels: {missing}")
+            raise UsageError(f"unknown channels of {args.data}: {missing}")
         channels = wanted
     for name in channels:  # each name becomes part of an output file name
         if set(name) & {"/", os.sep, "\0"} or name in (".", ".."):
-            raise DataError(f"channel name {name!r} cannot be part of a file name")
+            raise DataError(f"{args.data}: channel name {name!r} cannot be part of a file name")
     domains = drift.DOMAINS if args.domain == "both" else (args.domain,)
     outdir = Path(args.out)
     outdir.mkdir(parents=True, exist_ok=True)
@@ -203,9 +205,14 @@ def _cmd_analyze_drift(args) -> int:
     return EXIT_OK
 
 
-def _prepare(cfg, series):
-    min_len = cfg.seq_len + cfg.pred_len
-    train_s, val_s, test_s = data.split(series, cfg.split_ratios, min_length=min_len)
+def _prepare(cfg, path: str, source: str, ckpt=None):
+    """Train, validation and test windows of the series at `path` as the
+    config read from `source` asks, and the train split's scaler (or None)."""
+    series = _load_series(path, ckpt)
+    try:
+        train_s, val_s, test_s = data.split(series, cfg.split_ratios, cfg.seq_len + cfg.pred_len)
+    except DataError as e:
+        raise DataError(f"{path}: {e} (seq_len + pred_len of {source})") from None
     scaler = None
     if cfg.scale:
         scaler = data.fit_scaler(train_s)
@@ -231,7 +238,7 @@ def _load_config(path, seed_override):
 
 def _cmd_train(args) -> int:
     cfg = _load_config(args.config, args.seed)
-    train_w, val_w, _, scaler = _prepare(cfg, _load_series(args.data))
+    train_w, val_w, _, scaler = _prepare(cfg, args.data, args.config)
     progress = None
     if not args.quiet:
         progress = lambda e, tl, vm: print(f"epoch {e}: train_loss {tl:.6f}  val_mse {vm:.6f}")
@@ -252,7 +259,7 @@ def _cmd_grid(args) -> int:
         trainer.check_grid(space)
     except ValueError as e:
         raise UsageError(f"{args.grid}: {e}") from None
-    train_w, val_w, _, scaler = _prepare(cfg, _load_series(args.data))
+    train_w, val_w, _, scaler = _prepare(cfg, args.data, args.config)
     progress = None
     if not args.quiet:
         progress = lambda row: print(f"cell {row}")
@@ -273,7 +280,7 @@ def _cmd_eval(args) -> int:
     outdir = _out_dir(args.out)
     ckpt = trainer.load_checkpoint(args.ckpt)
     cfg = ckpt.config
-    _, _, test_w, _ = _prepare(cfg, _load_series(args.data, ckpt))
+    _, _, test_w, _ = _prepare(cfg, args.data, args.ckpt, ckpt)
     model = ckpt.build_model()
     denorm = ckpt.scaler if args.denormalized else None
     metrics = evaluate.evaluate_windows(model, test_w, denormalize=denorm)
@@ -298,7 +305,7 @@ def _cmd_predict(args) -> int:
     cfg = ckpt.config
     series = _load_series(args.input, ckpt)
     if series.length < cfg.seq_len:
-        raise DataError(f"need at least {cfg.seq_len} rows, got {series.length}")
+        raise DataError(f"{args.input}: {series.length} rows, need {cfg.seq_len} (seq_len of {args.ckpt})")
     values = series.values[-cfg.seq_len :]
     if ckpt.scaler is not None:
         values = ckpt.scaler.transform(values)

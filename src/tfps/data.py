@@ -242,7 +242,7 @@ def _row_fault(path, header: list[str]) -> DataError | None:
         try:
             _parse_timestamp(stamp)
         except ValueError:
-            return DataError(f"row {n}: cannot parse timestamp {stamp!r}")
+            return DataError(f"{path}: row {n}: cannot parse timestamp {stamp!r}")
         for name, cell in zip(names, row[1:]):
             cell = cell.strip()
             try:
@@ -303,7 +303,10 @@ def load_csv(path) -> MultivariateSeries:
         later = int(np.argmin(increasing)) + 1
         n = next(itertools.islice(_records(path), later, None))[0]
         raise DataError(f"{path}: row {n}: timestamps not strictly increasing")
-    return MultivariateSeries(timestamps, values, tuple(names))
+    try:
+        return MultivariateSeries(timestamps, values, tuple(names))
+    except DataError as e:  # a duplicate channel name
+        raise DataError(f"{path}: {e}") from None
 
 
 # 1000-01-01 to 9999-12-31 UTC in epoch seconds: fromisoformat reads no year

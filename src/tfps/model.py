@@ -68,6 +68,13 @@ class Branch:
             return pattern.affinity(z, self.identifier["bases"], self.K)
         return ad.softmax(ad.linear(z, self.identifier["gate.w"], self.identifier["gate.b"]), axis=-1)
 
+    def pi_loss(self, s: Tensor, alpha: float, beta: float, s_hat=None) -> Tensor | float:
+        """Identifier loss of routing probabilities `s` (see `pattern.pi_loss`);
+        the linear gate has none."""
+        if "bases" not in self.identifier:
+            return 0.0
+        return pattern.pi_loss(s, self.identifier["bases"], self.K, alpha, beta, s_hat)
+
 
 class TFPSModel:
     def __init__(self, cfg: TrainConfig, rng: np.random.Generator | None = None):
@@ -252,33 +259,3 @@ class TFPSModel:
             finally:
                 pool.shutdown(cancel_futures=True)
         return out
-
-    # -- loss ---------------------------------------------------------------
-
-    def loss(
-        self,
-        x: np.ndarray,
-        y: np.ndarray,
-        training: bool = False,
-        rng: np.random.Generator | None = None,
-        s_hat: dict[str, np.ndarray] | None = None,
-    ) -> tuple[Tensor, Forward, dict]:
-        """Forecast MSE plus each branch's identifier loss. `s_hat` maps a
-        branch name to a fixed refinement target (gradient checks); by
-        default the target is refined from the live affinities."""
-        from .trainer import total_loss  # local import: trainer owns the loss contract
-
-        cfg = self.cfg
-        s_hat = s_hat or {}
-        fwd = self.forward(x, training=training, rng=rng)
-        pi: dict[str, Tensor | float] = {"time": 0.0, "freq": 0.0}
-        if cfg.pi_mode == "subspace":  # the linear-gate ablation has no identifier loss
-            for name, s in fwd.s.items():
-                br = self.branches[name]
-                pi[name] = pattern.pi_loss(
-                    s, br.identifier["bases"], br.K, cfg.alpha, cfg.beta, s_hat.get(name)
-                )
-        total = total_loss(fwd.yhat, y, pi["time"], pi["freq"])
-        parts = {"mse": float(np.mean((fwd.yhat.data - y) ** 2))}
-        parts.update({f"pi_{k}": float(v.data) if isinstance(v, Tensor) else v for k, v in pi.items()})
-        return total, fwd, parts

@@ -13,28 +13,36 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import autodiff as ad
 from .autodiff import Tensor
 from .config import TrainConfig, check_value, config_from_dict
 from .data import Scaler, Windows, atomic_write
 from .errors import DataError, NumericError
 from .evaluate import mse
-from .model import TFPSModel
+from .model import Forward, TFPSModel
 
 log = logging.getLogger(__name__)
 
 CHECKPOINT_VERSION = 1
 
 
-def total_loss(yhat, y, pi_time=0.0, pi_freq=0.0) -> Tensor:
-    """Forecast MSE (mean over every horizon/channel entry) plus the two
-    identifier losses."""
-    yhat = ad.as_tensor(yhat)
+def total_loss(
+    model: TFPSModel, x: np.ndarray, y: np.ndarray, training: bool = False,
+    rng: np.random.Generator | None = None, s_hat: dict[str, np.ndarray] | None = None,
+) -> tuple[Tensor, Forward, dict]:
+    """The training objective on one batch: forecast MSE (mean over every
+    horizon/channel entry) plus each branch's identifier loss, with the forward
+    pass and the float parts mse, pi_time and pi_freq. `s_hat` maps a branch
+    name to a fixed refinement target (gradient checks); by default the target
+    is refined from the live affinities."""
+    fwd = model.forward(x, training=training, rng=rng)
     y = np.asarray(y, dtype=np.float64)
-    if yhat.shape != y.shape:
-        raise ValueError(f"prediction shape {yhat.shape} != target shape {y.shape}")
-    err = yhat - y
-    return (err * err).mean() + pi_time + pi_freq
+    parts = {"mse": mse(fwd.yhat.data, y)}  # checks the shapes before any tape op
+    pi: dict[str, Tensor | float] = {"time": 0.0, "freq": 0.0}
+    for name, s in fwd.s.items():
+        pi[name] = model.branches[name].pi_loss(s, model.cfg.alpha, model.cfg.beta, (s_hat or {}).get(name))
+    parts.update({f"pi_{k}": float(v.data) if isinstance(v, Tensor) else v for k, v in pi.items()})
+    err = fwd.yhat - y
+    return (err * err).mean() + pi["time"] + pi["freq"], fwd, parts
 
 
 class Adam:
@@ -142,11 +150,12 @@ def load_checkpoint(path) -> Checkpoint:
     return ckpt
 
 
-def validation_mse(model: TFPSModel, windows: Windows, batch_size: int) -> float:
-    """Mean squared error over all validation entries, deterministic order."""
+def validation_mse(model: TFPSModel, windows: Windows) -> float:
+    """Mean squared error over all validation entries, deterministic order, in
+    batches of the model config's `batch_size`."""
     if not windows:
         raise DataError("empty validation set")
-    return mse(model.forecast(windows.inputs, batch_size), windows.targets)
+    return mse(model.forecast(windows.inputs, model.cfg.batch_size), windows.targets)
 
 
 def train(
@@ -176,7 +185,7 @@ def train(
             idx = order[lo : lo + cfg.batch_size]
             xs, ys = train_windows.inputs[idx], train_windows.targets[idx]
             model.zero_grad()
-            loss, _, parts = model.loss(xs, ys, training=True, rng=rng)
+            loss, _, parts = total_loss(model, xs, ys, training=True, rng=rng)
             value = float(loss.data)
             if not np.isfinite(value):
                 raise NumericError(
@@ -187,7 +196,9 @@ def train(
             epoch_loss += value
             epoch_mse += parts["mse"]
             n_batches += 1
-        val = validation_mse(model, val_windows, cfg.batch_size)
+        val = validation_mse(model, val_windows)
+        if not np.isfinite(val):
+            raise NumericError(f"validation MSE diverged at epoch {epoch}: {val}")
         history["train_loss"].append(epoch_loss / max(n_batches, 1))
         history["train_mse"].append(epoch_mse / max(n_batches, 1))
         history["val_mse"].append(val)

@@ -179,8 +179,9 @@ def record_expert_calls(monkeypatch, mope, experts) -> list[int]:
 def reference_load_csv(path):
     """The row-by-row CSV reader that `data.load_csv` replaced: csv.reader
     records, one float() per cell, one fromisoformat per non-numeric stamp.
-    Returns a MultivariateSeries or raises DataError with the old messages
-    (its non-increasing-timestamp message is the series' own, 0-based)."""
+    Returns a MultivariateSeries or raises DataError with the messages
+    load_csv keeps, each naming the file (its non-increasing-timestamp
+    message is the series' own, 0-based)."""
     from tfps.data import MultivariateSeries
     from tfps.errors import DataError
 
@@ -193,7 +194,7 @@ def reference_load_csv(path):
         try:
             dt = datetime.fromisoformat(text)
         except ValueError:
-            raise DataError(f"row {row}: cannot parse timestamp {text!r}") from None
+            raise DataError(f"{path}: row {row}: cannot parse timestamp {text!r}") from None
         if dt.tzinfo is None:
             dt = dt.replace(tzinfo=timezone.utc)
         return dt.timestamp()

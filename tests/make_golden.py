@@ -1,8 +1,8 @@
 """Write tests/golden_tiny.npz: the forecast and every parameter gradient of a
-seeded tiny model, one `model.loss(...)[0].backward()` per case. The cases
-cover the both-branch subspace model and each ablation path: the time branch
-alone with batch norm in training mode, the frequency branch alone, and the
-linear gate in place of the subspace identifier.
+seeded tiny model, one `trainer.total_loss(model, ...)[0].backward()` per
+case. The cases cover the both-branch subspace model and each ablation path:
+the time branch alone with batch norm in training mode, the frequency branch
+alone, and the linear gate in place of the subspace identifier.
 
 test_golden.py compares the current code against this file, so a change that
 only reorders floating-point sums (a flattened matmul, a library FFT) is held
@@ -22,6 +22,7 @@ import numpy as np
 
 from tfps.config import TrainConfig
 from tfps.model import TFPSModel
+from tfps.trainer import total_loss
 
 GOLDEN_PATH = Path(__file__).with_name("golden_tiny.npz")
 BATCH, CHANNELS = 4, 3
@@ -55,7 +56,7 @@ def run(case: str) -> dict[str, np.ndarray]:
     """`yhat`, `loss`, `grad/<param>` for every parameter and `state/<key>` for
     every batch-norm running statistic of one golden case."""
     model, x, y = build(case)
-    loss, fwd, _ = model.loss(x, y, training=case in TRAINING)
+    loss, fwd, _ = total_loss(model, x, y, training=case in TRAINING)
     loss.backward()
     out = {"yhat": fwd.yhat.data, "loss": np.asarray(loss.data)}
     out.update({f"grad/{name}": t.grad for name, t in model.params.items()})

@@ -41,7 +41,7 @@ from tfps.evaluate import evaluate_windows, regime_purity
 from tfps.fourier import fft2_real, ifft2_real
 from tfps.model import TFPSModel
 from tfps.patching import patch_count
-from tfps.trainer import grid_search, train
+from tfps.trainer import grid_search, total_loss, train
 
 
 def verdict(n: int, status: str, detail: str = "") -> None:
@@ -205,11 +205,11 @@ def test_criterion_3_gradient_validation():
     s_hat = {name: pattern.refine(s.data) for name, s in base_fwd.s.items()}
 
     def total_scalar():
-        l, _, _ = model.loss(x, y, s_hat=s_hat)
+        l, _, _ = total_loss(model, x, y, s_hat=s_hat)
         return float(l.data)
 
     model.zero_grad()
-    loss, _, _ = model.loss(x, y, s_hat=s_hat)
+    loss, _, _ = total_loss(model, x, y, s_hat=s_hat)
     loss.backward()
     probe = np.random.default_rng(404)
     names = sorted(model.params)

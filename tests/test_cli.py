@@ -309,6 +309,18 @@ class TestTrainEvalPredict:
                         "--out", str(workdir / "d.npz"), "--quiet"])
         assert code == 3
 
+    def test_non_finite_validation_exit_code(self, workdir, capsys):
+        # one step per epoch, so the blown-up parameters reach validation
+        cfg_path = workdir / "diverge.json"
+        cfg_path.write_text(json.dumps(dict(TRAIN_CFG, lr=1e150, batch_size=512, max_epochs=1)))
+        out = workdir / "d.npz"
+        with np.errstate(over="ignore", invalid="ignore"):
+            code = run(["train", "--config", str(cfg_path), "--data", str(workdir / "data.csv"),
+                        "--out", str(out), "--quiet"])
+        assert code == 3
+        assert capsys.readouterr().err == "numeric failure: validation MSE diverged at epoch 0: nan\n"
+        assert not out.exists()
+
 
 def test_commands_call_through_module_attributes(workdir, monkeypatch):
     """perfbench/layer_trace.py times these functions by replacing the module

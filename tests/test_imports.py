@@ -9,9 +9,7 @@ from pathlib import Path
 import tfps
 
 SRC = Path(tfps.__file__).parent
-# model.loss imports trainer.total_loss at call time to break the import cycle
-# model -> trainer -> model; it goes when the model owns its loss.
-ALLOWED_FUNCTION_IMPORTS = {"model.py: from .trainer import total_loss"}
+ALLOWED_FUNCTION_IMPORTS: set[str] = set()
 # evaluate re-exports wasserstein_1d: perfbench/layer_trace.py counts calls through it.
 ALLOWED_UNUSED_IMPORTS = {"evaluate.py: wasserstein_1d"}
 
@@ -219,3 +217,10 @@ def test_evaluate_does_not_import_trainer():
     model and never needs a checkpoint."""
     assert "evaluate" in package_imports(SRC / "trainer.py")
     assert "trainer" not in package_imports(SRC / "evaluate.py")
+
+
+def test_model_does_not_import_trainer():
+    """trainer owns the training objective and calls the model. model.py never
+    names trainer, so no import of it can hide there at any depth."""
+    assert "model" in package_imports(SRC / "trainer.py")
+    assert "trainer" not in (SRC / "model.py").read_text()

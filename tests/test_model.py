@@ -15,6 +15,7 @@ from tfps import model as model_mod
 from tfps import mope
 from tfps.config import TrainConfig
 from tfps.model import TFPSModel
+from tfps.trainer import total_loss
 
 BASE = dict(seq_len=16, pred_len=4, patch_len=4, stride=2, d_model=8, n_layers=1,
             n_heads=2, k_time=2, k_freq=2, top_k=1, batch_size=4, seed=3)
@@ -76,7 +77,7 @@ class TestVariants:
         model = TFPSModel(cfg)
         n = cfg.n_patches
         assert model.params["head.w"].shape == (n * width * cfg.d_model, cfg.pred_len)
-        loss, fwd, parts = model.loss(x, y)
+        loss, fwd, parts = total_loss(model, x, y)
         assert fwd.yhat.shape == (3, 4, 2)
         if branches == "time":
             assert "freq" not in fwd.s and parts["pi_freq"] == 0.0
@@ -90,7 +91,7 @@ class TestVariants:
         cfg = TrainConfig(**{**BASE, "pi_mode": "linear"})
         model = TFPSModel(cfg)
         assert "time.gate.w" in model.params and "time.bases" not in model.params
-        loss, fwd, parts = model.loss(x, y)
+        loss, fwd, parts = total_loss(model, x, y)
         assert parts["pi_time"] == 0.0 and parts["pi_freq"] == 0.0
         np.testing.assert_allclose(fwd.s["time"].data.sum(axis=1), 1.0, atol=1e-9)
         loss.backward()
@@ -101,7 +102,7 @@ class TestVariants:
         x, y = batch(rng)
         cfg = TrainConfig(**{**BASE, "time_norm": "batch"})
         model = TFPSModel(cfg)
-        loss, _, _ = model.loss(x, y, training=True)
+        loss, _, _ = total_loss(model, x, y, training=True)
         loss.backward()
         stats = model.branches["time"].layers[0].bn1_stats
         assert "mean" in stats and stats["mean"].shape == (cfg.d_model,)
@@ -129,7 +130,7 @@ class TestVariants:
         x, y = batch(rng)
         cfg = TrainConfig(**{**BASE, "time_norm": "batch"})
         model = TFPSModel(cfg)
-        model.loss(x, y, training=True)  # populate running stats
+        total_loss(model, x, y, training=True)  # populate running stats
         ckpt = Checkpoint(version=CHECKPOINT_VERSION, config=cfg,
                           arrays=model.named_arrays(), scaler=None)
         path = tmp_path / "bn.npz"
@@ -201,7 +202,7 @@ class TestForecast:
         x, y = batch(rng, b=max(n, 4))
         model = TFPSModel(TrainConfig(**{**BASE, "time_norm": time_norm}))
         if time_norm == "batch":
-            model.loss(x, y, training=True)  # populate running stats
+            total_loss(model, x, y, training=True)  # populate running stats
         x = x[:n]
         monkeypatch.setattr(model_mod, "forecast_workers", lambda: workers)
         np.testing.assert_array_equal(model.forecast(x, batch_size), serial_forecast(model, x, batch_size))

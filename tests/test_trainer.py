@@ -55,27 +55,35 @@ def prepared_windows(cfg, series):
 
 
 class TestTotalLoss:
+    @staticmethod
+    def model_and_input(**overrides):
+        model = TFPSModel(TrainConfig(**{**TINY, **overrides}))
+        return model, np.random.default_rng(0).normal(size=(2, 32, 3))
+
     def test_zero_when_exact_and_no_pi(self):
-        y = np.random.default_rng(0).normal(size=(2, 4, 3))
-        assert float(total_loss(ad.Tensor(y), y).data) == 0.0
+        model, x = self.model_and_input(pi_mode="linear")
+        y = model.forward(x).yhat.data
+        loss, _, _ = total_loss(model, x, y)
+        assert float(loss.data) == 0.0
 
     def test_constant_residual_gives_unit_mse(self):
-        y = np.zeros((2, 5, 3))
-        yhat = ad.Tensor(np.ones((2, 5, 3)))
-        assert float(total_loss(yhat, y).data) == pytest.approx(1.0)
+        model, x = self.model_and_input(pi_mode="linear")
+        y = model.forward(x).yhat.data - 1.0
+        loss, _, _ = total_loss(model, x, y)
+        assert float(loss.data) == pytest.approx(1.0)
 
     def test_sum_of_parts(self):
-        rng = np.random.default_rng(1)
-        y = rng.normal(size=(3, 4, 2))
-        yhat = ad.Tensor(rng.normal(size=(3, 4, 2)))
-        pi_t = ad.Tensor(np.array(0.25))
-        pi_f = ad.Tensor(np.array(0.5))
-        expect = np.mean((yhat.data - y) ** 2) + 0.75
-        assert float(total_loss(yhat, y, pi_t, pi_f).data) == pytest.approx(expect, rel=1e-12)
+        model, x = self.model_and_input()
+        y = np.random.default_rng(1).normal(size=(2, 8, 3))
+        loss, _, parts = total_loss(model, x, y)
+        assert parts["pi_time"] > 0 and parts["pi_freq"] > 0
+        expect = parts["mse"] + parts["pi_time"] + parts["pi_freq"]
+        assert float(loss.data) == pytest.approx(expect, rel=1e-12)
 
     def test_shape_mismatch(self):
+        model, x = self.model_and_input()
         with pytest.raises(ValueError):
-            total_loss(ad.Tensor(np.zeros((2, 3))), np.zeros((3, 2)))
+            total_loss(model, x, np.zeros((2, 3, 8)))
 
 
 class TestAdam:
@@ -143,6 +151,16 @@ class TestTrain:
         (trw, vaw, _), sc = prepared_windows(cfg, series)
         with np.errstate(over="ignore", invalid="ignore"):
             with pytest.raises(NumericError):
+                train(cfg, trw, vaw, scaler=sc)
+
+    def test_non_finite_validation_raises_numeric_error(self):
+        # one step per epoch: the training loss is finite, the step it takes is not
+        series, _ = tiny_dataset()
+        cfg = TrainConfig(**{**TINY, "lr": 1e150, "batch_size": 512, "max_epochs": 1})
+        (trw, vaw, _), sc = prepared_windows(cfg, series)
+        assert len(trw) <= cfg.batch_size
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(NumericError, match="validation MSE diverged at epoch 0: nan"):
                 train(cfg, trw, vaw, scaler=sc)
 
     def test_early_stopping_honors_patience(self):
@@ -262,6 +280,18 @@ class TestGridSearch:
         assert statuses[1e160].startswith("failed")
         assert best.config.lr == 0.004
 
+    def test_non_finite_validation_is_a_failed_cell(self):
+        series, _ = tiny_dataset()
+        cfg = TrainConfig(**{**TINY, "batch_size": 512, "max_epochs": 1})
+        (trw, vaw, _), sc = prepared_windows(cfg, series)
+        with np.errstate(over="ignore", invalid="ignore"):
+            best, board = grid_search(cfg, {"lr": [1e150, 0.004]}, trw, vaw, scaler=sc)
+        rows = {r["lr"]: r for r in board}
+        assert rows[1e150]["status"].startswith("failed: validation MSE diverged")
+        assert rows[1e150]["val_mse"] is None
+        assert [r["lr"] for r in board] == [0.004, 1e150]
+        assert best.config.lr == 0.004
+
     def test_empty_space_rejected(self):
         with pytest.raises(ValueError):
             grid_search(TrainConfig(**TINY), {"lr": []}, [], [])
@@ -280,12 +310,12 @@ class TestWholeModelGradients:
         base = model.forward(x)
         s_hat = {name: refine(s.data) for name, s in base.s.items()}
 
-        loss, _, _ = model.loss(x, y, s_hat=s_hat)
+        loss, _, _ = total_loss(model, x, y, s_hat=s_hat)
         model.zero_grad()
         loss.backward()
 
         def scalar():
-            l2, _, _ = model.loss(x, y, s_hat=s_hat)
+            l2, _, _ = total_loss(model, x, y, s_hat=s_hat)
             return float(l2.data)
 
         probe_rng = np.random.default_rng(13)
