@@ -116,6 +116,15 @@ def _load_series(path: str, ckpt=None):
     return series
 
 
+def _load_model(path):
+    """The checkpoint at `path` and its model; any fault is a DataError naming the file."""
+    ckpt = trainer.load_checkpoint(path)
+    try:
+        return ckpt, ckpt.build_model()
+    except DataError as e:
+        raise DataError(f"{path}: {e}") from None
+
+
 def _load_json(path, what: str) -> dict:
     try:
         with open(path) as fh:
@@ -278,10 +287,9 @@ def _cmd_grid(args) -> int:
 
 def _cmd_eval(args) -> int:
     outdir = _out_dir(args.out)
-    ckpt = trainer.load_checkpoint(args.ckpt)
+    ckpt, model = _load_model(args.ckpt)
     cfg = ckpt.config
     _, _, test_w, _ = _prepare(cfg, args.data, args.ckpt, ckpt)
-    model = ckpt.build_model()
     denorm = ckpt.scaler if args.denormalized else None
     metrics = evaluate.evaluate_windows(model, test_w, denormalize=denorm)
     name = args.dataset_name or Path(args.data).stem
@@ -301,7 +309,7 @@ def _cmd_eval(args) -> int:
 
 
 def _cmd_predict(args) -> int:
-    ckpt = trainer.load_checkpoint(args.ckpt)
+    ckpt, model = _load_model(args.ckpt)
     cfg = ckpt.config
     series = _load_series(args.input, ckpt)
     if series.length < cfg.seq_len:
@@ -309,7 +317,7 @@ def _cmd_predict(args) -> int:
     values = series.values[-cfg.seq_len :]
     if ckpt.scaler is not None:
         values = ckpt.scaler.transform(values)
-    yhat = ckpt.build_model().forecast(values[None], 1)[0]
+    yhat = model.forecast(values[None])[0]
     if ckpt.scaler is not None:
         yhat = ckpt.scaler.inverse(yhat)
     step = float(np.median(np.diff(series.timestamps))) if series.length > 1 else 3600.0

@@ -4,7 +4,6 @@ seeded synthetic regime-switch generator used throughout the tests."""
 from __future__ import annotations
 
 import csv
-import itertools
 import logging
 import math
 import os
@@ -221,36 +220,35 @@ def _epoch_seconds(stamps: np.ndarray) -> np.ndarray:
     return seconds
 
 
-def _records(path):
-    """(row number, fields) of each non-blank record after the header, as the
-    csv module splits the file; rows count from 1 at the first line after the
-    header, blank lines included."""
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        next(reader)
-        yield from ((n, row) for n, row in enumerate(reader, start=1) if row)
-
-
 def _row_fault(path, header: list[str]) -> DataError | None:
     """The first record of the file that load_csv rejects, as a DataError that
-    names its row (and column), or None when every record reads."""
+    names its row (and column), or None when every record reads. Records are
+    the csv module's, read one at a time up to the faulty one; rows count from
+    1 at the first line after the header, blank lines included."""
     names = [h.strip() for h in header[1:]]
-    for n, row in _records(path):
-        if len(row) != len(header):
-            return DataError(f"{path}: row {n} has {len(row)} fields, expected {len(header)}")
-        stamp = row[0].strip()
-        try:
-            _parse_timestamp(stamp)
-        except ValueError:
-            return DataError(f"{path}: row {n}: cannot parse timestamp {stamp!r}")
-        for name, cell in zip(names, row[1:]):
-            cell = cell.strip()
+    previous = -math.inf
+    with open(path, newline="") as fh:
+        for n, row in enumerate(csv.reader(fh)):  # record 0 is the header
+            if not n or not row:
+                continue
+            if len(row) != len(header):
+                return DataError(f"{path}: row {n} has {len(row)} fields, expected {len(header)}")
+            stamp = row[0].strip()
             try:
-                v = _parse_cell(cell)
+                seconds = _parse_timestamp(stamp)
             except ValueError:
-                return DataError(f"{path}: row {n}, column {name!r}: cannot parse {cell!r}")
-            if not math.isfinite(v):
-                return DataError(f"{path}: row {n}, column {name!r}: non-finite value")
+                return DataError(f"{path}: row {n}: cannot parse timestamp {stamp!r}")
+            for name, cell in zip(names, row[1:]):
+                cell = cell.strip()
+                try:
+                    v = _parse_cell(cell)
+                except ValueError:
+                    return DataError(f"{path}: row {n}, column {name!r}: cannot parse {cell!r}")
+                if not math.isfinite(v):
+                    return DataError(f"{path}: row {n}, column {name!r}: non-finite value")
+            if not seconds > previous:  # a nan stamp too
+                return DataError(f"{path}: row {n}: timestamps not strictly increasing")
+            previous = seconds
     return None
 
 
@@ -298,11 +296,8 @@ def load_csv(path) -> MultivariateSeries:
         raise DataError(f"{path}: no data columns after the timestamp column")
     if not len(values):
         raise DataError(f"{path}: no data rows")
-    increasing = np.diff(timestamps) > 0
-    if not increasing.all():
-        later = int(np.argmin(increasing)) + 1
-        n = next(itertools.islice(_records(path), later, None))[0]
-        raise DataError(f"{path}: row {n}: timestamps not strictly increasing")
+    if not (np.diff(timestamps, prepend=-np.inf) > 0).all():  # as _row_fault: nan fails
+        raise _row_fault(path, header)
     try:
         return MultivariateSeries(timestamps, values, tuple(names))
     except DataError as e:  # a duplicate channel name

@@ -128,14 +128,13 @@ def _dropout(t: Tensor, rate: float, rng: np.random.Generator | None) -> Tensor:
 def norm(t: Tensor, scale: Tensor, shift: Tensor, stats: dict | None, training: bool) -> Tensor:
     """Layer norm without running stats. With them, batch norm: each feature
     over every leading (token) axis. Training normalizes with the batch's
-    stats and updates the running stats, and evaluation uses them; evaluation
-    before any training normalizes with the batch's own stats and stores
-    nothing."""
+    stats and updates the running stats, and evaluation uses them: mean 0
+    and variance 1 until the first training batch seeds them."""
     if stats is None:
         return layer_norm(t, scale, shift)
-    if training or "mean" not in stats:
-        return layer_norm(t, scale, shift, tuple(range(t.ndim - 1)), stats if training else None)
-    return (t - stats["mean"]) / np.sqrt(stats["var"] + EPS) * scale + shift
+    if training:
+        return layer_norm(t, scale, shift, tuple(range(t.ndim - 1)), stats)
+    return (t - stats.get("mean", 0.0)) / np.sqrt(stats.get("var", 1.0) + EPS) * scale + shift
 
 
 def encode(tokens: Tensor, layers: list[LayerParams], n_heads: int, dropout: float = 0.0,

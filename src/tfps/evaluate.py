@@ -38,7 +38,7 @@ def evaluate_windows(model: TFPSModel, windows: Windows, denormalize: Scaler | N
     scale; pass a scaler to also report original-unit errors."""
     if not windows:
         raise ValueError("no windows to evaluate")
-    yhat = model.forecast(windows.inputs, model.cfg.batch_size)
+    yhat = model.forecast(windows.inputs)
     y = windows.targets
     out = {"mse": mse(yhat, y), "mae": mae(yhat, y), "n_windows": len(windows)}
     if denormalize is not None:

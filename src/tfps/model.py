@@ -77,19 +77,33 @@ class Branch:
 
 
 class TFPSModel:
-    def __init__(self, cfg: TrainConfig, rng: np.random.Generator | None = None):
+    def __init__(self, cfg: TrainConfig, rng: np.random.Generator | None = None, *,
+                 arrays: dict[str, np.ndarray] | None = None):
+        """The model `cfg` describes, drawn from `rng` (by default seeded with
+        `cfg.seed`), or given a checkpoint's `arrays`, a float64 copy of each
+        stored array, drawing nothing; a missing or misshapen one is a
+        DataError naming its key."""
         self.cfg = cfg
-        rng = rng if rng is not None else np.random.default_rng(cfg.seed)
+        rng = np.random.default_rng(cfg.seed) if rng is None and arrays is None else rng
         self.params: dict[str, Tensor] = {}
+        self.norm_stats: dict[str, dict[str, np.ndarray]] = {}  # checkpoint prefix -> running stats
         d = cfg.d_model
         n = cfg.n_patches
 
-        def const(name: str, value: np.ndarray) -> Tensor:
-            t = self.params[name] = ad.parameter(value)
+        def stored(name: str, shape: tuple[int, ...]) -> np.ndarray:
+            if name not in arrays:
+                raise DataError(f"checkpoint has no array {name!r}")
+            value = np.array(arrays[name], dtype=np.float64)
+            if value.shape != shape:
+                raise DataError(f"array {name!r} has shape {value.shape}, the config gives {shape}")
+            return value
+
+        def param(name: str, shape: tuple[int, ...], init) -> Tensor:
+            t = self.params[name] = ad.parameter(init() if arrays is None else stored(name, shape))
             return t
 
-        def p(name: str, shape, std: float | None = INIT_STD) -> Tensor:
-            return const(name, rng.normal(0.0, std, size=shape) if std else np.zeros(shape))
+        def p(name: str, shape: tuple[int, ...], std: float | None = INIT_STD) -> Tensor:
+            return param(name, shape, lambda: rng.normal(0.0, std, size=shape) if std else np.zeros(shape))
 
         def mlp(prefix: str, hidden: int) -> encoder.MLPParams:
             return encoder.MLPParams(
@@ -98,6 +112,12 @@ class TFPSModel:
                 w2=p(f"{prefix}.w2", (hidden, d)),
                 b2=p(f"{prefix}.b2", (d,), std=None),
             )
+
+        def running_stats(prefix: str) -> dict[str, np.ndarray]:  # stored mean and var, or neither
+            stats = self.norm_stats[prefix] = {}
+            if arrays is not None and (f"{prefix}.mean" in arrays or f"{prefix}.var" in arrays):
+                stats["mean"], stats["var"] = (stored(f"{prefix}.{k}", (d,)) for k in ("mean", "var"))
+            return stats
 
         p("embed.proj", (cfg.patch_len, d))
         p("embed.bias", (d,), std=None)
@@ -116,13 +136,13 @@ class TFPSModel:
                 attn = {w: p(f"{pre}.{w}", (d, d)) for w in ("wq", "wk", "wv", "wo") if name == "time"}
                 layers.append(
                     encoder.LayerParams(
-                        norm1_scale=const(f"{pre}.norm1.scale", np.ones(d)),
-                        norm1_shift=const(f"{pre}.norm1.shift", np.zeros(d)),
+                        norm1_scale=param(f"{pre}.norm1.scale", (d,), lambda: np.ones(d)),
+                        norm1_shift=p(f"{pre}.norm1.shift", (d,), std=None),
                         ff=mlp(f"{pre}.ff", cfg.d_ff_eff),
-                        norm2_scale=const(f"{pre}.norm2.scale", np.ones(d)),
-                        norm2_shift=const(f"{pre}.norm2.shift", np.zeros(d)),
-                        bn1_stats={} if batch_norm else None,
-                        bn2_stats={} if batch_norm else None,
+                        norm2_scale=param(f"{pre}.norm2.scale", (d,), lambda: np.ones(d)),
+                        norm2_shift=p(f"{pre}.norm2.shift", (d,), std=None),
+                        bn1_stats=running_stats(f"{pre}.bn1") if batch_norm else None,
+                        bn2_stats=running_stats(f"{pre}.bn2") if batch_norm else None,
                         **attn,
                     )
                 )
@@ -130,8 +150,9 @@ class TFPSModel:
 
         for br in self.branches.values():
             if cfg.pi_mode == "subspace":
-                br.identifier["bases"] = pattern.init_bases(d, br.K, rng)
-                self.params[f"{br.name}.bases"] = br.identifier["bases"]
+                br.identifier["bases"] = param(
+                    f"{br.name}.bases", (d, d), lambda: pattern.init_bases(d, br.K, rng).data
+                )
             else:
                 br.identifier["gate.w"] = p(f"{br.name}.gate.w", (d, br.K))
                 br.identifier["gate.b"] = p(f"{br.name}.gate.b", (br.K,), std=None)
@@ -143,37 +164,13 @@ class TFPSModel:
 
     # -- plumbing ---------------------------------------------------------
 
-    def _norm_stats(self):
-        """(checkpoint key prefix, running-stat dict) of every batch norm."""
-        for br in self.branches.values():
-            for i, layer in enumerate(br.layers):
-                for key, stats in (("bn1", layer.bn1_stats), ("bn2", layer.bn2_stats)):
-                    if stats is not None:
-                        yield f"{br.name}.enc{i}.{key}", stats
-
     def named_arrays(self) -> dict[str, np.ndarray]:
         """Parameters plus batch-norm running stats, for checkpointing."""
         out = {name: t.data for name, t in self.params.items()}
-        for prefix, stats in self._norm_stats():
+        for prefix, stats in self.norm_stats.items():
             for key, arr in stats.items():
                 out[f"{prefix}.{key}"] = arr
         return out
-
-    def load_arrays(self, arrays: dict[str, np.ndarray]) -> None:
-        for name, t in self.params.items():
-            if name not in arrays:
-                raise DataError(f"checkpoint missing parameter {name!r}")
-            arr = np.asarray(arrays[name], dtype=np.float64)
-            if arr.shape != t.data.shape:
-                raise DataError(
-                    f"parameter {name!r} shape {arr.shape} does not match {t.data.shape}"
-                )
-            t.data = arr.copy()
-        for prefix, stats in self._norm_stats():
-            stats.clear()
-            for key in ("mean", "var"):
-                if f"{prefix}.{key}" in arrays:
-                    stats[key] = np.asarray(arrays[f"{prefix}.{key}"], dtype=np.float64).copy()
 
     def zero_grad(self) -> None:
         for t in self.params.values():
@@ -224,21 +221,19 @@ class TFPSModel:
             yhat = yhat * inst_sigma + inst_mu
         return Forward(yhat=yhat, s=s_out)
 
-    def forecast(self, inputs: np.ndarray, batch_size: int) -> np.ndarray:
-        """(n, H, C) forecasts of (n, L, C) inputs without a tape, at most
-        `batch_size` windows in flight at once.
+    def forecast(self, inputs: np.ndarray) -> np.ndarray:
+        """(n, H, C) forecasts of (n, L, C) inputs without a tape, at most the
+        config's `batch_size` windows in flight at once.
 
-        Every no-grad op works per window, token or (window, channel), so the
-        batches run on `forecast_workers()` threads, but no more threads than
-        batches, each with an equal share of `batch_size`; the output equals
-        a serial loop bit for bit. A batch norm without running stats
-        normalizes with the batch's own statistics, so then the caller's
-        batches stay whole and serial."""
+        Every no-grad op works per window, token or (window, channel), and
+        batch norm evaluates with its running stats, so the batches run on
+        `forecast_workers()` threads, but no more threads than batches, each
+        with an equal share of `batch_size`; the output equals a serial loop
+        bit for bit."""
         n = len(inputs)
+        batch_size = self.cfg.batch_size
         out = np.empty((n, self.cfg.pred_len, inputs.shape[-1]))
         workers = max(1, min(forecast_workers(), -(-n // batch_size)))
-        if any("mean" not in stats for _, stats in self._norm_stats()):
-            workers = 1
         step = -(-batch_size // workers)
         starts = range(0, n, step)
 

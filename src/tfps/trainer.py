@@ -81,9 +81,7 @@ class Checkpoint:
     history: dict = field(default_factory=dict)
 
     def build_model(self) -> TFPSModel:
-        model = TFPSModel(self.config)
-        model.load_arrays(self.arrays)
-        return model
+        return TFPSModel(self.config, arrays=self.arrays)
 
 
 def save_checkpoint(ckpt: Checkpoint, path) -> None:
@@ -155,7 +153,7 @@ def validation_mse(model: TFPSModel, windows: Windows) -> float:
     batches of the model config's `batch_size`."""
     if not windows:
         raise DataError("empty validation set")
-    return mse(model.forecast(windows.inputs, model.cfg.batch_size), windows.targets)
+    return mse(model.forecast(windows.inputs), windows.targets)
 
 
 def train(

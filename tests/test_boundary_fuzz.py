@@ -9,6 +9,7 @@ never says `None`; and no `--out` left behind by a failed command. Each
 mutation that once broke the contract is pinned in PINNED as a named case.
 """
 
+import io
 import json
 
 import numpy as np
@@ -94,9 +95,44 @@ def replace(old: bytes, new: bytes):
     return lambda blob: blob.replace(old, new, 1)
 
 
+def edit_checkpoint(change, time_norm: str = "layer"):
+    """An edit of a checkpoint's arrays by `change(arrays)`, with the header
+    listing the arrays left and its config's `time_norm` set."""
+
+    def edit(blob: bytes) -> bytes:
+        with np.load(io.BytesIO(blob)) as npz:
+            header = json.loads(bytes(npz["__header__"]).decode())
+            arrays = {k.removeprefix("array/"): npz[k] for k in npz.files if k != "__header__"}
+        change(arrays)
+        header["config"]["time_norm"] = time_norm
+        header["arrays"] = {k: list(v.shape) for k, v in arrays.items()}
+        out = io.BytesIO()
+        np.savez(out, __header__=np.frombuffer(json.dumps(header).encode(), dtype=np.uint8),
+                 **{f"array/{k}": v for k, v in arrays.items()})
+        return out.getvalue()
+
+    return edit
+
+
+# checkpoints whose header and arrays read, but do not build the model of
+# their config; each names the file and this key on one line, exit 2
+CHECKPOINT_FAULTS = {
+    "ckpt-missing-head-w": (edit_checkpoint(lambda a: a.pop("head.w")), "'head.w'"),
+    "ckpt-bn-mean-wrong-shape": (
+        edit_checkpoint(lambda a: a.update({"time.enc0.bn1.mean": np.zeros(5),
+                                            "time.enc0.bn1.var": np.ones(CONFIG["d_model"])}), "batch"),
+        "'time.enc0.bn1.mean'",
+    ),
+    "ckpt-bn-mean-without-var": (
+        edit_checkpoint(lambda a: a.update({"time.enc0.bn1.mean": np.zeros(CONFIG["d_model"])}), "batch"),
+        "'time.enc0.bn1.var'",
+    ),
+}
+
+
 # name -> (edited input, command, edit): faults the seeded cases found, and
 # their neighbours on the same code paths, each once an error line that did
-# not name the file at fault
+# not name the file at fault, or a traceback
 PINNED = {
     "csv-bad-timestamp": ("csv", "predict", replace(b" 09:00:00", b" 09:0000")),
     "csv-duplicate-channel": ("csv", "analyze-drift", replace(b"ch0,ch1", b"ch0,ch0")),
@@ -106,12 +142,18 @@ PINNED = {
     "config-too-long-for-csv": ("config", "train", replace(b'"seq_len": 16', b'"seq_len": 160')),
     "spec-unknown-field": ("spec", "synth", replace(b'"channels"', b'"channols"')),
     "spec-unknown-regime-field": ("spec", "synth", replace(b'"length"', b'"lngth"')),
+    **{f"{name}-{command}": ("ckpt", command, edit)
+       for name, (edit, _) in CHECKPOINT_FAULTS.items() for command in ("predict", "eval")},
 }
+# pinned name -> the exit code and the text its stderr line must show
+EXPECTED = {f"{name}-{command}": (2, key)
+            for name, (_, key) in CHECKPOINT_FAULTS.items() for command in ("predict", "eval")}
 
 
-def check(workdir, inputs, kind, command, blob, capsys) -> str | None:
+def check(workdir, inputs, kind, command, blob, capsys, expect=None) -> str | None:
     """Run `command` with input `kind` replaced by `blob`; the broken part of
-    the contract, or None."""
+    the contract, or None. `expect`, an (exit code, text) pair, also requires
+    that exit code and that text on stderr."""
     paths = {k: workdir / f"in_{k}{'.npz' if k == 'ckpt' else ''}" for k in inputs}
     for k, path in paths.items():
         path.write_bytes(blob if k == kind else inputs[k])
@@ -129,6 +171,8 @@ def check(workdir, inputs, kind, command, blob, capsys) -> str | None:
         return f"exit {code} with stderr {err!r}"
     if code and out.exists():
         return f"exit {code} left {out.name}"
+    if expect is not None and (code != expect[0] or expect[1] not in err):
+        return f"exit {code} with stderr {err!r}, expected exit {expect[0]} naming {expect[1]}"
     return None
 
 
@@ -152,4 +196,4 @@ def test_pinned_mutation(tmp_path, inputs, name, capsys):
     kind, command, edit = PINNED[name]
     blob = edit(inputs[kind])
     assert blob != inputs[kind]
-    assert check(tmp_path, inputs, kind, command, blob, capsys) is None
+    assert check(tmp_path, inputs, kind, command, blob, capsys, EXPECTED.get(name)) is None

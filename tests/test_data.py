@@ -217,8 +217,9 @@ class TestLoadCsv:
 
     @pytest.mark.parametrize(
         "body, row",
-        [("1,1.0\n2,2.0\n2,3.0\n", 3), ("5,1\n\n3,2\n", 3), ("1,1\n2,2\nnan,3\n", 3)],
-        ids=["repeated", "after-blank-line", "nan"],
+        [("1,1.0\n2,2.0\n2,3.0\n", 3), ("5,1\n\n3,2\n", 3), ("1,1\n2,2\nnan,3\n", 3),
+         ("nan,1\n2,2\n", 1), ("nan,1\n", 1)],
+        ids=["repeated", "after-blank-line", "nan", "nan-first", "nan-only-row"],
     )
     def test_non_increasing_timestamp_names_path_and_row(self, tmp_path, body, row):
         p = tmp_path / "t.csv"
@@ -234,6 +235,15 @@ class TestLoadCsv:
         with pytest.raises(DataError) as e:
             load_csv(p)
         assert str(e.value) == f"{p}: row 1, column 'a': cannot parse '1_000'"
+
+    def test_faulty_row_is_named_without_reading_past_it(self, tmp_path):
+        # bytes past the first faulty row that do not decode are never read
+        p = tmp_path / "t.csv"
+        later = b"".join(b"%d,1\n" % i for i in range(3, 20000))
+        p.write_bytes(b"date,a\n1,1\n2,oops\n" + later + b"\xff,1\n")
+        with pytest.raises(DataError) as e:
+            load_csv(p)
+        assert str(e.value) == f"{p}: row 2, column 'a': cannot parse 'oops'"
 
     def test_undecodable_file_is_data_error(self, tmp_path):
         p = tmp_path / "t.csv"

@@ -1,6 +1,6 @@
-"""Whole-model behavior: shapes, determinism, ablation variants, instance
-normalization, batch-norm branch, sparsity instrumentation, threaded
-forecasting."""
+"""Whole-model behavior: shapes, determinism, building from a checkpoint's
+arrays, ablation variants, instance normalization, batch-norm branch,
+sparsity instrumentation, threaded forecasting."""
 
 import sys
 import threading
@@ -9,13 +9,15 @@ import time
 import numpy as np
 import pytest
 
+import make_golden
 from helpers import record_expert_calls
 from tfps import autodiff as ad
 from tfps import model as model_mod
 from tfps import mope
 from tfps.config import TrainConfig
+from tfps.errors import DataError
 from tfps.model import TFPSModel
-from tfps.trainer import total_loss
+from tfps.trainer import CHECKPOINT_VERSION, Adam, Checkpoint, load_checkpoint, save_checkpoint, total_loss
 
 BASE = dict(seq_len=16, pred_len=4, patch_len=4, stride=2, d_model=8, n_layers=1,
             n_heads=2, k_time=2, k_freq=2, top_k=1, batch_size=4, seed=3)
@@ -66,6 +68,65 @@ class TestForward:
         assert len(routed) >= 1
         assert sorted(c for c in calls if c >= 0) == routed
         assert calls.count(-1) == len(set(np.argmax(fwd.s["freq"].data, axis=1)))
+
+
+class NoDraws:
+    """An RNG stand-in whose every attribute read raises."""
+
+    def __getattribute__(self, name):
+        raise AssertionError(f"the model read rng.{name}")
+
+
+def trained_arrays(cfg):
+    """Named arrays of a `cfg` model after one training batch seeds its running stats."""
+    model = TFPSModel(cfg)
+    x, y = batch(np.random.default_rng(18))
+    total_loss(model, x, y, training=True)
+    return model.named_arrays()
+
+
+class TestBuild:
+    def test_arrays_build_without_drawing(self):
+        cfg = TrainConfig(**{**BASE, "time_norm": "batch"})
+        arrays = trained_arrays(cfg)
+        assert "time.enc0.bn2.var" in arrays
+        built = TFPSModel(cfg, rng=NoDraws(), arrays=arrays).named_arrays()
+        assert list(built) == list(arrays)
+        for key, arr in arrays.items():
+            assert built[key].dtype == np.float64 and not np.shares_memory(built[key], arr)
+            np.testing.assert_array_equal(built[key], arr)
+
+    @pytest.mark.parametrize("edit,key", [
+        (lambda a: a.pop("head.w"), "'head.w'"),
+        (lambda a: a.update({"embed.pos": a["embed.pos"][:, :-1]}), "'embed.pos'"),
+        (lambda a: a.update({"time.enc0.bn1.mean": np.zeros(5)}), "'time.enc0.bn1.mean'"),
+        (lambda a: a.pop("time.enc0.bn1.var"), "'time.enc0.bn1.var'"),
+        (lambda a: a.pop("time.enc0.bn2.mean"), "'time.enc0.bn2.mean'"),
+    ], ids=["missing", "wrong-shape", "wrong-stat-shape", "mean-without-var", "var-without-mean"])
+    def test_faulty_arrays_name_the_key(self, edit, key):
+        cfg = TrainConfig(**{**BASE, "time_norm": "batch"})
+        arrays = trained_arrays(cfg)
+        edit(arrays)
+        with pytest.raises(DataError, match=key):
+            TFPSModel(cfg, arrays=arrays)
+
+    @pytest.mark.parametrize("steps", [0, 1], ids=["untrained", "one-step"])
+    @pytest.mark.parametrize("case", sorted(make_golden.CASES))
+    def test_checkpoint_round_trip_is_bit_for_bit(self, tmp_path, case, steps):
+        model, x, y = make_golden.build(case)
+        opt = Adam(model.params, lr=0.01)
+        for _ in range(steps):
+            loss, _, _ = total_loss(model, x, y, training=True, rng=np.random.default_rng(0))
+            loss.backward()
+            opt.step()
+        path = tmp_path / "model.npz"
+        save_checkpoint(Checkpoint(CHECKPOINT_VERSION, model.cfg, model.named_arrays(), None), path)
+        rebuilt = load_checkpoint(path).build_model()
+        before, after = model.named_arrays(), rebuilt.named_arrays()
+        assert list(after) == list(before)
+        for key, arr in before.items():
+            np.testing.assert_array_equal(after[key].view(np.uint64), arr.view(np.uint64))
+        np.testing.assert_array_equal(rebuilt.forecast(x).view(np.uint64), model.forecast(x).view(np.uint64))
 
 
 class TestVariants:
@@ -124,8 +185,6 @@ class TestVariants:
             assert model.named_arrays().keys() == model.params.keys()  # no running stats
 
     def test_batch_norm_checkpoint_roundtrip(self, tmp_path):
-        from tfps.trainer import CHECKPOINT_VERSION, Checkpoint, load_checkpoint, save_checkpoint
-
         rng = np.random.default_rng(6)
         x, y = batch(rng)
         cfg = TrainConfig(**{**BASE, "time_norm": "batch"})
@@ -185,11 +244,11 @@ class TestDropout:
         np.testing.assert_array_equal(a, b)
 
 
-def serial_forecast(model, x, batch_size):
+def serial_forecast(model, x):
     """The single-threaded batch loop `forecast` must reproduce bit for bit."""
+    size = model.cfg.batch_size
     with ad.no_grad():
-        return np.concatenate([model.forward(x[lo : lo + batch_size]).yhat.data
-                               for lo in range(0, len(x), batch_size)])
+        return np.concatenate([model.forward(x[lo : lo + size]).yhat.data for lo in range(0, len(x), size)])
 
 
 class TestForecast:
@@ -200,12 +259,12 @@ class TestForecast:
         # n=1: one window; (2, 1): fewer windows than workers; 11 and 13: a ragged last slice
         rng = np.random.default_rng(12)
         x, y = batch(rng, b=max(n, 4))
-        model = TFPSModel(TrainConfig(**{**BASE, "time_norm": time_norm}))
+        model = TFPSModel(TrainConfig(**{**BASE, "time_norm": time_norm, "batch_size": batch_size}))
         if time_norm == "batch":
             total_loss(model, x, y, training=True)  # populate running stats
         x = x[:n]
         monkeypatch.setattr(model_mod, "forecast_workers", lambda: workers)
-        np.testing.assert_array_equal(model.forecast(x, batch_size), serial_forecast(model, x, batch_size))
+        np.testing.assert_array_equal(model.forecast(x), serial_forecast(model, x))
 
     def test_one_caller_batch_is_not_split(self, monkeypatch):
         rng = np.random.default_rng(16)
@@ -220,33 +279,38 @@ class TestForecast:
             return forward(inputs)
 
         monkeypatch.setattr(model, "forward", recording)
-        model.forecast(x[:4], 4)
+        model.forecast(x[:4])  # BASE's batch_size
         assert sizes == [4] and threads == {threading.get_ident()}
         sizes.clear()
-        model.forecast(x, 4)
+        model.forecast(x)
         assert sorted(sizes) == [1, 2, 2]
 
-    def test_batch_norm_without_running_stats_keeps_caller_batches(self, monkeypatch):
+    def test_untrained_batch_norm_threads_match_serial_loop_and_unit_stats(self, monkeypatch):
+        # before any training, batch norm evaluates with mean 0 and variance 1
         rng = np.random.default_rng(13)
         x, _ = batch(rng, b=10)
-        model = TFPSModel(TrainConfig(**{**BASE, "time_norm": "batch"}))
+        cfg = TrainConfig(**{**BASE, "time_norm": "batch"})
+        model = TFPSModel(cfg)
         monkeypatch.setattr(model_mod, "forecast_workers", lambda: 2)
-        expected = serial_forecast(model, x, 4)
-        assert not np.array_equal(expected, serial_forecast(model, x, 2))  # batch stats matter
-        np.testing.assert_array_equal(model.forecast(x, 4), expected)
+        got = model.forecast(x)
+        np.testing.assert_array_equal(got, serial_forecast(model, x))
+        assert model.named_arrays().keys() == model.params.keys()  # no running stats stored
+        for stats in model.norm_stats.values():
+            stats.update(mean=np.zeros(cfg.d_model), var=np.ones(cfg.d_model))
+        np.testing.assert_array_equal(got, serial_forecast(model, x))
 
     def test_more_threads_than_cores_under_fast_switching(self, monkeypatch):
         rng = np.random.default_rng(14)
         x, _ = batch(rng, b=40)
-        model = TFPSModel(TrainConfig(**BASE))
+        model = TFPSModel(TrainConfig(**{**BASE, "batch_size": 16}))
         monkeypatch.setattr(model_mod, "forecast_workers", lambda: 8)
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
-            got = model.forecast(x, 16)
+            got = model.forecast(x)
         finally:
             sys.setswitchinterval(interval)
-        np.testing.assert_array_equal(got, serial_forecast(model, x, 16))
+        np.testing.assert_array_equal(got, serial_forecast(model, x))
 
     def test_worker_exception_reaches_caller(self, monkeypatch):
         rng = np.random.default_rng(15)
@@ -266,7 +330,7 @@ class TestForecast:
         monkeypatch.setattr(model, "forward", failing)
         threads = threading.active_count()
         with pytest.raises(RuntimeError, match="worker failed"):
-            model.forecast(x, 4)
+            model.forecast(x)
         assert caller in ran and len(set(ran)) == 2
         assert threading.active_count() == threads
         assert ad.mul(model.params["head.b"], 2.0).requires_grad  # grad mode is back on
@@ -292,7 +356,7 @@ class TestForecast:
         monkeypatch.setattr(model, "forward", failing)
         threads = threading.active_count()
         with pytest.raises(KeyboardInterrupt):
-            model.forecast(x, 4)  # 20 slices of 2 windows, 10 for the worker
+            model.forecast(x)  # 20 slices of 2 windows, 10 for the worker
         assert worker_calls in ([], [2])  # the worker may not have taken its first slice yet
         assert threading.active_count() == threads
         assert ad.mul(model.params["head.b"], 2.0).requires_grad
