@@ -22,7 +22,9 @@ def no_grad():
 
     The switch is one flag for the whole process, not for one thread:
     `TFPSModel.forecast` holds it for its worker threads, so no other thread
-    may record a tape while a `forecast` runs."""
+    may record a tape while a `forecast` runs. `trainer.train` records its
+    steps' tapes on several threads and validates only between steps, so
+    its validation never overlaps a step."""
     global _GRAD_ENABLED
     prev = _GRAD_ENABLED
     _GRAD_ENABLED = False

@@ -5,7 +5,8 @@ written, 2 data error, 3 numeric failure.
 TFPS_DATA_DIR serves as a fallback root for relative data paths. BLAS pools
 are sized from the environment (OPENBLAS_NUM_THREADS and the like) when NumPy
 loads, which importing the package already does; `eval` and validation then
-forecast on one thread per core the BLAS pool leaves free.
+forecast, and `train` and `grid` train, on one thread per core the BLAS pool
+leaves free.
 """
 
 from __future__ import annotations

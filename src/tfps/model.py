@@ -26,11 +26,12 @@ INSTANCE_EPS = 1e-5
 
 
 def forecast_workers() -> int:
-    """Threads `TFPSModel.forecast` may use: the usable cores divided by the
-    BLAS pool size the environment sets (OPENBLAS_NUM_THREADS, else
-    OMP_NUM_THREADS). With neither set, BLAS already spreads over every core,
-    so one thread. Platforms without `os.sched_getaffinity` count
-    `os.cpu_count()`."""
+    """Threads `TFPSModel.forecast` and each training step may use: the
+    usable cores divided by the BLAS pool size the environment sets
+    (OPENBLAS_NUM_THREADS, else OMP_NUM_THREADS). With neither set, BLAS
+    already spreads over every core, so one thread. Platforms without
+    `os.sched_getaffinity` count `os.cpu_count()`. Training validates only
+    between steps, so its forecasts never overlap a step's threads."""
     for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"):
         try:
             blas = int(os.environ.get(var, ""))
@@ -222,19 +223,18 @@ class TFPSModel:
         return Forward(yhat=yhat, s=s_out)
 
     def forecast(self, inputs: np.ndarray) -> np.ndarray:
-        """(n, H, C) forecasts of (n, L, C) inputs without a tape, at most the
+        """(n, H, C) forecasts of (n, L, C) inputs without a tape, about the
         config's `batch_size` windows in flight at once.
 
         Every no-grad op works per window, token or (window, channel), and
-        batch norm evaluates with its running stats, so the batches run on
-        `forecast_workers()` threads, but no more threads than batches, each
-        with an equal share of `batch_size`; the output equals a serial loop
-        bit for bit."""
+        batch norm evaluates with its running stats, so the windows run on
+        `forecast_workers()` threads, but no more threads than windows, in
+        slices of an equal share of `min(n, batch_size)` windows; the output
+        equals a serial loop bit for bit."""
         n = len(inputs)
-        batch_size = self.cfg.batch_size
         out = np.empty((n, self.cfg.pred_len, inputs.shape[-1]))
-        workers = max(1, min(forecast_workers(), -(-n // batch_size)))
-        step = -(-batch_size // workers)
+        workers = max(1, min(forecast_workers(), n))
+        step = max(1, -(-min(n, self.cfg.batch_size) // workers))
         starts = range(0, n, step)
 
         def run(lo: int) -> None:

@@ -9,16 +9,19 @@ import itertools
 import json
 import logging
 import zipfile
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import model as model_mod
 from .autodiff import Tensor
 from .config import TrainConfig, check_value, config_from_dict
 from .data import Scaler, Windows, atomic_write
 from .errors import DataError, NumericError
 from .evaluate import mse
 from .model import Forward, TFPSModel
+from .pattern import refine
 
 log = logging.getLogger(__name__)
 
@@ -35,14 +38,82 @@ def total_loss(
     name to a fixed refinement target (gradient checks); by default the target
     is refined from the live affinities."""
     fwd = model.forward(x, training=training, rng=rng)
+    loss, parts = shard_loss(model, fwd, y, len(x), model.cfg.alpha, s_hat or {})
+    return loss, fwd, parts
+
+
+def shard_loss(
+    model: TFPSModel, fwd: Forward, y: np.ndarray, windows: int, alpha: float, s_hat: dict[str, np.ndarray],
+) -> tuple[Tensor, dict]:
+    """`total_loss` of the shard `fwd` of a batch of `windows` windows: its
+    forecast MSE weighted by its share of the batch, plus each branch's
+    identifier loss with regularizer weight `alpha` and refinement targets
+    `s_hat`, and the float parts, mse weighted the same way. Over the shards
+    of a batch, with `alpha` on one of them, the losses sum to the batch's
+    `total_loss`."""
     y = np.asarray(y, dtype=np.float64)
-    parts = {"mse": mse(fwd.yhat.data, y)}  # checks the shapes before any tape op
+    share = len(y) / windows
+    parts = {"mse": mse(fwd.yhat.data, y) * share}  # checks the shapes before any tape op
     pi: dict[str, Tensor | float] = {"time": 0.0, "freq": 0.0}
     for name, s in fwd.s.items():
-        pi[name] = model.branches[name].pi_loss(s, model.cfg.alpha, model.cfg.beta, (s_hat or {}).get(name))
+        pi[name] = model.branches[name].pi_loss(s, alpha, model.cfg.beta, s_hat.get(name))
     parts.update({f"pi_{k}": float(v.data) if isinstance(v, Tensor) else v for k, v in pi.items()})
     err = fwd.yhat - y
-    return (err * err).mean() + pi["time"] + pi["freq"], fwd, parts
+    return (err * err).mean() * share + pi["time"] + pi["freq"], parts
+
+
+def on_shards(pool: ThreadPoolExecutor, fn, shards: int) -> list:
+    """`[fn(0), ..., fn(shards - 1)]`: the calling thread runs `fn(0)` and
+    `pool` the others. An exception from any of them reaches the caller."""
+    futures = [pool.submit(fn, k) for k in range(1, shards)]
+    first = fn(0)
+    return [first] + [f.result() for f in futures]
+
+
+def shard_losses(
+    models: list[TFPSModel], pool: ThreadPoolExecutor, xs: np.ndarray, ys: np.ndarray,
+    rng: np.random.Generator | None = None,
+) -> list[tuple[Tensor, dict]]:
+    """The `shard_loss` of each of `len(models)` contiguous shards of a
+    training batch, shard k on `models[k]` and its forward pass on its own
+    thread. Every model's parameters first point at `models[0]`'s arrays
+    (Adam rebinds them on every step) and lose their gradients.
+
+    The refinement target's column sums couple the whole batch, so it is
+    refined from the shards' affinities together and each shard takes its
+    rows; the regularizer counts once, on shard 0. With one model this is
+    `total_loss` bit for bit."""
+    main, cfg = models[0], models[0].cfg
+    for m in models:
+        m.zero_grad()
+        for name, t in m.params.items():
+            t.data = main.params[name].data
+    windows = len(xs)
+    xs, ys = np.array_split(xs, len(models)), np.array_split(ys, len(models))
+    fwds = on_shards(pool, lambda k: models[k].forward(xs[k], training=True, rng=rng), len(models))
+    targets: list[dict[str, np.ndarray]] = [{} for _ in models]
+    if cfg.pi_mode == "subspace" and cfg.beta > 0:
+        for name in main.branches:
+            rows = [f.s[name].data for f in fwds]
+            ends = np.cumsum([len(r) for r in rows])[:-1]
+            for target, part in zip(targets, np.split(refine(np.concatenate(rows)), ends)):
+                target[name] = part
+    return [
+        shard_loss(m, f, y, windows, cfg.alpha if k == 0 else 0.0, target)
+        for k, (m, f, y, target) in enumerate(zip(models, fwds, ys, targets))
+    ]
+
+
+def shard_backward(models: list[TFPSModel], pool: ThreadPoolExecutor, losses: list[Tensor]) -> None:
+    """Backpropagate `losses[k]`, built on `models[k]`, each on its own
+    thread, then add the other models' gradients into `models[0]`'s in shard
+    order, so that the sum does not depend on thread timing."""
+    on_shards(pool, lambda k: losses[k].backward(), len(losses))
+    for name, p in models[0].params.items():
+        for m in models[1:]:
+            g = m.params[name].grad
+            if g is not None:
+                p.grad = g if p.grad is None else p.grad + g
 
 
 class Adam:
@@ -164,7 +235,10 @@ def train(
     progress=None,
 ) -> Checkpoint:
     """Mini-batch Adam with early stopping on validation MSE; returns the best
-    parameters seen. Deterministic for a fixed config seed."""
+    parameters seen. Each batch is cut into one shard per
+    `model.forecast_workers()` thread (see `shard_losses`), or kept whole when
+    batch norm trains or dropout is on. Deterministic for a fixed config seed
+    and worker count; runs at different worker counts differ in rounding."""
     if not train_windows or not val_windows:
         raise DataError("training and validation window sets must be non-empty")
     rng = np.random.default_rng(cfg.seed)
@@ -174,43 +248,53 @@ def train(
     best_val = np.inf
     best_arrays = {k: v.copy() for k, v in model.named_arrays().items()}
     stale = 0
-    for epoch in range(cfg.max_epochs):
-        epoch_loss = 0.0
-        epoch_mse = 0.0
-        n_batches = 0
-        order = rng.permutation(len(train_windows))
-        for lo in range(0, len(order), cfg.batch_size):
-            idx = order[lo : lo + cfg.batch_size]
-            xs, ys = train_windows.inputs[idx], train_windows.targets[idx]
-            model.zero_grad()
-            loss, _, parts = total_loss(model, xs, ys, training=True, rng=rng)
-            value = float(loss.data)
-            if not np.isfinite(value):
-                raise NumericError(
-                    f"loss diverged at epoch {epoch}, batch {n_batches}: {value}"
-                )
-            loss.backward()
-            opt.step()
-            epoch_loss += value
-            epoch_mse += parts["mse"]
-            n_batches += 1
-        val = validation_mse(model, val_windows)
-        if not np.isfinite(val):
-            raise NumericError(f"validation MSE diverged at epoch {epoch}: {val}")
-        history["train_loss"].append(epoch_loss / max(n_batches, 1))
-        history["train_mse"].append(epoch_mse / max(n_batches, 1))
-        history["val_mse"].append(val)
-        if progress is not None:
-            progress(epoch, history["train_loss"][-1], val)
-        if val < best_val:
-            best_val = val
-            best_arrays = {k: v.copy() for k, v in model.named_arrays().items()}
-            history["best_epoch"] = epoch
-            stale = 0
-        else:
-            stale += 1
-            if cfg.patience > 0 and stale >= cfg.patience:
-                break
+    # one shard per worker, but no more shards than a batch has windows;
+    # batch statistics and dropout masks' draw order need the whole batch on
+    # one model
+    shardable = not model.norm_stats and cfg.dropout == 0
+    workers = min(model_mod.forecast_workers(), cfg.batch_size) if shardable else 1
+    models = [model] + [TFPSModel(cfg, arrays=model.named_arrays()) for _ in range(workers - 1)]
+    pool = ThreadPoolExecutor(max(1, workers - 1))
+    try:
+        for epoch in range(cfg.max_epochs):
+            epoch_loss = 0.0
+            epoch_mse = 0.0
+            n_batches = 0
+            order = rng.permutation(len(train_windows))
+            for lo in range(0, len(order), cfg.batch_size):
+                idx = order[lo : lo + cfg.batch_size]
+                xs, ys = train_windows.inputs[idx], train_windows.targets[idx]
+                shards = models[: len(idx)]
+                losses = shard_losses(shards, pool, xs, ys, rng)
+                value = sum(float(loss.data) for loss, _ in losses)
+                if not np.isfinite(value):
+                    raise NumericError(
+                        f"loss diverged at epoch {epoch}, batch {n_batches}: {value}"
+                    )
+                shard_backward(shards, pool, [loss for loss, _ in losses])
+                opt.step()
+                epoch_loss += value
+                epoch_mse += sum(parts["mse"] for _, parts in losses)
+                n_batches += 1
+            val = validation_mse(model, val_windows)
+            if not np.isfinite(val):
+                raise NumericError(f"validation MSE diverged at epoch {epoch}: {val}")
+            history["train_loss"].append(epoch_loss / max(n_batches, 1))
+            history["train_mse"].append(epoch_mse / max(n_batches, 1))
+            history["val_mse"].append(val)
+            if progress is not None:
+                progress(epoch, history["train_loss"][-1], val)
+            if val < best_val:
+                best_val = val
+                best_arrays = {k: v.copy() for k, v in model.named_arrays().items()}
+                history["best_epoch"] = epoch
+                stale = 0
+            else:
+                stale += 1
+                if cfg.patience > 0 and stale >= cfg.patience:
+                    break
+    finally:
+        pool.shutdown(cancel_futures=True)
     return Checkpoint(
         version=CHECKPOINT_VERSION,
         config=cfg,

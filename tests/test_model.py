@@ -266,9 +266,13 @@ class TestForecast:
         monkeypatch.setattr(model_mod, "forecast_workers", lambda: workers)
         np.testing.assert_array_equal(model.forecast(x), serial_forecast(model, x))
 
-    def test_one_caller_batch_is_not_split(self, monkeypatch):
+    @pytest.mark.parametrize("n,slices", [(1, [1]), (2, [1, 1]), (3, [1, 2]), (4, [2, 2]), (5, [1, 2, 2]),
+                                          (9, [1, 2, 2, 2, 2])])
+    def test_slices_share_one_caller_batch(self, monkeypatch, n, slices):
+        # BASE's batch_size is 4: at most 4 windows in flight, and a batch of
+        # up to 4 windows is split into min(workers, n) slices
         rng = np.random.default_rng(16)
-        x, _ = batch(rng, b=5)
+        x, _ = batch(rng, b=n)
         model = TFPSModel(TrainConfig(**BASE))
         monkeypatch.setattr(model_mod, "forecast_workers", lambda: 2)
         forward, sizes, threads = model.forward, [], set()
@@ -279,11 +283,10 @@ class TestForecast:
             return forward(inputs)
 
         monkeypatch.setattr(model, "forward", recording)
-        model.forecast(x[:4])  # BASE's batch_size
-        assert sizes == [4] and threads == {threading.get_ident()}
-        sizes.clear()
         model.forecast(x)
-        assert sorted(sizes) == [1, 2, 2]
+        assert sorted(sizes) == slices
+        assert 2 * max(sizes) <= model.cfg.batch_size
+        assert len(threads) == min(2, len(slices))
 
     def test_untrained_batch_norm_threads_match_serial_loop_and_unit_stats(self, monkeypatch):
         # before any training, batch norm evaluates with mean 0 and variance 1

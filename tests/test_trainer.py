@@ -1,11 +1,17 @@
 """Loss composition, optimization behavior, determinism, checkpoints, grid."""
 
 import dataclasses
+import sys
+import threading
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
 
+import make_golden
 from tfps import autodiff as ad
+from tfps import model as model_mod
+from tfps import trainer
 from tfps.config import TrainConfig
 from tfps.data import (
     RegimeSpec,
@@ -26,8 +32,11 @@ from tfps.trainer import (
     grid_search,
     load_checkpoint,
     save_checkpoint,
+    shard_backward,
+    shard_losses,
     total_loss,
     train,
+    validation_mse,
 )
 
 TINY = dict(seq_len=32, pred_len=8, patch_len=8, stride=4, d_model=16, n_layers=1,
@@ -331,3 +340,171 @@ class TestWholeModelGradients:
             numeric = numeric_grad_at(scalar, tensor.data, idx)
             assert rel_err(analytic, numeric) < 1e-3, (name, idx, analytic, numeric)
             checked += 1
+
+
+def sharded_gradients(model, x, y, workers):
+    """Gradients and summed loss of one training batch cut into `workers`
+    shards, as `train` computes them."""
+    models = [model] + [TFPSModel(model.cfg, arrays=model.named_arrays()) for _ in range(workers - 1)]
+    pool = ThreadPoolExecutor(max(1, workers - 1))
+    try:
+        losses = shard_losses(models, pool, x, y)
+        shard_backward(models, pool, [loss for loss, _ in losses])
+    finally:
+        pool.shutdown(cancel_futures=True)
+    return {k: t.grad for k, t in model.params.items()}, sum(float(loss.data) for loss, _ in losses)
+
+
+def record_shards(monkeypatch) -> list[int]:
+    """The shard count of every step `train` takes from here on."""
+    counts, original = [], trainer.shard_losses
+
+    def recording(models, *args, **kwargs):
+        counts.append(len(models))
+        return original(models, *args, **kwargs)
+
+    monkeypatch.setattr(trainer, "shard_losses", recording)
+    return counts
+
+
+class TestShardedStep:
+    SHARDED = sorted(set(make_golden.CASES) - make_golden.TRAINING)  # no batch statistics
+
+    @pytest.mark.parametrize("workers,windows", [(1, 4), (2, 4), (3, 5)])  # 3 on 5: shards of 1, 2, 2
+    @pytest.mark.parametrize("case", SHARDED)
+    def test_gradients_match_the_whole_batch(self, case, workers, windows):
+        model, x, y = make_golden.build(case)
+        rng = np.random.default_rng(21)
+        x = np.concatenate([x, rng.normal(size=x[:1].shape)])[:windows]
+        y = np.concatenate([y, rng.normal(size=y[:1].shape)])[:windows]
+        loss, _, _ = total_loss(model, x, y, training=True)
+        loss.backward()
+        expected = {k: t.grad for k, t in model.params.items()}
+        got, value = sharded_gradients(model, x, y, workers)
+        if workers == 1:  # the one-shard step is total_loss, bit for bit
+            assert value == float(loss.data)
+            for k, g in expected.items():
+                np.testing.assert_array_equal(got[k], g, err_msg=k)
+            return
+        assert value == pytest.approx(float(loss.data), rel=1e-12)
+        for k, g in expected.items():
+            assert (got[k] is None) == (g is None), k
+            if g is not None:
+                assert np.max(np.abs(got[k] - g)) <= 1e-12 * np.max(np.abs(g)), k
+
+    def test_gradients_repeat_under_fast_switching(self):
+        model, x, y = make_golden.build("top1")
+        serial, _ = sharded_gradients(model, x, y, 1)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            runs = [sharded_gradients(model, x, y, 4)[0] for _ in range(2)]  # one window a shard
+        finally:
+            sys.setswitchinterval(interval)
+        for k, g in serial.items():
+            np.testing.assert_array_equal(runs[0][k], runs[1][k], err_msg=k)
+            if g is not None:
+                assert np.max(np.abs(runs[0][k] - g)) <= 1e-12 * np.max(np.abs(g)), k
+
+    def test_same_seed_identical_checkpoints_on_two_workers(self, monkeypatch):
+        monkeypatch.setattr(model_mod, "forecast_workers", lambda: 2)
+        shards = record_shards(monkeypatch)
+        series, _ = tiny_dataset()
+        cfg = TrainConfig(**{**TINY, "batch_size": 20})
+        (trw, vaw, _), sc = prepared_windows(cfg, series)
+        a = train(cfg, trw, vaw, scaler=sc)
+        b = train(cfg, trw, vaw, scaler=sc)
+        steps = -(-len(trw) // cfg.batch_size)
+        assert len(trw) % cfg.batch_size == 1  # the last batch of each epoch is one window
+        assert shards == 2 * cfg.max_epochs * ([2] * (steps - 1) + [1])
+        assert a.arrays.keys() == b.arrays.keys()
+        for k in a.arrays:
+            np.testing.assert_array_equal(a.arrays[k], b.arrays[k])
+        assert a.history == b.history
+        monkeypatch.setattr(model_mod, "forecast_workers", lambda: 1)
+        serial = train(cfg, trw, vaw, scaler=sc)  # the same numbers up to rounding
+        for key in ("train_loss", "train_mse", "val_mse"):
+            assert a.history[key] == pytest.approx(serial.history[key], rel=1e-9), key
+
+    def test_one_worker_is_the_total_loss_loop(self, monkeypatch):
+        monkeypatch.setattr(model_mod, "forecast_workers", lambda: 1)
+        series, _ = tiny_dataset()
+        cfg = TrainConfig(**{**TINY, "max_epochs": 2})
+        (trw, vaw, _), sc = prepared_windows(cfg, series)
+        ckpt = train(cfg, trw, vaw, scaler=sc)
+
+        rng = np.random.default_rng(cfg.seed)
+        model = TFPSModel(cfg, rng)
+        opt = Adam(model.params, lr=cfg.lr)
+        losses, mses, vals, best = [], [], [], None
+        for _ in range(cfg.max_epochs):
+            order = rng.permutation(len(trw))
+            epoch_loss = epoch_mse = 0.0
+            for lo in range(0, len(order), cfg.batch_size):
+                idx = order[lo : lo + cfg.batch_size]
+                model.zero_grad()
+                loss, _, parts = total_loss(model, trw.inputs[idx], trw.targets[idx], training=True, rng=rng)
+                loss.backward()
+                opt.step()
+                epoch_loss += float(loss.data)
+                epoch_mse += parts["mse"]
+            steps = -(-len(order) // cfg.batch_size)
+            losses.append(epoch_loss / steps)
+            mses.append(epoch_mse / steps)
+            vals.append(validation_mse(model, vaw))
+            if vals[-1] == min(vals):
+                best = {k: v.copy() for k, v in model.named_arrays().items()}
+        assert ckpt.history["train_loss"] == losses
+        assert ckpt.history["train_mse"] == mses
+        assert ckpt.history["val_mse"] == vals
+        for k, v in best.items():
+            np.testing.assert_array_equal(ckpt.arrays[k], v, err_msg=k)
+
+    def test_no_more_replicas_than_batch_windows(self, monkeypatch):
+        monkeypatch.setattr(model_mod, "forecast_workers", lambda: 64)
+        shards = record_shards(monkeypatch)
+        built, init = [], TFPSModel.__init__
+
+        def counting(self, *args, **kwargs):
+            built.append(self)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(TFPSModel, "__init__", counting)
+        series, _ = tiny_dataset()
+        cfg = TrainConfig(**{**TINY, "batch_size": 3, "max_epochs": 1})
+        (trw, vaw, _), sc = prepared_windows(cfg, series)
+        train(cfg, trw, vaw, scaler=sc)
+        assert len(built) == 3  # the model and two replicas
+        assert shards == [min(3, len(trw) - lo) for lo in range(0, len(trw), 3)]
+
+    @pytest.mark.parametrize("overrides", [{"time_norm": "batch"}, {"dropout": 0.1}])
+    def test_batch_norm_and_dropout_keep_the_batch_whole(self, monkeypatch, overrides):
+        monkeypatch.setattr(model_mod, "forecast_workers", lambda: 2)
+        shards = record_shards(monkeypatch)
+        series, _ = tiny_dataset()
+        cfg = TrainConfig(**{**TINY, **overrides, "max_epochs": 1})
+        (trw, vaw, _), sc = prepared_windows(cfg, series)
+        threads = threading.active_count()
+        train(cfg, trw, vaw, scaler=sc)
+        assert shards == [1] * -(-len(trw) // cfg.batch_size)
+        assert threading.active_count() == threads
+
+    def test_worker_shard_exception_reaches_caller(self, monkeypatch):
+        monkeypatch.setattr(model_mod, "forecast_workers", lambda: 2)
+        forward, caller, ran = TFPSModel.forward, threading.get_ident(), []
+
+        def failing(self, *args, **kwargs):
+            ran.append(threading.get_ident())
+            if threading.get_ident() != caller:
+                raise RuntimeError("shard failed")
+            return forward(self, *args, **kwargs)
+
+        monkeypatch.setattr(TFPSModel, "forward", failing)
+        series, _ = tiny_dataset()
+        cfg = TrainConfig(**TINY)
+        (trw, vaw, _), sc = prepared_windows(cfg, series)
+        threads = threading.active_count()
+        with pytest.raises(RuntimeError, match="shard failed"):
+            train(cfg, trw, vaw, scaler=sc)
+        assert caller in ran and len(set(ran)) == 2
+        assert threading.active_count() == threads
