@@ -21,10 +21,10 @@ def no_grad():
     """Disable tape recording inside the block (inference / metric passes).
 
     The switch is one flag for the whole process, not for one thread:
-    `TFPSModel.forecast` holds it for its worker threads, so no other thread
-    may record a tape while a `forecast` runs. `trainer.train` records its
-    steps' tapes on several threads and validates only between steps, so
-    its validation never overlaps a step."""
+    `TFPSModel.forecast` holds it for its `model.on_threads` threads, so no
+    other thread may record a tape while a `forecast` runs. `trainer.train`
+    records its steps' tapes through the same runner and validates only
+    between steps, so its validation never overlaps a step."""
     global _GRAD_ENABLED
     prev = _GRAD_ENABLED
     _GRAD_ENABLED = False

@@ -26,8 +26,8 @@ INSTANCE_EPS = 1e-5
 
 
 def forecast_workers() -> int:
-    """Threads `TFPSModel.forecast` and each training step may use: the
-    usable cores divided by the BLAS pool size the environment sets
+    """Threads `on_threads` gives `TFPSModel.forecast` and each training step:
+    the usable cores divided by the BLAS pool size the environment sets
     (OPENBLAS_NUM_THREADS, else OMP_NUM_THREADS). With neither set, BLAS
     already spreads over every core, so one thread. Platforms without
     `os.sched_getaffinity` count `os.cpu_count()`. Training validates only
@@ -42,6 +42,21 @@ def forecast_workers() -> int:
             cores = len(affinity(0)) if affinity else os.cpu_count() or 1
             return max(1, cores // blas)
     return 1
+
+
+def on_threads(pool: ThreadPoolExecutor, fn, n: int) -> list:
+    """`[fn(0), ..., fn(n - 1)]` on `min(forecast_workers(), n)` threads: the
+    calling thread runs every workers-th call and `pool` the others. The
+    first exception reaches the caller once the calls `pool` has not started
+    are cancelled; with one worker `pool` starts no thread."""
+    workers = max(1, min(forecast_workers(), n))
+    futures = {i: pool.submit(fn, i) for i in range(n) if i % workers}
+    try:
+        mine = {i: fn(i) for i in range(0, n, workers)}
+        return [mine[i] if i in mine else futures[i].result() for i in range(n)]
+    finally:
+        for f in futures.values():
+            f.cancel()
 
 
 @dataclass
@@ -82,8 +97,8 @@ class TFPSModel:
                  arrays: dict[str, np.ndarray] | None = None):
         """The model `cfg` describes, drawn from `rng` (by default seeded with
         `cfg.seed`), or given a checkpoint's `arrays`, a float64 copy of each
-        stored array, drawing nothing; a missing or misshapen one is a
-        DataError naming its key."""
+        stored array, drawing nothing; a missing, misshapen or unused one is
+        a DataError naming its key."""
         self.cfg = cfg
         rng = np.random.default_rng(cfg.seed) if rng is None and arrays is None else rng
         self.params: dict[str, Tensor] = {}
@@ -162,6 +177,9 @@ class TFPSModel:
         width = d * len(self.branches)
         p("head.w", (n * width, cfg.pred_len))
         p("head.b", (cfg.pred_len,), std=None)
+        unused = sorted(set(arrays or ()) - set(self.named_arrays()))
+        if unused:
+            raise DataError(f"checkpoint has array {unused[0]!r}, which its config does not use")
 
     # -- plumbing ---------------------------------------------------------
 
@@ -227,30 +245,19 @@ class TFPSModel:
         config's `batch_size` windows in flight at once.
 
         Every no-grad op works per window, token or (window, channel), and
-        batch norm evaluates with its running stats, so the windows run on
-        `forecast_workers()` threads, but no more threads than windows, in
-        slices of an equal share of `min(n, batch_size)` windows; the output
-        equals a serial loop bit for bit."""
+        batch norm evaluates with its running stats, so `on_threads` runs the
+        windows on a pool that lives for this call, in slices of an equal
+        share of `min(n, batch_size)` windows; the output equals a serial
+        loop bit for bit."""
         n = len(inputs)
         out = np.empty((n, self.cfg.pred_len, inputs.shape[-1]))
         workers = max(1, min(forecast_workers(), n))
         step = max(1, -(-min(n, self.cfg.batch_size) // workers))
-        starts = range(0, n, step)
 
-        def run(lo: int) -> None:
-            out[lo : lo + step] = self.forward(inputs[lo : lo + step]).yhat.data
+        def run(i: int) -> None:
+            rows = slice(i * step, (i + 1) * step)
+            out[rows] = self.forward(inputs[rows]).yhat.data
 
-        # the calling thread runs every workers-th slice and the pool the rest,
-        # one future per slice, so an error on any thread cancels the slices
-        # not yet started; with one worker the pool never starts a thread
-        with ad.no_grad():
-            pool = ThreadPoolExecutor(max(1, workers - 1))
-            try:
-                futures = [pool.submit(run, lo) for i, lo in enumerate(starts) if i % workers]
-                for lo in starts[::workers]:
-                    run(lo)
-                for f in futures:
-                    f.result()
-            finally:
-                pool.shutdown(cancel_futures=True)
+        with ad.no_grad(), ThreadPoolExecutor(max(1, workers - 1)) as pool:
+            on_threads(pool, run, -(-n // step))  # one call per slice
         return out

@@ -96,14 +96,15 @@ def pi_loss(
     alpha: float,
     beta: float,
     s_hat: np.ndarray | None = None,
-) -> Tensor:
+) -> Tensor | float:
     """Full identifier loss alpha*(R1 + R2) + beta*KL(refined || live) for the
     live affinities `s = affinity(z, bases, K)`. `s_hat` may be injected to
     hold the refinement target fixed (gradient checks); by default it is
-    recomputed from `s`."""
+    recomputed from `s`. A zero weight skips its term, which would add an
+    exact zero, so with both weights zero the loss is the float 0.0."""
     if alpha < 0 or beta < 0:
         raise ValueError("alpha and beta must be non-negative")
-    loss = (reg_r1(bases) + reg_r2(bases, K)) * alpha
+    loss = (reg_r1(bases) + reg_r2(bases, K)) * alpha if alpha > 0 else 0.0
     if beta > 0:
         if s_hat is None:
             s_hat = refine(s.data)

@@ -20,7 +20,7 @@ from .config import TrainConfig, check_value, config_from_dict
 from .data import Scaler, Windows, atomic_write
 from .errors import DataError, NumericError
 from .evaluate import mse
-from .model import Forward, TFPSModel
+from .model import Forward, TFPSModel, on_threads
 from .pattern import refine
 
 log = logging.getLogger(__name__)
@@ -62,22 +62,15 @@ def shard_loss(
     return (err * err).mean() * share + pi["time"] + pi["freq"], parts
 
 
-def on_shards(pool: ThreadPoolExecutor, fn, shards: int) -> list:
-    """`[fn(0), ..., fn(shards - 1)]`: the calling thread runs `fn(0)` and
-    `pool` the others. An exception from any of them reaches the caller."""
-    futures = [pool.submit(fn, k) for k in range(1, shards)]
-    first = fn(0)
-    return [first] + [f.result() for f in futures]
-
-
 def shard_losses(
     models: list[TFPSModel], pool: ThreadPoolExecutor, xs: np.ndarray, ys: np.ndarray,
     rng: np.random.Generator | None = None,
 ) -> list[tuple[Tensor, dict]]:
     """The `shard_loss` of each of `len(models)` contiguous shards of a
-    training batch, shard k on `models[k]` and its forward pass on its own
-    thread. Every model's parameters first point at `models[0]`'s arrays
-    (Adam rebinds them on every step) and lose their gradients.
+    training batch, shard k on `models[k]`, the forward passes spread over
+    `pool` by `on_threads`. Every model's parameters first point at
+    `models[0]`'s arrays (Adam rebinds them on every step) and lose their
+    gradients.
 
     The refinement target's column sums couple the whole batch, so it is
     refined from the shards' affinities together and each shard takes its
@@ -90,7 +83,7 @@ def shard_losses(
             t.data = main.params[name].data
     windows = len(xs)
     xs, ys = np.array_split(xs, len(models)), np.array_split(ys, len(models))
-    fwds = on_shards(pool, lambda k: models[k].forward(xs[k], training=True, rng=rng), len(models))
+    fwds = on_threads(pool, lambda k: models[k].forward(xs[k], training=True, rng=rng), len(models))
     targets: list[dict[str, np.ndarray]] = [{} for _ in models]
     if cfg.pi_mode == "subspace" and cfg.beta > 0:
         for name in main.branches:
@@ -105,10 +98,10 @@ def shard_losses(
 
 
 def shard_backward(models: list[TFPSModel], pool: ThreadPoolExecutor, losses: list[Tensor]) -> None:
-    """Backpropagate `losses[k]`, built on `models[k]`, each on its own
-    thread, then add the other models' gradients into `models[0]`'s in shard
-    order, so that the sum does not depend on thread timing."""
-    on_shards(pool, lambda k: losses[k].backward(), len(losses))
+    """Backpropagate `losses[k]`, built on `models[k]`, spread over `pool` by
+    `on_threads`, then add the other models' gradients into `models[0]`'s in
+    shard order, so that the sum does not depend on thread timing."""
+    on_threads(pool, lambda k: losses[k].backward(), len(losses))
     for name, p in models[0].params.items():
         for m in models[1:]:
             g = m.params[name].grad
@@ -254,8 +247,7 @@ def train(
     shardable = not model.norm_stats and cfg.dropout == 0
     workers = min(model_mod.forecast_workers(), cfg.batch_size) if shardable else 1
     models = [model] + [TFPSModel(cfg, arrays=model.named_arrays()) for _ in range(workers - 1)]
-    pool = ThreadPoolExecutor(max(1, workers - 1))
-    try:
+    with ThreadPoolExecutor(max(1, workers - 1)) as pool:  # one pool for every step
         for epoch in range(cfg.max_epochs):
             epoch_loss = 0.0
             epoch_mse = 0.0
@@ -293,8 +285,6 @@ def train(
                 stale += 1
                 if cfg.patience > 0 and stale >= cfg.patience:
                     break
-    finally:
-        pool.shutdown(cancel_futures=True)
     return Checkpoint(
         version=CHECKPOINT_VERSION,
         config=cfg,

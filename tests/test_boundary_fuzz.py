@@ -127,6 +127,12 @@ CHECKPOINT_FAULTS = {
         edit_checkpoint(lambda a: a.update({"time.enc0.bn1.mean": np.zeros(CONFIG["d_model"])}), "batch"),
         "'time.enc0.bn1.var'",
     ),
+    # a batch-norm checkpoint, with its running stats, whose header says layer norm
+    "ckpt-bn-stats-under-layer-norm": (
+        edit_checkpoint(lambda a: a.update({f"time.enc0.bn{j}.{k}": np.full(CONFIG["d_model"], v)
+                                            for j in (1, 2) for k, v in (("mean", 0.1), ("var", 0.9))})),
+        "'time.enc0.bn1.mean'",
+    ),
 }
 
 

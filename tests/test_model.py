@@ -5,6 +5,7 @@ sparsity instrumentation, threaded forecasting."""
 import sys
 import threading
 import time
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -102,7 +103,8 @@ class TestBuild:
         (lambda a: a.update({"time.enc0.bn1.mean": np.zeros(5)}), "'time.enc0.bn1.mean'"),
         (lambda a: a.pop("time.enc0.bn1.var"), "'time.enc0.bn1.var'"),
         (lambda a: a.pop("time.enc0.bn2.mean"), "'time.enc0.bn2.mean'"),
-    ], ids=["missing", "wrong-shape", "wrong-stat-shape", "mean-without-var", "var-without-mean"])
+        (lambda a: a.update({"freq.enc0.bn1.mean": np.zeros(8)}), "'freq.enc0.bn1.mean'"),  # freq never batch-norms
+    ], ids=["missing", "wrong-shape", "wrong-stat-shape", "mean-without-var", "var-without-mean", "unused"])
     def test_faulty_arrays_name_the_key(self, edit, key):
         cfg = TrainConfig(**{**BASE, "time_norm": "batch"})
         arrays = trained_arrays(cfg)
@@ -363,6 +365,14 @@ class TestForecast:
         assert worker_calls in ([], [2])  # the worker may not have taken its first slice yet
         assert threading.active_count() == threads
         assert ad.mul(model.params["head.b"], 2.0).requires_grad
+
+    @pytest.mark.parametrize("workers,n", [(1, 3), (2, 1), (2, 5), (3, 2), (3, 7)])
+    def test_on_threads_keeps_order_and_gives_the_caller_every_workers_th_call(self, monkeypatch, workers, n):
+        monkeypatch.setattr(model_mod, "forecast_workers", lambda: workers)
+        caller = threading.get_ident()
+        with ThreadPoolExecutor(2) as pool:
+            got = model_mod.on_threads(pool, lambda i: (i, threading.get_ident() == caller), n)
+        assert got == [(i, i % min(workers, n) == 0) for i in range(n)]
 
     @pytest.mark.parametrize("env,expected", [
         ({}, 1),

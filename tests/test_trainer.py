@@ -11,7 +11,7 @@ import pytest
 import make_golden
 from tfps import autodiff as ad
 from tfps import model as model_mod
-from tfps import trainer
+from tfps import pattern, trainer
 from tfps.config import TrainConfig
 from tfps.data import (
     RegimeSpec,
@@ -346,12 +346,9 @@ def sharded_gradients(model, x, y, workers):
     """Gradients and summed loss of one training batch cut into `workers`
     shards, as `train` computes them."""
     models = [model] + [TFPSModel(model.cfg, arrays=model.named_arrays()) for _ in range(workers - 1)]
-    pool = ThreadPoolExecutor(max(1, workers - 1))
-    try:
+    with ThreadPoolExecutor(max(1, workers - 1)) as pool:
         losses = shard_losses(models, pool, x, y)
         shard_backward(models, pool, [loss for loss, _ in losses])
-    finally:
-        pool.shutdown(cancel_futures=True)
     return {k: t.grad for k, t in model.params.items()}, sum(float(loss.data) for loss, _ in losses)
 
 
@@ -372,7 +369,8 @@ class TestShardedStep:
 
     @pytest.mark.parametrize("workers,windows", [(1, 4), (2, 4), (3, 5)])  # 3 on 5: shards of 1, 2, 2
     @pytest.mark.parametrize("case", SHARDED)
-    def test_gradients_match_the_whole_batch(self, case, workers, windows):
+    def test_gradients_match_the_whole_batch(self, monkeypatch, case, workers, windows):
+        monkeypatch.setattr(model_mod, "forecast_workers", lambda: workers)  # one thread a shard
         model, x, y = make_golden.build(case)
         rng = np.random.default_rng(21)
         x = np.concatenate([x, rng.normal(size=x[:1].shape)])[:windows]
@@ -392,7 +390,8 @@ class TestShardedStep:
             if g is not None:
                 assert np.max(np.abs(got[k] - g)) <= 1e-12 * np.max(np.abs(g)), k
 
-    def test_gradients_repeat_under_fast_switching(self):
+    def test_gradients_repeat_under_fast_switching(self, monkeypatch):
+        monkeypatch.setattr(model_mod, "forecast_workers", lambda: 4)  # one thread a shard
         model, x, y = make_golden.build("top1")
         serial, _ = sharded_gradients(model, x, y, 1)
         interval = sys.getswitchinterval()
@@ -459,6 +458,40 @@ class TestShardedStep:
         assert ckpt.history["val_mse"] == vals
         for k, v in best.items():
             np.testing.assert_array_equal(ckpt.arrays[k], v, err_msg=k)
+
+    def test_regularizer_is_built_once_a_step(self, monkeypatch):
+        # alpha is 0 on every shard but the first, and a zero term is skipped
+        monkeypatch.setattr(model_mod, "forecast_workers", lambda: 2)
+        calls, reg_r1 = [], pattern.reg_r1
+        monkeypatch.setattr(pattern, "reg_r1", lambda bases: calls.append(bases) or reg_r1(bases))
+        model, x, y = make_golden.build("top2")
+        sharded_gradients(model, x, y, 2)
+        assert len(calls) == len(model.branches) == 2
+        assert {id(b) for b in calls} == {id(br.identifier["bases"]) for br in model.branches.values()}
+
+    def test_one_pool_a_train_call_and_one_a_forecast(self, monkeypatch):
+        monkeypatch.setattr(model_mod, "forecast_workers", lambda: 2)
+        shards = record_shards(monkeypatch)
+        pools: dict[str, int] = {"trainer": 0, "model": 0}
+
+        def counting(module, owner):
+            class Counting(ThreadPoolExecutor):
+                def __init__(self, *args, **kwargs):
+                    pools[owner] += 1
+                    super().__init__(*args, **kwargs)
+
+            monkeypatch.setattr(module, "ThreadPoolExecutor", Counting)
+
+        counting(trainer, "trainer")
+        counting(model_mod, "model")
+        series, _ = tiny_dataset()
+        cfg = TrainConfig(**{**TINY, "batch_size": 20, "max_epochs": 2, "patience": 0})
+        (trw, vaw, _), sc = prepared_windows(cfg, series)
+        threads = threading.active_count()
+        train(cfg, trw, vaw, scaler=sc)
+        assert len(shards) >= 4 and 2 in shards
+        assert pools == {"trainer": 1, "model": cfg.max_epochs}  # one validation forecast an epoch
+        assert threading.active_count() == threads
 
     def test_no_more_replicas_than_batch_windows(self, monkeypatch):
         monkeypatch.setattr(model_mod, "forecast_workers", lambda: 64)
