@@ -22,9 +22,10 @@ def no_grad():
 
     The switch is one flag for the whole process, not for one thread:
     `TFPSModel.forecast` holds it for its `model.on_threads` threads, so no
-    other thread may record a tape while a `forecast` runs. `trainer.train`
-    records its steps' tapes through the same runner and validates only
-    between steps, so its validation never overlaps a step."""
+    other thread may record a tape while a `forecast` runs.
+    `trainer.train_step` records each shard's tape on the same runner, and
+    `trainer.train` validates only between steps, so no validation overlaps
+    a step's threads."""
     global _GRAD_ENABLED
     prev = _GRAD_ENABLED
     _GRAD_ENABLED = False

@@ -26,12 +26,13 @@ INSTANCE_EPS = 1e-5
 
 
 def forecast_workers() -> int:
-    """Threads `on_threads` gives `TFPSModel.forecast` and each training step:
-    the usable cores divided by the BLAS pool size the environment sets
-    (OPENBLAS_NUM_THREADS, else OMP_NUM_THREADS). With neither set, BLAS
-    already spreads over every core, so one thread. Platforms without
-    `os.sched_getaffinity` count `os.cpu_count()`. Training validates only
-    between steps, so its forecasts never overlap a step's threads."""
+    """The most threads an `on_threads` call runs on (`TFPSModel.forecast`'s
+    slices, a training step's shards): the usable cores divided by the BLAS
+    pool size the environment sets (OPENBLAS_NUM_THREADS, else
+    OMP_NUM_THREADS). With neither set, BLAS already spreads over every core,
+    so one thread. Platforms without `os.sched_getaffinity` count
+    `os.cpu_count()`. Training validates only between steps, so its
+    forecasts never overlap a step's threads."""
     for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"):
         try:
             blas = int(os.environ.get(var, ""))
@@ -44,19 +45,21 @@ def forecast_workers() -> int:
     return 1
 
 
-def on_threads(pool: ThreadPoolExecutor, fn, n: int) -> list:
+def on_threads(fn, n: int) -> list:
     """`[fn(0), ..., fn(n - 1)]` on `min(forecast_workers(), n)` threads: the
-    calling thread runs every workers-th call and `pool` the others. The
-    first exception reaches the caller once the calls `pool` has not started
-    are cancelled; with one worker `pool` starts no thread."""
+    calling thread runs every workers-th call and a pool that lives for this
+    call the others. The first exception reaches the caller once the calls
+    the pool has not started are cancelled and its threads have ended; with
+    one worker the pool starts no thread. No other code in the package
+    starts a thread."""
     workers = max(1, min(forecast_workers(), n))
-    futures = {i: pool.submit(fn, i) for i in range(n) if i % workers}
+    pool = ThreadPoolExecutor(max(1, workers - 1))
     try:
+        futures = {i: pool.submit(fn, i) for i in range(n) if i % workers}
         mine = {i: fn(i) for i in range(0, n, workers)}
         return [mine[i] if i in mine else futures[i].result() for i in range(n)]
     finally:
-        for f in futures.values():
-            f.cancel()
+        pool.shutdown(cancel_futures=True)
 
 
 @dataclass
@@ -246,9 +249,8 @@ class TFPSModel:
 
         Every no-grad op works per window, token or (window, channel), and
         batch norm evaluates with its running stats, so `on_threads` runs the
-        windows on a pool that lives for this call, in slices of an equal
-        share of `min(n, batch_size)` windows; the output equals a serial
-        loop bit for bit."""
+        windows in slices of an equal share of `min(n, batch_size)` windows;
+        the output equals a serial loop bit for bit."""
         n = len(inputs)
         out = np.empty((n, self.cfg.pred_len, inputs.shape[-1]))
         workers = max(1, min(forecast_workers(), n))
@@ -258,6 +260,6 @@ class TFPSModel:
             rows = slice(i * step, (i + 1) * step)
             out[rows] = self.forward(inputs[rows]).yhat.data
 
-        with ad.no_grad(), ThreadPoolExecutor(max(1, workers - 1)) as pool:
-            on_threads(pool, run, -(-n // step))  # one call per slice
+        with ad.no_grad():
+            on_threads(run, -(-n // step))  # one call per slice
         return out

@@ -9,7 +9,6 @@ import itertools
 import json
 import logging
 import zipfile
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -62,28 +61,25 @@ def shard_loss(
     return (err * err).mean() * share + pi["time"] + pi["freq"], parts
 
 
-def shard_losses(
-    models: list[TFPSModel], pool: ThreadPoolExecutor, xs: np.ndarray, ys: np.ndarray,
-    rng: np.random.Generator | None = None,
-) -> list[tuple[Tensor, dict]]:
-    """The `shard_loss` of each of `len(models)` contiguous shards of a
-    training batch, shard k on `models[k]`, the forward passes spread over
-    `pool` by `on_threads`. Every model's parameters first point at
-    `models[0]`'s arrays (Adam rebinds them on every step) and lose their
-    gradients.
+def train_step(
+    models: list[TFPSModel], xs: np.ndarray, ys: np.ndarray, rng: np.random.Generator | None = None,
+) -> list[dict]:
+    """Put one training batch's gradient in `models[0]`'s parameters and
+    return each shard's float loss parts with its `loss`. The batch is cut
+    into `len(models)` contiguous shards, shard k runs on `models[k]`, and
+    `on_threads` runs the shards.
 
-    The refinement target's column sums couple the whole batch, so it is
-    refined from the shards' affinities together and each shard takes its
-    rows; the regularizer counts once, on shard 0. With one model this is
-    `total_loss` bit for bit."""
+    The forward passes run first. The refinement target's column sums couple
+    the whole batch, so the caller refines it from the shards' affinities
+    together and each shard takes its rows. Then each shard clears its
+    gradients, builds its `shard_loss` (the regularizer counts once, on
+    shard 0) and backpropagates it, and the other models' gradients are
+    added into `models[0]`'s in shard order, so that the sum does not depend
+    on thread timing. With one model this is `total_loss` bit for bit."""
     main, cfg = models[0], models[0].cfg
-    for m in models:
-        m.zero_grad()
-        for name, t in m.params.items():
-            t.data = main.params[name].data
     windows = len(xs)
     xs, ys = np.array_split(xs, len(models)), np.array_split(ys, len(models))
-    fwds = on_threads(pool, lambda k: models[k].forward(xs[k], training=True, rng=rng), len(models))
+    fwds = on_threads(lambda k: models[k].forward(xs[k], training=True, rng=rng), len(models))
     targets: list[dict[str, np.ndarray]] = [{} for _ in models]
     if cfg.pi_mode == "subspace" and cfg.beta > 0:
         for name in main.branches:
@@ -91,27 +87,26 @@ def shard_losses(
             ends = np.cumsum([len(r) for r in rows])[:-1]
             for target, part in zip(targets, np.split(refine(np.concatenate(rows)), ends)):
                 target[name] = part
-    return [
-        shard_loss(m, f, y, windows, cfg.alpha if k == 0 else 0.0, target)
-        for k, (m, f, y, target) in enumerate(zip(models, fwds, ys, targets))
-    ]
 
+    def backprop(k: int) -> dict:
+        models[k].zero_grad()
+        loss, parts = shard_loss(models[k], fwds[k], ys[k], windows, cfg.alpha if k == 0 else 0.0, targets[k])
+        loss.backward()
+        return {**parts, "loss": float(loss.data)}
 
-def shard_backward(models: list[TFPSModel], pool: ThreadPoolExecutor, losses: list[Tensor]) -> None:
-    """Backpropagate `losses[k]`, built on `models[k]`, spread over `pool` by
-    `on_threads`, then add the other models' gradients into `models[0]`'s in
-    shard order, so that the sum does not depend on thread timing."""
-    on_threads(pool, lambda k: losses[k].backward(), len(losses))
-    for name, p in models[0].params.items():
+    parts = on_threads(backprop, len(models))
+    for name, p in main.params.items():
         for m in models[1:]:
             g = m.params[name].grad
             if g is not None:
                 p.grad = g if p.grad is None else p.grad + g
+    return parts
 
 
 class Adam:
     """Standard Adam with bias correction; state keyed by parameter name so
-    checkpoints stay self-describing."""
+    checkpoints stay self-describing. A step updates each parameter's array
+    in place, so every tensor that shares the array sees the step."""
 
     beta1, beta2, eps = 0.9, 0.999, 1e-8
 
@@ -133,7 +128,7 @@ class Adam:
             v = self.v[name]
             m += (1.0 - self.beta1) * (p.grad - m)
             v += (1.0 - self.beta2) * (p.grad * p.grad - v)
-            p.data = p.data - self.lr * (m / b1c) / (np.sqrt(v / b2c) + self.eps)
+            p.data -= self.lr * (m / b1c) / (np.sqrt(v / b2c) + self.eps)
 
 
 @dataclass
@@ -229,7 +224,7 @@ def train(
 ) -> Checkpoint:
     """Mini-batch Adam with early stopping on validation MSE; returns the best
     parameters seen. Each batch is cut into one shard per
-    `model.forecast_workers()` thread (see `shard_losses`), or kept whole when
+    `model.forecast_workers()` thread (see `train_step`), or kept whole when
     batch norm trains or dropout is on. Deterministic for a fixed config seed
     and worker count; runs at different worker counts differ in rounding."""
     if not train_windows or not val_windows:
@@ -239,7 +234,6 @@ def train(
     opt = Adam(model.params, lr=cfg.lr)
     history: dict = {"train_loss": [], "train_mse": [], "val_mse": [], "best_epoch": None}
     best_val = np.inf
-    best_arrays = {k: v.copy() for k, v in model.named_arrays().items()}
     stale = 0
     # one shard per worker, but no more shards than a batch has windows;
     # batch statistics and dropout masks' draw order need the whole batch on
@@ -247,44 +241,41 @@ def train(
     shardable = not model.norm_stats and cfg.dropout == 0
     workers = min(model_mod.forecast_workers(), cfg.batch_size) if shardable else 1
     models = [model] + [TFPSModel(cfg, arrays=model.named_arrays()) for _ in range(workers - 1)]
-    with ThreadPoolExecutor(max(1, workers - 1)) as pool:  # one pool for every step
-        for epoch in range(cfg.max_epochs):
-            epoch_loss = 0.0
-            epoch_mse = 0.0
-            n_batches = 0
-            order = rng.permutation(len(train_windows))
-            for lo in range(0, len(order), cfg.batch_size):
-                idx = order[lo : lo + cfg.batch_size]
-                xs, ys = train_windows.inputs[idx], train_windows.targets[idx]
-                shards = models[: len(idx)]
-                losses = shard_losses(shards, pool, xs, ys, rng)
-                value = sum(float(loss.data) for loss, _ in losses)
-                if not np.isfinite(value):
-                    raise NumericError(
-                        f"loss diverged at epoch {epoch}, batch {n_batches}: {value}"
-                    )
-                shard_backward(shards, pool, [loss for loss, _ in losses])
-                opt.step()
-                epoch_loss += value
-                epoch_mse += sum(parts["mse"] for _, parts in losses)
-                n_batches += 1
-            val = validation_mse(model, val_windows)
-            if not np.isfinite(val):
-                raise NumericError(f"validation MSE diverged at epoch {epoch}: {val}")
-            history["train_loss"].append(epoch_loss / max(n_batches, 1))
-            history["train_mse"].append(epoch_mse / max(n_batches, 1))
-            history["val_mse"].append(val)
-            if progress is not None:
-                progress(epoch, history["train_loss"][-1], val)
-            if val < best_val:
-                best_val = val
-                best_arrays = {k: v.copy() for k, v in model.named_arrays().items()}
-                history["best_epoch"] = epoch
-                stale = 0
-            else:
-                stale += 1
-                if cfg.patience > 0 and stale >= cfg.patience:
-                    break
+    for replica in models[1:]:  # shares the model's arrays, which Adam updates in place
+        for name, t in replica.params.items():
+            t.data = model.params[name].data
+    for epoch in range(cfg.max_epochs):
+        epoch_loss = 0.0
+        epoch_mse = 0.0
+        n_batches = 0
+        order = rng.permutation(len(train_windows))
+        for lo in range(0, len(order), cfg.batch_size):
+            idx = order[lo : lo + cfg.batch_size]
+            parts = train_step(models[: len(idx)], train_windows.inputs[idx], train_windows.targets[idx], rng)
+            value = sum(shard["loss"] for shard in parts)
+            if not np.isfinite(value):
+                raise NumericError(f"loss diverged at epoch {epoch}, batch {n_batches}: {value}")
+            opt.step()
+            epoch_loss += value
+            epoch_mse += sum(shard["mse"] for shard in parts)
+            n_batches += 1
+        val = validation_mse(model, val_windows)
+        if not np.isfinite(val):
+            raise NumericError(f"validation MSE diverged at epoch {epoch}: {val}")
+        history["train_loss"].append(epoch_loss / n_batches)
+        history["train_mse"].append(epoch_mse / n_batches)
+        history["val_mse"].append(val)
+        if progress is not None:
+            progress(epoch, history["train_loss"][-1], val)
+        if val < best_val:  # always at epoch 0, whose validation MSE is finite
+            best_val = val
+            best_arrays = {k: v.copy() for k, v in model.named_arrays().items()}
+            history["best_epoch"] = epoch
+            stale = 0
+        else:
+            stale += 1
+            if cfg.patience > 0 and stale >= cfg.patience:
+                break
     return Checkpoint(
         version=CHECKPOINT_VERSION,
         config=cfg,

@@ -159,6 +159,45 @@ def test_detects_an_unused_import(tmp_path):
     assert unused_imports(probe) == ["probe.py: io", "probe.py: Scaler", "probe.py: drift"]
 
 
+def thread_imports(path: Path) -> list[str]:
+    """Imports of `concurrent.futures` or `threading` (or their names) in one file."""
+    found = []
+    for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+        if isinstance(node, ast.Import):
+            modules = [a.name for a in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            modules = [node.module or ""]
+        else:
+            continue
+        if any(m.split(".")[0] in ("concurrent", "threading") for m in modules):
+            found.append(f"{path.name}:{node.lineno}: {ast.unparse(node)}")
+    return found
+
+
+def test_only_model_starts_threads():
+    """`model.on_threads` owns every thread the package starts."""
+    found = [line for path in sorted(SRC.glob("*.py")) if path.name != "model.py"
+             for line in thread_imports(path)]
+    assert not found, "thread imports outside model.py:\n" + "\n".join(found)
+    assert thread_imports(SRC / "model.py")
+
+
+def test_detects_a_thread_import(tmp_path):
+    probe = tmp_path / "probe.py"
+    probe.write_text(
+        "import threading\n"
+        "import concurrent.futures as cf\n"
+        "from concurrent.futures import ThreadPoolExecutor\n"
+        "from .threading import helper\n"
+        "import numpy as np\n"
+    )
+    assert [line.split(": ", 1)[1] for line in thread_imports(probe)] == [
+        "import threading",
+        "import concurrent.futures as cf",
+        "from concurrent.futures import ThreadPoolExecutor",
+    ]
+
+
 def package_imports(path: Path) -> set[str]:
     """The package modules that one file imports at module level
     (`from . import drift`, `from .data import Scaler`, `import tfps.model`)."""

@@ -5,7 +5,6 @@ sparsity instrumentation, threaded forecasting."""
 import sys
 import threading
 import time
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -370,8 +369,7 @@ class TestForecast:
     def test_on_threads_keeps_order_and_gives_the_caller_every_workers_th_call(self, monkeypatch, workers, n):
         monkeypatch.setattr(model_mod, "forecast_workers", lambda: workers)
         caller = threading.get_ident()
-        with ThreadPoolExecutor(2) as pool:
-            got = model_mod.on_threads(pool, lambda i: (i, threading.get_ident() == caller), n)
+        got = model_mod.on_threads(lambda i: (i, threading.get_ident() == caller), n)
         assert got == [(i, i % min(workers, n) == 0) for i in range(n)]
 
     @pytest.mark.parametrize("env,expected", [

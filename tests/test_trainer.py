@@ -16,6 +16,7 @@ from tfps.config import TrainConfig
 from tfps.data import (
     RegimeSpec,
     SynthSpec,
+    Windows,
     apply_scaler,
     fit_scaler,
     make_windows,
@@ -32,10 +33,9 @@ from tfps.trainer import (
     grid_search,
     load_checkpoint,
     save_checkpoint,
-    shard_backward,
-    shard_losses,
     total_loss,
     train,
+    train_step,
     validation_mse,
 )
 
@@ -346,21 +346,19 @@ def sharded_gradients(model, x, y, workers):
     """Gradients and summed loss of one training batch cut into `workers`
     shards, as `train` computes them."""
     models = [model] + [TFPSModel(model.cfg, arrays=model.named_arrays()) for _ in range(workers - 1)]
-    with ThreadPoolExecutor(max(1, workers - 1)) as pool:
-        losses = shard_losses(models, pool, x, y)
-        shard_backward(models, pool, [loss for loss, _ in losses])
-    return {k: t.grad for k, t in model.params.items()}, sum(float(loss.data) for loss, _ in losses)
+    parts = train_step(models, x, y)
+    return {k: t.grad for k, t in model.params.items()}, sum(shard["loss"] for shard in parts)
 
 
 def record_shards(monkeypatch) -> list[int]:
     """The shard count of every step `train` takes from here on."""
-    counts, original = [], trainer.shard_losses
+    counts, original = [], trainer.train_step
 
     def recording(models, *args, **kwargs):
         counts.append(len(models))
         return original(models, *args, **kwargs)
 
-    monkeypatch.setattr(trainer, "shard_losses", recording)
+    monkeypatch.setattr(trainer, "train_step", recording)
     return counts
 
 
@@ -469,29 +467,27 @@ class TestShardedStep:
         assert len(calls) == len(model.branches) == 2
         assert {id(b) for b in calls} == {id(br.identifier["bases"]) for br in model.branches.values()}
 
-    def test_one_pool_a_train_call_and_one_a_forecast(self, monkeypatch):
+    def test_one_pool_an_on_threads_call(self, monkeypatch):
         monkeypatch.setattr(model_mod, "forecast_workers", lambda: 2)
         shards = record_shards(monkeypatch)
-        pools: dict[str, int] = {"trainer": 0, "model": 0}
+        started = threading.active_count()
+        live = []  # threads alive as each pool opens
 
-        def counting(module, owner):
-            class Counting(ThreadPoolExecutor):
-                def __init__(self, *args, **kwargs):
-                    pools[owner] += 1
-                    super().__init__(*args, **kwargs)
+        class Counting(ThreadPoolExecutor):
+            def __init__(self, *args, **kwargs):
+                live.append(threading.active_count())
+                super().__init__(*args, **kwargs)
 
-            monkeypatch.setattr(module, "ThreadPoolExecutor", Counting)
-
-        counting(trainer, "trainer")
-        counting(model_mod, "model")
+        monkeypatch.setattr(model_mod, "ThreadPoolExecutor", Counting)
         series, _ = tiny_dataset()
         cfg = TrainConfig(**{**TINY, "batch_size": 20, "max_epochs": 2, "patience": 0})
         (trw, vaw, _), sc = prepared_windows(cfg, series)
-        threads = threading.active_count()
         train(cfg, trw, vaw, scaler=sc)
         assert len(shards) >= 4 and 2 in shards
-        assert pools == {"trainer": 1, "model": cfg.max_epochs}  # one validation forecast an epoch
-        assert threading.active_count() == threads
+        # two a step (forwards; then losses and backwards) and one a validation forecast
+        assert len(live) == 2 * len(shards) + cfg.max_epochs
+        assert live == [started] * len(live)  # each pool's threads end with its call
+        assert threading.active_count() == started
 
     def test_no_more_replicas_than_batch_windows(self, monkeypatch):
         monkeypatch.setattr(model_mod, "forecast_workers", lambda: 64)
@@ -521,6 +517,47 @@ class TestShardedStep:
         train(cfg, trw, vaw, scaler=sc)
         assert shards == [1] * -(-len(trw) // cfg.batch_size)
         assert threading.active_count() == threads
+
+    @pytest.mark.parametrize("stage", ["loss", "backward"])
+    def test_worker_loss_or_backward_exception_leaves_the_model_as_it_was(self, monkeypatch, stage):
+        monkeypatch.setattr(model_mod, "forecast_workers", lambda: 2)
+        owner, name = (trainer, "shard_loss") if stage == "loss" else (ad.Tensor, "backward")
+        original, caller, ran = getattr(owner, name), threading.get_ident(), []
+
+        def failing(*args, **kwargs):
+            ran.append(threading.get_ident())
+            if threading.get_ident() != caller:
+                raise RuntimeError(f"{stage} failed")
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(owner, name, failing)
+        built, init = [], TFPSModel.__init__
+        monkeypatch.setattr(TFPSModel, "__init__", lambda self, *a, **k: built.append(self) or init(self, *a, **k))
+        series, _ = tiny_dataset()
+        cfg = TrainConfig(**TINY)
+        (trw, vaw, _), sc = prepared_windows(cfg, series)
+        threads = threading.active_count()
+        with pytest.raises(RuntimeError, match=f"{stage} failed"):
+            train(cfg, trw, vaw, scaler=sc)
+        assert caller in ran and len(set(ran)) == 2
+        assert threading.active_count() == threads
+        initial = TFPSModel(cfg).named_arrays()  # the first step never reached Adam
+        for k, v in built[0].named_arrays().items():
+            np.testing.assert_array_equal(v, initial[k], err_msg=k)
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_non_finite_loss_raises_before_the_step(self, monkeypatch, workers):
+        monkeypatch.setattr(model_mod, "forecast_workers", lambda: workers)
+        steps = []
+        monkeypatch.setattr(Adam, "step", lambda self: steps.append(self))
+        series, _ = tiny_dataset()
+        cfg = TrainConfig(**TINY)
+        (trw, vaw, _), sc = prepared_windows(cfg, series)
+        array = trw.array.copy()
+        array[:, cfg.seq_len :] = np.nan
+        with pytest.raises(NumericError, match=r"^loss diverged at epoch 0, batch 0: nan$"):
+            train(cfg, Windows(array, trw.L, trw.origins), vaw, scaler=sc)
+        assert steps == []
 
     def test_worker_shard_exception_reaches_caller(self, monkeypatch):
         monkeypatch.setattr(model_mod, "forecast_workers", lambda: 2)
