@@ -10,29 +10,24 @@ finite differences are a meaningful cross-check.
 from __future__ import annotations
 
 import contextlib
+import contextvars
 
 import numpy as np
 
-_GRAD_ENABLED = True
+_grad_enabled = contextvars.ContextVar("grad_enabled", default=True)
 
 
 @contextlib.contextmanager
 def no_grad():
     """Disable tape recording inside the block (inference / metric passes).
 
-    The switch is one flag for the whole process, not for one thread:
-    `TFPSModel.forecast` holds it for its `model.on_threads` threads, so no
-    other thread may record a tape while a `forecast` runs.
-    `trainer.train_step` records each shard's tape on the same runner, and
-    `trainer.train` validates only between steps, so no validation overlaps
-    a step's threads."""
-    global _GRAD_ENABLED
-    prev = _GRAD_ENABLED
-    _GRAD_ENABLED = False
+    Grad mode belongs to the caller's context: other threads keep their own,
+    and `model.on_threads` runs each call in a copy of the caller's."""
+    token = _grad_enabled.set(False)
     try:
         yield
     finally:
-        _GRAD_ENABLED = prev
+        _grad_enabled.reset(token)
 
 
 class Tensor:
@@ -188,7 +183,7 @@ def make_op(data: np.ndarray, parents: tuple[Tensor, ...], backward) -> Tensor:
     `accumulate` for each parent. Both are public so modules with hand-derived
     adjoints (the Fourier mixers) can register themselves on the tape."""
     out = Tensor(data)
-    if _GRAD_ENABLED and any(p.requires_grad for p in parents):
+    if _grad_enabled.get() and any(p.requires_grad for p in parents):
         out.requires_grad = True
         out._parents = parents
         out._backward = backward

@@ -6,7 +6,8 @@ TFPS_DATA_DIR serves as a fallback root for relative data paths. BLAS pools
 are sized from the environment (OPENBLAS_NUM_THREADS and the like) when NumPy
 loads, which importing the package already does; `eval` and validation then
 forecast, and `train` and `grid` train, on one thread per core the BLAS pool
-leaves free (`model.on_threads`, whose threads end with each call).
+leaves free (`model.on_threads`, whose threads run in the caller's context
+and end with each call).
 """
 
 from __future__ import annotations

@@ -25,7 +25,8 @@ log = logging.getLogger(__name__)
 
 @dataclass(frozen=True)
 class MultivariateSeries:
-    """Immutable [T x C] observations with strictly increasing timestamps."""
+    """Immutable [T x C] observations with finite, strictly increasing
+    timestamps."""
 
     timestamps: np.ndarray  # epoch seconds, float64, shape (T,)
     values: np.ndarray  # float64, shape (T, C)
@@ -41,6 +42,8 @@ class MultivariateSeries:
         if not np.all(np.isfinite(vals)):
             r, c = np.argwhere(~np.isfinite(vals))[0]
             raise DataError(f"non-finite value at row {r}, channel {self.channel_names[c]!r}")
+        if not np.all(np.isfinite(ts)):
+            raise DataError(f"non-finite timestamp at row {int(np.argmin(np.isfinite(ts)))}")
         if ts.size > 1 and not np.all(np.diff(ts) > 0):
             r = int(np.argmin(np.diff(ts) > 0))
             raise DataError(f"timestamps not strictly increasing at row {r + 1}")
@@ -238,6 +241,8 @@ def _row_fault(path, header: list[str]) -> DataError | None:
                 seconds = _parse_timestamp(stamp)
             except ValueError:
                 return DataError(f"{path}: row {n}: cannot parse timestamp {stamp!r}")
+            if not math.isfinite(seconds):
+                return DataError(f"{path}: row {n}: non-finite timestamp {stamp!r}")
             for name, cell in zip(names, row[1:]):
                 cell = cell.strip()
                 try:
@@ -246,7 +251,7 @@ def _row_fault(path, header: list[str]) -> DataError | None:
                     return DataError(f"{path}: row {n}, column {name!r}: cannot parse {cell!r}")
                 if not math.isfinite(v):
                     return DataError(f"{path}: row {n}, column {name!r}: non-finite value")
-            if not seconds > previous:  # a nan stamp too
+            if not seconds > previous:
                 return DataError(f"{path}: row {n}: timestamps not strictly increasing")
             previous = seconds
     return None
@@ -254,7 +259,7 @@ def _row_fault(path, header: list[str]) -> DataError | None:
 
 def _parse_body(fh, n_channels: int) -> tuple[np.ndarray, np.ndarray]:
     """Timestamps and (T, C) values of the rows left in `fh`, in one pass of
-    NumPy's tokenizer. Raises ValueError when any row is faulty."""
+    NumPy's tokenizer. Raises ValueError when a row does not parse."""
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", UserWarning)  # np.loadtxt warns on a body with no rows
         table = np.loadtxt(
@@ -265,17 +270,14 @@ def _parse_body(fh, n_channels: int) -> tuple[np.ndarray, np.ndarray]:
             comments=None,
             ndmin=1,
         )
-    values = np.ascontiguousarray(table["values"])
-    if not np.isfinite(values).all():
-        raise ValueError("non-finite value")
-    return _epoch_seconds(table["date"].astype(str)), values
+    return _epoch_seconds(table["date"].astype(str)), np.ascontiguousarray(table["values"])
 
 
 def load_csv(path) -> MultivariateSeries:
     """Read a series from CSV: header row, first column timestamp (ISO-8601 or
     epoch), remaining columns decimal floats. The body is parsed in one pass;
-    when that fails, the file is read once more to name the first faulty
-    row."""
+    when that fails or the series rejects it, the file is read once more to
+    name the first faulty row."""
     try:
         fh = open(path, newline="")
     except OSError as e:
@@ -296,12 +298,10 @@ def load_csv(path) -> MultivariateSeries:
         raise DataError(f"{path}: no data columns after the timestamp column")
     if not len(values):
         raise DataError(f"{path}: no data rows")
-    if not (np.diff(timestamps, prepend=-np.inf) > 0).all():  # as _row_fault: nan fails
-        raise _row_fault(path, header)
     try:
         return MultivariateSeries(timestamps, values, tuple(names))
-    except DataError as e:  # a duplicate channel name
-        raise DataError(f"{path}: {e}") from None
+    except DataError as e:  # _row_fault names no row for a duplicate channel name
+        raise _row_fault(path, header) or DataError(f"{path}: {e}") from None
 
 
 # 1000-01-01 to 9999-12-31 UTC in epoch seconds: fromisoformat reads no year
@@ -523,11 +523,12 @@ class SynthSpec:
             raise ValueError("need at least one regime")
         if self.channels < 1:
             raise ValueError(f"channels must be >= 1, got {self.channels}")
-        with np.errstate(over="ignore", invalid="ignore"):  # a step that overflows fails too
-            increasing = np.all(np.diff(self.timestamps()) > 0)
-        if not increasing:
+        with np.errstate(over="ignore", invalid="ignore"):  # a step that overflows fails
+            ts = self.timestamps()
+            valid = np.all(np.isfinite(ts)) and np.all(np.diff(ts) > 0)
+        if not valid:
             raise ValueError(
-                f"step_seconds {self.step_seconds!r} does not make the timestamps strictly increasing"
+                f"step_seconds {self.step_seconds!r} does not make finite, strictly increasing timestamps"
             )
         if self.seed < 0:
             raise ValueError("seed must be >= 0")

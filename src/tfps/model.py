@@ -7,6 +7,7 @@ Ablation variants are pure configuration: `branches` drops one encoder path,
 
 from __future__ import annotations
 
+import contextvars
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
@@ -31,8 +32,7 @@ def forecast_workers() -> int:
     pool size the environment sets (OPENBLAS_NUM_THREADS, else
     OMP_NUM_THREADS). With neither set, BLAS already spreads over every core,
     so one thread. Platforms without `os.sched_getaffinity` count
-    `os.cpu_count()`. Training validates only between steps, so its
-    forecasts never overlap a step's threads."""
+    `os.cpu_count()`."""
     for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"):
         try:
             blas = int(os.environ.get(var, ""))
@@ -48,14 +48,16 @@ def forecast_workers() -> int:
 def on_threads(fn, n: int) -> list:
     """`[fn(0), ..., fn(n - 1)]` on `min(forecast_workers(), n)` threads: the
     calling thread runs every workers-th call and a pool that lives for this
-    call the others. The first exception reaches the caller once the calls
-    the pool has not started are cancelled and its threads have ended; with
-    one worker the pool starts no thread. No other code in the package
-    starts a thread."""
+    call the others, each in a copy of the caller's context, so every call
+    sees the caller's grad mode and `np.errstate`. The first exception
+    reaches the caller once the calls the pool has not started are cancelled
+    and its threads have ended; with one worker the pool starts no thread.
+    No other code in the package starts a thread."""
     workers = max(1, min(forecast_workers(), n))
     pool = ThreadPoolExecutor(max(1, workers - 1))
     try:
-        futures = {i: pool.submit(fn, i) for i in range(n) if i % workers}
+        # one copy per call: two threads cannot enter one Context at once
+        futures = {i: pool.submit(contextvars.copy_context().run, fn, i) for i in range(n) if i % workers}
         mine = {i: fn(i) for i in range(0, n, workers)}
         return [mine[i] if i in mine else futures[i].result() for i in range(n)]
     finally:

@@ -188,16 +188,18 @@ def reference_load_csv(path):
     def parse_timestamp(text, row):
         text = text.strip()
         try:
-            return float(text)
+            seconds = float(text)
         except ValueError:
-            pass
-        try:
-            dt = datetime.fromisoformat(text)
-        except ValueError:
-            raise DataError(f"{path}: row {row}: cannot parse timestamp {text!r}") from None
-        if dt.tzinfo is None:
-            dt = dt.replace(tzinfo=timezone.utc)
-        return dt.timestamp()
+            try:
+                dt = datetime.fromisoformat(text)
+            except ValueError:
+                raise DataError(f"{path}: row {row}: cannot parse timestamp {text!r}") from None
+            if dt.tzinfo is None:
+                dt = dt.replace(tzinfo=timezone.utc)
+            seconds = dt.timestamp()
+        if not math.isfinite(seconds):
+            raise DataError(f"{path}: row {row}: non-finite timestamp {text!r}")
+        return seconds
 
     with open(path, newline="") as fh:
         reader = csv.reader(fh)

@@ -95,6 +95,16 @@ def replace(old: bytes, new: bytes):
     return lambda blob: blob.replace(old, new, 1)
 
 
+def last_stamp(stamp: bytes):
+    """An edit replacing the timestamp of a CSV's last row with `stamp`."""
+
+    def edit(blob: bytes) -> bytes:
+        *rows, last = blob.splitlines(keepends=True)
+        return b"".join(rows) + stamp + last[last.index(b","):]
+
+    return edit
+
+
 def edit_checkpoint(change, time_norm: str = "layer"):
     """An edit of a checkpoint's arrays by `change(arrays)`, with the header
     listing the arrays left and its config's `time_norm` set."""
@@ -148,12 +158,18 @@ PINNED = {
     "config-too-long-for-csv": ("config", "train", replace(b'"seq_len": 16', b'"seq_len": 160')),
     "spec-unknown-field": ("spec", "synth", replace(b'"channels"', b'"channols"')),
     "spec-unknown-regime-field": ("spec", "synth", replace(b'"length"', b'"lngth"')),
+    "csv-inf-last-stamp": ("csv", "predict", last_stamp(b"inf")),
+    # 240 rows: only the last stamp overflows
+    "spec-step-overflows-last-stamp": ("spec", "synth",
+                                       replace(b'"channels"', b'"step_seconds": 7.54e305, "channels"')),
     **{f"{name}-{command}": ("ckpt", command, edit)
        for name, (edit, _) in CHECKPOINT_FAULTS.items() for command in ("predict", "eval")},
 }
 # pinned name -> the exit code and the text its stderr line must show
 EXPECTED = {f"{name}-{command}": (2, key)
             for name, (_, key) in CHECKPOINT_FAULTS.items() for command in ("predict", "eval")}
+EXPECTED["csv-inf-last-stamp"] = (2, "non-finite timestamp 'inf'")
+EXPECTED["spec-step-overflows-last-stamp"] = (1, "step_seconds 7.54e+305")
 
 
 def check(workdir, inputs, kind, command, blob, capsys, expect=None) -> str | None:

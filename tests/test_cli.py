@@ -403,6 +403,7 @@ class TestBoundaryErrors:
         {"regimes": [{"length": 300, "amplitude": float("nan")}]},
         {"regimes": [REGIME], "step_seconds": 1e-300},  # too small to move start_epoch
         {"regimes": [REGIME], "step_seconds": 1e308},  # overflows
+        {"regimes": [{"length": 3}], "step_seconds": 1e308},  # overflows at the last stamp only
     ])
     @pytest.mark.filterwarnings("error")  # a NumPy warning would print on the command line
     def test_bad_synth_spec(self, tmp_path, capsys, spec):

@@ -106,6 +106,7 @@ FAULTS = {
     "inf-cell": "1,1,2\n2,3,-inf\n",
     "overflow-cell": "1,1,1e999\n",
     "bad-stamp": "1,1,2\nyesterday,3,4\n",
+    "nan-stamp-before-cell": "1,1,2\nnan,oops,4\n",
     "nat": "2016-07-01,1,2\nNaT,3,4\n",
     "now": "2016-07-01,1,2\nnow,3,4\n",
     "today": "today,1,2\n",
@@ -118,6 +119,12 @@ FAULTS = {
     "no-rows": "",
     "only-blank-lines": "\n\r\n\n",
 }
+
+
+@pytest.mark.parametrize("stamps,row", [([np.nan], 0), ([0.0, np.inf], 1), ([-np.inf, 0.0], 0)])
+def test_series_rejects_a_non_finite_timestamp(stamps, row):
+    with pytest.raises(DataError, match=f"^non-finite timestamp at row {row}$"):
+        MultivariateSeries(np.array(stamps), np.ones((len(stamps), 1)), ("a",))
 
 
 class TestLoadCsv:
@@ -217,9 +224,8 @@ class TestLoadCsv:
 
     @pytest.mark.parametrize(
         "body, row",
-        [("1,1.0\n2,2.0\n2,3.0\n", 3), ("5,1\n\n3,2\n", 3), ("1,1\n2,2\nnan,3\n", 3),
-         ("nan,1\n2,2\n", 1), ("nan,1\n", 1)],
-        ids=["repeated", "after-blank-line", "nan", "nan-first", "nan-only-row"],
+        [("1,1.0\n2,2.0\n2,3.0\n", 3), ("5,1\n\n3,2\n", 3)],
+        ids=["repeated", "after-blank-line"],
     )
     def test_non_increasing_timestamp_names_path_and_row(self, tmp_path, body, row):
         p = tmp_path / "t.csv"
@@ -227,6 +233,20 @@ class TestLoadCsv:
         with pytest.raises(DataError) as e:
             load_csv(p)
         assert str(e.value) == f"{p}: row {row}: timestamps not strictly increasing"
+
+    @pytest.mark.parametrize(
+        "body, row, stamp",
+        [("1,1\n2,2\nnan,3\n", 3, "nan"), ("nan,1\n2,2\n", 1, "nan"), ("nan,1\n", 1, "nan"),
+         ("1,1\n2,2\ninf,3\n", 3, "inf"), ("-inf,1\n2,2\n", 1, "-inf"),
+         ("2016-07-01,1\n inf ,2\n", 2, "inf")],
+        ids=["nan", "nan-first", "nan-only-row", "inf-last", "minus-inf-first", "inf-after-date"],
+    )
+    def test_non_finite_timestamp_names_path_and_row(self, tmp_path, body, row, stamp):
+        p = tmp_path / "t.csv"
+        p.write_text(f"date,a\n{body}")
+        with pytest.raises(DataError) as e:
+            load_csv(p)
+        assert str(e.value) == f"{p}: row {row}: non-finite timestamp {stamp!r}"
 
     def test_python_only_float_literal_is_a_cell_error(self, tmp_path):
         # float() reads "1_000"; NumPy's tokenizer, like most CSV readers, does not

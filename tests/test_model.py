@@ -372,6 +372,39 @@ class TestForecast:
         got = model_mod.on_threads(lambda i: (i, threading.get_ident() == caller), n)
         assert got == [(i, i % min(workers, n) == 0) for i in range(n)]
 
+    def test_on_threads_runs_calls_under_the_callers_errstate(self, monkeypatch):
+        monkeypatch.setattr(model_mod, "forecast_workers", lambda: 2)
+        with np.errstate(over="ignore"):
+            assert model_mod.on_threads(lambda i: np.geterr()["over"], 2) == ["ignore", "ignore"]
+
+    def test_on_threads_runs_calls_in_the_callers_grad_mode(self, monkeypatch):
+        monkeypatch.setattr(model_mod, "forecast_workers", lambda: 2)
+        p = ad.parameter(np.ones(3))
+
+        def records(i):
+            return ad.mul(p, 2.0).requires_grad
+
+        with ad.no_grad():
+            assert model_mod.on_threads(records, 2) == [False, False]
+        assert model_mod.on_threads(records, 2) == [True, True]
+
+    def test_no_grad_on_one_thread_leaves_another_recording(self):
+        p = ad.parameter(np.ones(3))
+        step = threading.Barrier(2, timeout=10)
+
+        def hold_no_grad():
+            with ad.no_grad():
+                step.wait()  # inside no_grad
+                step.wait()  # until the caller has recorded
+
+        other = threading.Thread(target=hold_no_grad)
+        other.start()
+        step.wait()
+        recorded = ad.mul(p, 2.0).requires_grad
+        step.wait()
+        other.join()
+        assert recorded
+
     @pytest.mark.parametrize("env,expected", [
         ({}, 1),
         ({"OPENBLAS_NUM_THREADS": "1"}, 4),
