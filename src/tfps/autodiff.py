@@ -1,8 +1,8 @@
 """Tape-based reverse-mode automatic differentiation on float64 numpy arrays.
 
 Deliberately small: only the operations the forecasting model needs. Every op
-records a backward closure on the output tensor; ``Tensor.backward()`` walks
-the tape in reverse topological order and accumulates gradients by summation.
+records a node with a backward closure; ``Tensor.backward()`` walks the nodes
+in reverse topological order and accumulates gradients by summation.
 Broadcasting is undone explicitly, and everything stays in float64 so central
 finite differences are a meaningful cross-check.
 """
@@ -30,17 +30,36 @@ def no_grad():
         _grad_enabled.reset(token)
 
 
-class Tensor:
-    """A float64 ndarray plus an optional gradient tape node."""
+class Node:
+    """A tape entry: the gradient accumulated so far, the backward closure and
+    the parents' nodes. A leaf (a parameter) has no closure."""
 
-    __slots__ = ("data", "grad", "requires_grad", "_backward", "_parents")
+    __slots__ = ("grad", "backward", "parents")
+
+    def __init__(self, backward=None, parents: tuple[Node, ...] = ()):
+        self.grad, self.backward, self.parents = None, backward, parents
+
+
+class Tensor:
+    """A float64 ndarray plus, while it is on the tape, its node (see `make_op`)."""
+
+    __slots__ = ("data", "node")
 
     def __init__(self, data):
         self.data = np.asarray(data, dtype=np.float64)
-        self.grad: np.ndarray | None = None
-        self.requires_grad = False  # set by `parameter` and `make_op`
-        self._backward = None
-        self._parents: tuple[Tensor, ...] | None = ()  # None once backward freed it
+        self.node: Node | None = None  # set by `parameter` and `make_op`
+
+    @property
+    def requires_grad(self) -> bool:
+        return self.node is not None
+
+    @property
+    def grad(self) -> np.ndarray | None:
+        return None if self.node is None else self.node.grad
+
+    @grad.setter
+    def grad(self, g: np.ndarray | None) -> None:
+        self.node.grad = g
 
     @property
     def shape(self) -> tuple[int, ...]:
@@ -49,10 +68,6 @@ class Tensor:
     @property
     def ndim(self) -> int:
         return self.data.ndim
-
-    @property
-    def size(self) -> int:
-        return self.data.size
 
     def __repr__(self) -> str:
         tag = ", grad" if self.requires_grad else ""
@@ -72,9 +87,9 @@ class Tensor:
             if self.data.size != 1:
                 raise ValueError("backward() without a seed gradient needs a scalar")
             grad = np.ones_like(self.data)
-        order: list[Tensor] = []
+        order: list[Node] = []
         seen: set[int] = set()
-        stack: list[tuple[Tensor, bool]] = [(self, False)]
+        stack: list[tuple[Node, bool]] = [(self.node, False)] if self.node else []
         while stack:
             node, expanded = stack.pop()
             if expanded:
@@ -82,7 +97,7 @@ class Tensor:
                 continue
             if id(node) in seen:
                 continue
-            if node._parents is None:
+            if node.parents is None:
                 raise RuntimeError(
                     "backward() reached a tensor whose graph was already backpropagated "
                     "and freed; a graph can be backpropagated only once, so rebuild it "
@@ -90,17 +105,15 @@ class Tensor:
                 )
             seen.add(id(node))
             stack.append((node, True))
-            for p in node._parents:
-                if p.requires_grad and id(p) not in seen:
-                    stack.append((p, False))
-        accumulate(self, np.asarray(grad, dtype=np.float64))
+            stack.extend((p, False) for p in node.parents if id(p) not in seen)
+        accumulate(self.node, np.asarray(grad, dtype=np.float64))
         while order:
             node = order.pop()
-            if node._backward is None:
+            if node.backward is None:
                 continue  # a leaf: keeps its .grad
             if node.grad is not None:
-                node._backward(node.grad)
-            node.grad = node._backward = node._parents = None
+                node.backward(node.grad)
+            node.grad = node.backward = node.parents = None
 
     # -- operators ----------------------------------------------------------
 
@@ -149,20 +162,20 @@ def as_tensor(x) -> Tensor:
 def parameter(data) -> Tensor:
     """Leaf tensor that always tracks gradients (model parameter)."""
     t = Tensor(data)
-    t.requires_grad = True  # persists even when created inside no_grad()
+    t.node = Node()  # persists even when created inside no_grad()
     return t
 
 
-def accumulate(t: Tensor, g: np.ndarray) -> None:
-    """Add `g` into `t.grad`. An interior node's gradient is read only by its
-    own backward closure, so it may alias `g`; a leaf gets its own copy, since
-    `g` can be a view that another parent's gradient shares."""
-    if not t.requires_grad:
+def accumulate(node: Node | None, g: np.ndarray) -> None:
+    """Add `g` into `node.grad` (a constant has no node). An interior node's
+    gradient is read only by its own backward closure, so it may alias `g`; a
+    leaf gets its own copy, since `g` can be a view another gradient shares."""
+    if node is None:
         return
-    if t.grad is not None:
-        t.grad = t.grad + g
+    if node.grad is not None:
+        node.grad = node.grad + g
     else:
-        t.grad = g if t._backward is not None else g.copy()
+        node.grad = g if node.backward is not None else g.copy()
 
 
 def unbroadcast(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
@@ -179,14 +192,14 @@ def unbroadcast(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
 
 
 def make_op(data: np.ndarray, parents: tuple[Tensor, ...], backward) -> Tensor:
-    """Build the output node of a primitive op; `backward(g)` must call
-    `accumulate` for each parent. Both are public so modules with hand-derived
-    adjoints (the Fourier mixers) can register themselves on the tape."""
+    """Build the output of a primitive op; `backward(g)` must call `accumulate`
+    on each parent's node and hold only nodes, shapes and the arrays its
+    adjoint reads, never a tensor, so an output no adjoint reads goes with
+    its tensor. Both are public so modules with hand-derived adjoints (the
+    Fourier mixers) can register themselves on the tape."""
     out = Tensor(data)
-    if _grad_enabled.get() and any(p.requires_grad for p in parents):
-        out.requires_grad = True
-        out._parents = parents
-        out._backward = backward
+    if _grad_enabled.get() and (nodes := tuple(p.node for p in parents if p.node is not None)):
+        out.node = Node(backward, nodes)
     return out
 
 
@@ -195,36 +208,41 @@ def make_op(data: np.ndarray, parents: tuple[Tensor, ...], backward) -> Tensor:
 
 def add(a, b) -> Tensor:
     a, b = as_tensor(a), as_tensor(b)
+    na, nb, sa, sb = a.node, b.node, a.shape, b.shape
 
     def backward(g):
-        if a.requires_grad:
-            accumulate(a, unbroadcast(g, a.data.shape))
-        if b.requires_grad:
-            accumulate(b, unbroadcast(g, b.data.shape))
+        if na:
+            accumulate(na, unbroadcast(g, sa))
+        if nb:
+            accumulate(nb, unbroadcast(g, sb))
 
     return make_op(a.data + b.data, (a, b), backward)
 
 
 def mul(a, b) -> Tensor:
     a, b = as_tensor(a), as_tensor(b)
+    na, nb, sa, sb = a.node, b.node, a.shape, b.shape
+    ka, kb = a.data if nb else None, b.data if na else None
 
     def backward(g):
-        if a.requires_grad:
-            accumulate(a, unbroadcast(g * b.data, a.data.shape))
-        if b.requires_grad:
-            accumulate(b, unbroadcast(g * a.data, b.data.shape))
+        if na:
+            accumulate(na, unbroadcast(g * kb, sa))
+        if nb:
+            accumulate(nb, unbroadcast(g * ka, sb))
 
     return make_op(a.data * b.data, (a, b), backward)
 
 
 def div(a, b) -> Tensor:
     a, b = as_tensor(a), as_tensor(b)
+    na, nb, sa, sb = a.node, b.node, a.shape, b.shape
+    ka, kb = a.data if nb else None, b.data
 
     def backward(g):
-        if a.requires_grad:
-            accumulate(a, unbroadcast(g / b.data, a.data.shape))
-        if b.requires_grad:
-            accumulate(b, unbroadcast(-g * a.data / (b.data * b.data), b.data.shape))
+        if na:
+            accumulate(na, unbroadcast(g / kb, sa))
+        if nb:
+            accumulate(nb, unbroadcast(-g * ka / (kb * kb), sb))
 
     return make_op(a.data / b.data, (a, b), backward)
 
@@ -236,10 +254,14 @@ def matmul(a, b) -> Tensor:
         raise ValueError("matmul operands must have ndim >= 2")
     if b.ndim == 2:
         return linear(a, b)
+    na, nb, sa, sb = a.node, b.node, a.shape, b.shape
+    ka, kb = a.data if nb else None, b.data if na else None
 
     def backward(g):
-        accumulate(a, unbroadcast(g @ b.data.swapaxes(-1, -2), a.data.shape))
-        accumulate(b, unbroadcast(a.data.swapaxes(-1, -2) @ g, b.data.shape))
+        if na:
+            accumulate(na, unbroadcast(g @ kb.swapaxes(-1, -2), sa))
+        if nb:
+            accumulate(nb, unbroadcast(ka.swapaxes(-1, -2) @ g, sb))
 
     return make_op(a.data @ b.data, (a, b), backward)
 
@@ -252,21 +274,23 @@ def linear(x, w, b=None) -> Tensor:
     x, w = as_tensor(x), as_tensor(w)
     if w.ndim != 2:
         raise ValueError(f"linear needs a 2-D weight, got shape {w.shape}")
-    x2 = x.data.reshape(-1, x.data.shape[-1])
-    out = (x2 @ w.data).reshape(x.data.shape[:-1] + w.data.shape[-1:])
+    nx, nw, sx, wd = x.node, w.node, x.shape, w.data
+    nb = sb = None
+    x2 = x.data.reshape(-1, sx[-1])
+    out = (x2 @ wd).reshape(sx[:-1] + wd.shape[-1:])
     parents = (x, w)
     if b is not None:
         b = as_tensor(b)
         out += b.data
-        parents = (x, w, b)
+        parents, nb, sb = (x, w, b), b.node, b.shape
 
     def backward(g):
-        if b is not None:
-            accumulate(b, unbroadcast(g, b.data.shape))
+        if nb:
+            accumulate(nb, unbroadcast(g, sb))
         g2 = g.reshape(-1, g.shape[-1])
-        if x.requires_grad:
-            accumulate(x, (g2 @ w.data.T).reshape(x.data.shape))
-        accumulate(w, x2.T @ g2)
+        if nx:
+            accumulate(nx, (g2 @ wd.T).reshape(sx))
+        accumulate(nw, x2.T @ g2)
 
     return make_op(out, parents, backward)
 
@@ -276,52 +300,54 @@ def linear(x, w, b=None) -> Tensor:
 
 def reshape(a, shape) -> Tensor:
     a = as_tensor(a)
-    old = a.data.shape
+    na, old = a.node, a.shape
 
     def backward(g):
-        accumulate(a, g.reshape(old))
+        accumulate(na, g.reshape(old))
 
     return make_op(a.data.reshape(shape), (a,), backward)
 
 
 def swapaxes(a, i: int, j: int) -> Tensor:
     a = as_tensor(a)
+    na = a.node
 
     def backward(g):
-        accumulate(a, g.swapaxes(i, j))
+        accumulate(na, g.swapaxes(i, j))
 
     return make_op(a.data.swapaxes(i, j), (a,), backward)
 
 
 def narrow(a, key) -> Tensor:
     """Basic slicing. Integer/fancy indexing is not supported on the tape."""
-    a = as_tensor(a)
-    if not _is_basic_key(key):
+    parts = key if isinstance(key, tuple) else (key,)
+    if not all(isinstance(p, slice) or p is Ellipsis or p is None for p in parts):
         raise TypeError("only basic slices are differentiable; use index_rows")
+    return _select(as_tensor(a), key)
+
+
+def _select(a: Tensor, key) -> Tensor:
+    """`a[key]` for a key that picks no entry twice; the adjoint fills zeros."""
+    na, shape = a.node, a.shape
 
     def backward(g):
-        full = np.zeros_like(a.data)
+        full = np.zeros(shape)
         full[key] = g
-        accumulate(a, full)
+        accumulate(na, full)
 
     return make_op(a.data[key], (a,), backward)
 
 
-def _is_basic_key(key) -> bool:
-    parts = key if isinstance(key, tuple) else (key,)
-    return all(isinstance(p, slice) or p is Ellipsis or p is None for p in parts)
-
-
 def concat(tensors, axis: int = -1) -> Tensor:
     tensors = tuple(as_tensor(t) for t in tensors)
-    sizes = [t.data.shape[axis] for t in tensors]
-    offsets = np.cumsum([0] + sizes)
+    nodes = [t.node for t in tensors]
+    offsets = np.cumsum([0] + [t.data.shape[axis] for t in tensors])
 
     def backward(g):
-        for t, lo, hi in zip(tensors, offsets[:-1], offsets[1:]):
+        for node, lo, hi in zip(nodes, offsets[:-1], offsets[1:]):
             idx = [slice(None)] * g.ndim
             idx[axis] = slice(lo, hi)
-            accumulate(t, g[tuple(idx)])
+            accumulate(node, g[tuple(idx)])
 
     return make_op(np.concatenate([t.data for t in tensors], axis=axis), tensors, backward)
 
@@ -331,11 +357,12 @@ def concat(tensors, axis: int = -1) -> Tensor:
 
 def tsum(a, axis=None, keepdims: bool = False) -> Tensor:
     a = as_tensor(a)
+    na, shape = a.node, a.shape
 
     def backward(g):
         if axis is not None and not keepdims:
             g = np.expand_dims(g, axis)
-        accumulate(a, np.broadcast_to(g, a.data.shape).copy())
+        accumulate(na, np.broadcast_to(g, shape).copy())
 
     return make_op(a.data.sum(axis=axis, keepdims=keepdims), (a,), backward)
 
@@ -351,19 +378,20 @@ def tmean(a, axis=None, keepdims: bool = False) -> Tensor:
 
 def log(a) -> Tensor:
     a = as_tensor(a)
+    na, x = a.node, a.data
 
     def backward(g):
-        accumulate(a, g / a.data)
+        accumulate(na, g / x)
 
-    return make_op(np.log(a.data), (a,), backward)
+    return make_op(np.log(x), (a,), backward)
 
 
 def relu(a) -> Tensor:
     a = as_tensor(a)
-    mask = a.data > 0
+    na, mask = a.node, a.data > 0
 
     def backward(g):
-        accumulate(a, g * mask)
+        accumulate(na, g * mask)
 
     return make_op(a.data * mask, (a,), backward)
 
@@ -373,11 +401,12 @@ def softmax(a, axis: int = -1) -> Tensor:
     gradients are exact. The adjoint repeats, operation for operation, the
     one the exp/sum/div composite accumulated, so it rounds the same way."""
     a = as_tensor(a)
+    na = a.node
     e = np.exp(a.data - a.data.max(axis=axis, keepdims=True))
     s = e.sum(axis=axis, keepdims=True)
 
     def backward(g):
-        accumulate(a, (g / s + (-g * e / (s * s)).sum(axis=axis, keepdims=True)) * e)
+        accumulate(na, (g / s + (-g * e / (s * s)).sum(axis=axis, keepdims=True)) * e)
 
     return make_op(e / s, (a,), backward)
 
@@ -389,17 +418,10 @@ def index_rows(a, rows: np.ndarray) -> Tensor:
     """Select rows along axis 0; adjoint writes them back into zeros. Rows
     must be strictly increasing (as `np.nonzero` returns them), so no row
     repeats and plain assignment is the exact adjoint."""
-    a = as_tensor(a)
     rows = np.asarray(rows, dtype=np.intp)
     if rows.ndim != 1 or np.any(np.diff(rows) <= 0):
         raise ValueError("index_rows needs strictly increasing 1-D rows")
-
-    def backward(g):
-        full = np.zeros_like(a.data)
-        full[rows] = g
-        accumulate(a, full)
-
-    return make_op(a.data[rows], (a,), backward)
+    return _select(as_tensor(a), rows)
 
 
 def scatter_rows(a, rows: np.ndarray, length: int) -> Tensor:
@@ -407,10 +429,11 @@ def scatter_rows(a, rows: np.ndarray, length: int) -> Tensor:
     `length`. Rows must be unique; adjoint is plain row gathering."""
     a = as_tensor(a)
     rows = np.asarray(rows, dtype=np.intp)
+    na = a.node
     out_data = np.zeros((length,) + a.data.shape[1:], dtype=np.float64)
     out_data[rows] = a.data
 
     def backward(g):
-        accumulate(a, g[rows])
+        accumulate(na, g[rows])
 
     return make_op(out_data, (a,), backward)

@@ -316,14 +316,17 @@ def _cmd_predict(args) -> int:
     series = _load_series(args.input, ckpt)
     if series.length < cfg.seq_len:
         raise DataError(f"{args.input}: {series.length} rows, need {cfg.seq_len} (seq_len of {args.ckpt})")
+    with np.errstate(over="ignore"):  # finite stamps can still be too far apart or too close to the maximum
+        step = float(np.median(np.diff(series.timestamps))) if series.length > 1 else 3600.0
+        future = series.timestamps[-1] + step * np.arange(1, cfg.pred_len + 1)
+    if not np.all(np.isfinite(future)):
+        raise DataError(f"{args.input}: the {cfg.pred_len} forecast stamps overflow (step {step:g} s)")
     values = series.values[-cfg.seq_len :]
     if ckpt.scaler is not None:
         values = ckpt.scaler.transform(values)
     yhat = model.forecast(values[None])[0]
     if ckpt.scaler is not None:
         yhat = ckpt.scaler.inverse(yhat)
-    step = float(np.median(np.diff(series.timestamps))) if series.length > 1 else 3600.0
-    future = series.timestamps[-1] + step * np.arange(1, cfg.pred_len + 1)
     data.save_csv(data.MultivariateSeries(future, yhat, series.channel_names), args.out)
     print(f"wrote {cfg.pred_len}-step forecast for {series.n_channels} channels to {args.out}")
     return EXIT_OK

@@ -75,16 +75,17 @@ def layer_norm(t: Tensor, scale: Tensor, shift: Tensor, axes: tuple[int, ...] = 
                 stats[key] += BN_MOMENTUM * (batch - stats[key])
             else:
                 stats[key] = batch.copy()
+    node, gamma, scale_node, shift_node = t.node, scale.data, scale.node, shift.node
 
     def backward(g):
-        ad.accumulate(shift, ad.unbroadcast(g, shift.data.shape))
-        gxh = g * scale.data
-        ad.accumulate(scale, ad.unbroadcast(g * xh, scale.data.shape))
+        ad.accumulate(shift_node, ad.unbroadcast(g, gamma.shape))  # shift has scale's shape
+        gxh = g * gamma
+        ad.accumulate(scale_node, ad.unbroadcast(g * xh, gamma.shape))
         gc = gxh / sd
         gsd = ad.unbroadcast(-gxh * c / (sd * sd), sd.shape)
         gsq = gsd * 0.5 / sd * inv_n
         gc = gc + gsq * c + gsq * c
-        ad.accumulate(t, gc + ad.unbroadcast(gc, sd.shape) * -1.0 * inv_n)
+        ad.accumulate(node, gc + ad.unbroadcast(gc, sd.shape) * -1.0 * inv_n)
 
     return ad.make_op(xh * scale.data + shift.data, (t, scale, shift), backward)
 

@@ -39,9 +39,10 @@ def amplitude_spectrum(x: np.ndarray) -> np.ndarray:
 def fourier_mix(t: Tensor | np.ndarray) -> Tensor:
     """Parameter-free token mixer: Re(DFT_patch(DFT_hidden(x)))."""
     t = as_tensor(t)
+    node = t.node
 
     def backward(g):
-        accumulate(t, fft2_real(g))
+        accumulate(node, fft2_real(g))
 
     return make_op(fft2_real(t.data), (t,), backward)
 
@@ -49,8 +50,9 @@ def fourier_mix(t: Tensor | np.ndarray) -> Tensor:
 def inverse_fourier_mix(t: Tensor | np.ndarray) -> Tensor:
     """Real part of the inverse 2-D DFT; adjoint is itself on real gradients."""
     t = as_tensor(t)
+    node = t.node
 
     def backward(g):
-        accumulate(t, ifft2_real(g))
+        accumulate(node, ifft2_real(g))
 
     return make_op(ifft2_real(t.data), (t,), backward)

@@ -61,20 +61,20 @@ def numeric_grad_at(f, array: np.ndarray, index: int, eps: float = 1e-6) -> floa
 
 def exp(a) -> ad.Tensor:
     a = ad.as_tensor(a)
-    out_data = np.exp(a.data)
+    node, out_data = a.node, np.exp(a.data)
 
     def backward(g):
-        ad.accumulate(a, g * out_data)
+        ad.accumulate(node, g * out_data)
 
     return ad.make_op(out_data, (a,), backward)
 
 
 def sqrt(a) -> ad.Tensor:
     a = ad.as_tensor(a)
-    out_data = np.sqrt(a.data)
+    node, out_data = a.node, np.sqrt(a.data)
 
     def backward(g):
-        ad.accumulate(a, g * 0.5 / out_data)
+        ad.accumulate(node, g * 0.5 / out_data)
 
     return ad.make_op(out_data, (a,), backward)
 

@@ -1,12 +1,20 @@
-"""Gradient correctness of every tape primitive against central differences."""
+"""Gradient correctness of every tape primitive against central differences,
+and what the tape holds on to until backward."""
 
+import tracemalloc
 import weakref
 
 import numpy as np
 import pytest
 
 from helpers import exp, numeric_grad, rel_err, sqrt
+from make_golden import BATCH, CASES, CHANNELS
 from tfps import autodiff as ad
+from tfps import encoder, mope
+from tfps.config import TrainConfig
+from tfps.fourier import fourier_mix, inverse_fourier_mix
+from tfps.model import TFPSModel
+from tfps.trainer import total_loss
 
 
 def check_unary(op, shape=(3, 4), positive=False, seed=0, rtol=1e-6):
@@ -221,3 +229,181 @@ class TestTape:
     def test_fancy_indexing_rejected(self):
         with pytest.raises(TypeError):
             ad.parameter(np.ones((3, 3)))[np.array([0, 1])]
+
+
+# -- what the tape keeps ----------------------------------------------------------
+
+
+def every_op_graph():
+    """A scalar built from every differentiable op of the package: the
+    `autodiff` primitives, layer norm in layer and batch mode, both Fourier
+    mixers and `mope.aggregate`'s gather/scatter path."""
+    rng = np.random.default_rng(7)
+    tokens = ad.parameter(rng.normal(size=(2, 3, 4, 8)))  # (B, C, N, D)
+    scale, shift = ad.parameter(rng.normal(size=8)), ad.parameter(rng.normal(size=8))
+    x = encoder.layer_norm(tokens, scale, shift)
+    x = encoder.layer_norm(x, scale, shift, (0, 1, 2), {})
+    x = inverse_fourier_mix(fourier_mix(x))
+    x = ad.softmax(x @ x.swapaxes(-1, -2), axis=-1) @ x  # (B, C, N, N) @ (B, C, N, D)
+    z = x.reshape(24, 8)
+    gate_w, gate_b = ad.parameter(rng.normal(size=(8, 2))), ad.parameter(rng.normal(size=2))
+    gating = mope.gate(ad.softmax(ad.linear(z, gate_w, gate_b), axis=-1), 1)
+    experts = [
+        encoder.MLPParams(*(ad.parameter(rng.normal(size=shape)) for shape in ((8, 5), (5,), (5, 8), (8,))))
+        for _ in range(2)
+    ]
+    h = mope.aggregate(gating, z, experts)
+    both = ad.concat([h, z @ ad.parameter(rng.normal(size=(8, 8)))], axis=-1)
+    ratio = both / (both * both + 1.0)
+    return ad.log(ratio * ratio + 0.5).mean(axis=0).sum()
+
+
+def tape_nodes(root: ad.Tensor) -> list:
+    nodes, stack, seen = [], [root.node], set()
+    while stack:
+        node = stack.pop()
+        if id(node) not in seen:
+            seen.add(id(node))
+            nodes.append(node)
+            stack.extend(node.parents)
+    return nodes
+
+
+def held_leaves(value):
+    if isinstance(value, (tuple, list)):
+        return [leaf for item in value for leaf in held_leaves(item)]
+    return [value]
+
+
+def test_no_backward_closure_holds_a_tensor():
+    root = every_op_graph()
+    ops = set()
+    for node in tape_nodes(root):
+        if node.backward is None:
+            continue  # a parameter
+        ops.add(node.backward.__qualname__.split(".")[0])
+        for cell in node.backward.__closure__ or ():
+            for leaf in held_leaves(cell.cell_contents):
+                assert isinstance(leaf, (ad.Node, np.ndarray, int, float, slice, type(None))), (
+                    f"{node.backward.__qualname__} holds a {type(leaf).__name__}"
+                )
+    # `narrow` and `index_rows` both record `_select` nodes
+    assert ops == {
+        "add", "mul", "div", "matmul", "linear", "reshape", "swapaxes", "_select", "concat", "tsum",
+        "log", "relu", "softmax", "scatter_rows", "layer_norm", "fourier_mix",
+        "inverse_fourier_mix",
+    }
+    root.backward()
+
+
+# Each case builds an interior tensor `s` from three (3, 4) parameters and a
+# loss on it, and returns both.
+
+
+def add_sum(p, q, r):
+    s = p + q
+    return s, (ad.relu(s) * r).sum()
+
+
+def relu_input(p, q, r):
+    s = p * q
+    return s, ad.relu(s).sum()
+
+
+def layer_norm_input(p, q, r):
+    s = p * q
+    return s, (encoder.layer_norm(s, ad.parameter(np.ones(4)), ad.parameter(np.zeros(4))) * r).sum()
+
+
+def factor_of_a_constant_product(p, q, r):
+    s = p * q
+    return s, ((s * 3.0) * r).sum()
+
+
+def mul_factor(p, q, r):
+    s = p + q
+    return s, (s * r).sum()
+
+
+def linear_input(p, q, r):
+    s = p + q
+    return s, ad.linear(s, ad.parameter(np.ones((4, 2)))).sum()
+
+
+def log_input(p, q, r):
+    s = p * p + 1.0
+    return s, (ad.log(s) * r).sum()
+
+
+def probe_and_backward(build, drop: bool):
+    """Build the case from seeded parameters, drop `s` if asked, and return
+    a weakref to its array, whether that array was alive just before
+    backward, and the parameters' gradients."""
+    rng = np.random.default_rng(8)
+    params = [ad.parameter(rng.normal(size=(3, 4))) for _ in range(3)]
+    s, loss = build(*params)
+    probe = weakref.ref(s.data)
+    if drop:
+        del s
+    alive = probe() is not None
+    loss.backward()
+    return probe, alive, [p.grad for p in params]
+
+
+@pytest.mark.parametrize("build", [add_sum, relu_input, layer_norm_input, factor_of_a_constant_product])
+def test_an_array_no_adjoint_reads_is_freed_when_dropped(build):
+    _, alive, grads = probe_and_backward(build, drop=True)
+    assert not alive
+    _, kept_alive, kept_grads = probe_and_backward(build, drop=False)
+    assert kept_alive
+    for g, kept in zip(grads, kept_grads):
+        np.testing.assert_array_equal(g, kept)
+
+
+@pytest.mark.parametrize("build", [mul_factor, linear_input, log_input])
+def test_an_array_an_adjoint_reads_lives_until_backward(build):
+    probe, alive, _ = probe_and_backward(build, drop=True)
+    assert alive
+    assert probe() is None  # backward freed the graph, and with it the array
+
+
+def test_fourier_mix_output_frees_its_complex_buffer():
+    rng = np.random.default_rng(9)
+    p = ad.parameter(rng.normal(size=(2, 4, 6)))
+    mixed = fourier_mix(p)
+    probe = weakref.ref(mixed.data.base)  # the complex FFT result behind `.real`
+    assert np.iscomplexobj(probe())
+    loss = ((mixed + p) * p).sum()
+    del mixed
+    assert probe() is None
+    loss.backward()
+    q = ad.parameter(p.data.copy())
+    ((fourier_mix(q) + q) * q).sum().backward()
+    np.testing.assert_array_equal(p.grad, q.grad)
+
+
+# Bytes one `total_loss` graph holds before backward, on the golden `top2`
+# config at d_model=32: 2.73-2.86 million while every node was its output
+# tensor and kept its `.data` (the figure moves with what ran earlier in the
+# process), ~1.68 million with nodes that keep only what adjoints read.
+GRAPH_BYTES_BOUND = 2_000_000
+
+
+def test_one_loss_graph_holds_only_what_its_adjoints_read():
+    cfg = TrainConfig(
+        seq_len=32, pred_len=32, patch_len=8, stride=4, d_model=32, n_layers=2,
+        n_heads=2, k_time=2, k_freq=2, seed=11, **CASES["top2"],
+    )
+    model = TFPSModel(cfg)
+    rng = np.random.default_rng(12)
+    x = rng.normal(size=(BATCH, cfg.seq_len, CHANNELS))
+    y = rng.normal(size=(BATCH, cfg.pred_len, CHANNELS))
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        loss, fwd, _ = total_loss(model, x, y)
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert held < GRAPH_BYTES_BOUND, f"one loss graph holds {held:,} bytes"
+    loss.backward()

@@ -105,6 +105,19 @@ def last_stamp(stamp: bytes):
     return edit
 
 
+def restamped_tail(n: int, first: float, step: float):
+    """An edit keeping the header and the last `n` rows of a CSV, stamped
+    `first + i * step` as numbers."""
+
+    def edit(blob: bytes) -> bytes:
+        header, *rows = blob.splitlines(keepends=True)
+        return header + b"".join(
+            repr(first + i * step).encode() + row[row.index(b","):] for i, row in enumerate(rows[-n:])
+        )
+
+    return edit
+
+
 def edit_checkpoint(change, time_norm: str = "layer"):
     """An edit of a checkpoint's arrays by `change(arrays)`, with the header
     listing the arrays left and its config's `time_norm` set."""
@@ -159,6 +172,8 @@ PINNED = {
     "spec-unknown-field": ("spec", "synth", replace(b'"channels"', b'"channols"')),
     "spec-unknown-regime-field": ("spec", "synth", replace(b'"length"', b'"lngth"')),
     "csv-inf-last-stamp": ("csv", "predict", last_stamp(b"inf")),
+    # finite, increasing stamps whose forecast stamps pass the float maximum
+    "csv-forecast-stamps-overflow": ("csv", "predict", restamped_tail(20, 1.7e308, 5e305)),
     # 240 rows: only the last stamp overflows
     "spec-step-overflows-last-stamp": ("spec", "synth",
                                        replace(b'"channels"', b'"step_seconds": 7.54e305, "channels"')),
@@ -169,6 +184,7 @@ PINNED = {
 EXPECTED = {f"{name}-{command}": (2, key)
             for name, (_, key) in CHECKPOINT_FAULTS.items() for command in ("predict", "eval")}
 EXPECTED["csv-inf-last-stamp"] = (2, "non-finite timestamp 'inf'")
+EXPECTED["csv-forecast-stamps-overflow"] = (2, "forecast stamps overflow")
 EXPECTED["spec-step-overflows-last-stamp"] = (1, "step_seconds 7.54e+305")
 
 

@@ -37,11 +37,12 @@ def composite_softmax(a, axis):
 def composite_linear(x, w, b=None):
     """The flat-GEMM matmul node, then a separate bias `add` node."""
     x2 = x.data.reshape(-1, x.shape[-1])
+    nx, nw, sx, wd = x.node, w.node, x.shape, w.data
 
     def backward(g):
         g2 = g.reshape(-1, g.shape[-1])
-        ad.accumulate(x, (g2 @ w.data.T).reshape(x.shape))
-        ad.accumulate(w, x2.T @ g2)
+        ad.accumulate(nx, (g2 @ wd.T).reshape(sx))
+        ad.accumulate(nw, x2.T @ g2)
 
     y = ad.make_op((x2 @ w.data).reshape(x.shape[:-1] + w.shape[-1:]), (x, w), backward)
     return y if b is None else y + b
