@@ -226,7 +226,10 @@ def _prepare(cfg, path: str, source: str, ckpt=None):
         raise DataError(f"{path}: {e} (seq_len + pred_len of {source})") from None
     scaler = None
     if cfg.scale:
-        scaler = data.fit_scaler(train_s)
+        try:
+            scaler = data.fit_scaler(train_s)
+        except DataError as e:
+            raise DataError(f"{path}: {e}") from None
         train_s, val_s, test_s = (data.apply_scaler(s, scaler) for s in (train_s, val_s, test_s))
     return (
         data.make_windows(train_s, cfg.seq_len, cfg.pred_len),

@@ -120,8 +120,11 @@ class Scaler:
         self.std = np.asarray(self.std, dtype=np.float64)
         flags = np.zeros(self.mean.shape) if self.degenerate is None else self.degenerate
         self.degenerate = np.asarray(flags, dtype=bool)
-        if np.any(self.std <= 0):
-            raise DataError("scaler std must be positive for every channel")
+        if self.mean.ndim != 1 or not self.mean.shape == self.std.shape == self.degenerate.shape:
+            shapes = f"{self.mean.shape}, {self.std.shape} and {self.degenerate.shape}"
+            raise DataError(f"scaler mean, std and degenerate need one 1-D shape, not {shapes}")
+        if not np.isfinite(self.mean).all() or not (np.isfinite(self.std) & (self.std > 0)).all():
+            raise DataError("scaler mean must be finite, and std finite and positive, for every channel")
 
     def transform(self, values: np.ndarray) -> np.ndarray:
         return (values - self.mean) / self.std
@@ -465,8 +468,12 @@ def split(
 def fit_scaler(train: MultivariateSeries) -> Scaler:
     """Population mean/std per channel; zero-variance channels get std=1 and
     are flagged (small datasets stay loadable)."""
-    mean = train.values.mean(axis=0)
-    std = train.values.std(axis=0)
+    with np.errstate(over="ignore", invalid="ignore"):  # finite values can overflow a sum or a square
+        mean = train.values.mean(axis=0)
+        std = train.values.std(axis=0)  # not finite wherever the mean is not
+    if not np.isfinite(std).all():
+        name = train.channel_names[np.argmin(np.isfinite(std))]
+        raise DataError(f"channel {name!r} overflows its scaler statistics")
     degenerate = std == 0.0
     if degenerate.any():
         bad = [train.channel_names[i] for i in np.nonzero(degenerate)[0]]

@@ -101,9 +101,9 @@ class TFPSModel:
     def __init__(self, cfg: TrainConfig, rng: np.random.Generator | None = None, *,
                  arrays: dict[str, np.ndarray] | None = None):
         """The model `cfg` describes, drawn from `rng` (by default seeded with
-        `cfg.seed`), or given a checkpoint's `arrays`, a float64 copy of each
-        stored array, drawing nothing; a missing, misshapen or unused one is
-        a DataError naming its key."""
+        `cfg.seed`), or built on a checkpoint's `arrays`, drawing nothing: a
+        float64 array is used as given and another converted. A missing,
+        misshapen or unused one is a DataError naming its key."""
         self.cfg = cfg
         rng = np.random.default_rng(cfg.seed) if rng is None and arrays is None else rng
         self.params: dict[str, Tensor] = {}
@@ -114,7 +114,7 @@ class TFPSModel:
         def stored(name: str, shape: tuple[int, ...]) -> np.ndarray:
             if name not in arrays:
                 raise DataError(f"checkpoint has no array {name!r}")
-            value = np.array(arrays[name], dtype=np.float64)
+            value = np.asarray(arrays[name], dtype=np.float64)
             if value.shape != shape:
                 raise DataError(f"array {name!r} has shape {value.shape}, the config gives {shape}")
             return value

@@ -62,40 +62,45 @@ def shard_loss(
 
 
 def train_step(
-    models: list[TFPSModel], xs: np.ndarray, ys: np.ndarray, rng: np.random.Generator | None = None,
+    model: TFPSModel, xs: np.ndarray, ys: np.ndarray, rng: np.random.Generator | None = None,
 ) -> list[dict]:
-    """Put one training batch's gradient in `models[0]`'s parameters and
-    return each shard's float loss parts with its `loss`. The batch is cut
-    into `len(models)` contiguous shards, shard k runs on `models[k]`, and
-    `on_threads` runs the shards.
+    """Put one training batch's gradient in `model`'s parameters, in place of
+    any they held, and return each shard's float loss parts with its `loss`.
+    The batch is cut into one contiguous shard per `forecast_workers()`
+    thread, no more than it has windows, or kept whole when batch norm trains
+    or dropout is on. Shard 0 runs on `model` and each other shard on a
+    replica built on its arrays for this step; `on_threads` runs the shards.
 
     The forward passes run first. The refinement target's column sums couple
-    the whole batch, so the caller refines it from the shards' affinities
-    together and each shard takes its rows. Then each shard clears its
-    gradients, builds its `shard_loss` (the regularizer counts once, on
-    shard 0) and backpropagates it, and the other models' gradients are
-    added into `models[0]`'s in shard order, so that the sum does not depend
-    on thread timing. With one model this is `total_loss` bit for bit."""
-    main, cfg = models[0], models[0].cfg
-    windows = len(xs)
-    xs, ys = np.array_split(xs, len(models)), np.array_split(ys, len(models))
-    fwds = on_threads(lambda k: models[k].forward(xs[k], training=True, rng=rng), len(models))
+    the whole batch, so it is refined from the shards' affinities together
+    and each shard takes its rows. Then each shard builds its `shard_loss`
+    (the regularizer counts once, on shard 0) and backpropagates it, and the
+    replicas' gradients are added into the model's in shard order, so that
+    the sum does not depend on thread timing. The replicas and their
+    gradients end with the call. With one shard this is `total_loss` bit for
+    bit."""
+    cfg, windows = model.cfg, len(xs)
+    # batch statistics and the dropout masks' draw order need the whole batch on one model
+    shards = min(model_mod.forecast_workers(), windows) if not model.norm_stats and cfg.dropout == 0 else 1
+    model.zero_grad()
+    models = [model] + [TFPSModel(cfg, arrays=model.named_arrays()) for _ in range(shards - 1)]
+    xs, ys = np.array_split(xs, shards), np.array_split(ys, shards)
+    fwds = on_threads(lambda k: models[k].forward(xs[k], training=True, rng=rng), shards)
     targets: list[dict[str, np.ndarray]] = [{} for _ in models]
     if cfg.pi_mode == "subspace" and cfg.beta > 0:
-        for name in main.branches:
+        for name in model.branches:
             rows = [f.s[name].data for f in fwds]
             ends = np.cumsum([len(r) for r in rows])[:-1]
             for target, part in zip(targets, np.split(refine(np.concatenate(rows)), ends)):
                 target[name] = part
 
     def backprop(k: int) -> dict:
-        models[k].zero_grad()
         loss, parts = shard_loss(models[k], fwds[k], ys[k], windows, cfg.alpha if k == 0 else 0.0, targets[k])
         loss.backward()
         return {**parts, "loss": float(loss.data)}
 
-    parts = on_threads(backprop, len(models))
-    for name, p in main.params.items():
+    parts = on_threads(backprop, shards)
+    for name, p in model.params.items():
         for m in models[1:]:
             g = m.params[name].grad
             if g is not None:
@@ -105,8 +110,8 @@ def train_step(
 
 class Adam:
     """Standard Adam with bias correction; state keyed by parameter name so
-    checkpoints stay self-describing. A step updates each parameter's array
-    in place, so every tensor that shares the array sees the step."""
+    checkpoints stay self-describing. A step reads each parameter's `.grad`
+    and updates its array in place."""
 
     beta1, beta2, eps = 0.9, 0.999, 1e-8
 
@@ -140,6 +145,7 @@ class Checkpoint:
     history: dict = field(default_factory=dict)
 
     def build_model(self) -> TFPSModel:
+        """The model whose parameters and running stats are this checkpoint's float64 arrays."""
         return TFPSModel(self.config, arrays=self.arrays)
 
 
@@ -203,7 +209,9 @@ def load_checkpoint(path) -> Checkpoint:
                 raise DataError(f"{path}: array {key!r} has dtype {arr.dtype}, expected float")
             if list(arr.shape) != shape:
                 raise DataError(f"{path}: array {key!r} shape {arr.shape} != declared {shape}")
-            ckpt.arrays[key] = arr.astype(np.float64)
+            if not np.isfinite(arr).all():
+                raise DataError(f"{path}: array {key!r} holds a non-finite value")
+            ckpt.arrays[key] = arr.astype(np.float64, copy=False)
     return ckpt
 
 
@@ -223,10 +231,9 @@ def train(
     progress=None,
 ) -> Checkpoint:
     """Mini-batch Adam with early stopping on validation MSE; returns the best
-    parameters seen. Each batch is cut into one shard per
-    `model.forecast_workers()` thread (see `train_step`), or kept whole when
-    batch norm trains or dropout is on. Deterministic for a fixed config seed
-    and worker count; runs at different worker counts differ in rounding."""
+    parameters seen. `train_step` takes each step on the batch's shards.
+    Deterministic for a fixed config seed and worker count; runs at different
+    worker counts differ in rounding."""
     if not train_windows or not val_windows:
         raise DataError("training and validation window sets must be non-empty")
     rng = np.random.default_rng(cfg.seed)
@@ -235,15 +242,6 @@ def train(
     history: dict = {"train_loss": [], "train_mse": [], "val_mse": [], "best_epoch": None}
     best_val = np.inf
     stale = 0
-    # one shard per worker, but no more shards than a batch has windows;
-    # batch statistics and dropout masks' draw order need the whole batch on
-    # one model
-    shardable = not model.norm_stats and cfg.dropout == 0
-    workers = min(model_mod.forecast_workers(), cfg.batch_size) if shardable else 1
-    models = [model] + [TFPSModel(cfg, arrays=model.named_arrays()) for _ in range(workers - 1)]
-    for replica in models[1:]:  # shares the model's arrays, which Adam updates in place
-        for name, t in replica.params.items():
-            t.data = model.params[name].data
     for epoch in range(cfg.max_epochs):
         epoch_loss = 0.0
         epoch_mse = 0.0
@@ -251,11 +249,12 @@ def train(
         order = rng.permutation(len(train_windows))
         for lo in range(0, len(order), cfg.batch_size):
             idx = order[lo : lo + cfg.batch_size]
-            parts = train_step(models[: len(idx)], train_windows.inputs[idx], train_windows.targets[idx], rng)
+            parts = train_step(model, train_windows.inputs[idx], train_windows.targets[idx], rng)
             value = sum(shard["loss"] for shard in parts)
             if not np.isfinite(value):
                 raise NumericError(f"loss diverged at epoch {epoch}, batch {n_batches}: {value}")
             opt.step()
+            model.zero_grad()  # no gradient outlives its step
             epoch_loss += value
             epoch_mse += sum(shard["mse"] for shard in parts)
             n_batches += 1

@@ -71,6 +71,7 @@ def inputs(tmp_path_factory):
 COMMANDS = {
     "predict": ["predict", "--ckpt", "{ckpt}", "--input", "{csv}", "--out", "{out}"],
     "eval": ["eval", "--ckpt", "{ckpt}", "--data", "{csv}", "--out", "{out}"],
+    "eval-denorm": ["eval", "--ckpt", "{ckpt}", "--data", "{csv}", "--denormalized", "--out", "{out}"],
     "analyze-drift": ["analyze-drift", "--data", "{csv}", "--patch-len", "8", "--stride", "8",
                       "--out", "{out}"],
     "train": ["train", "--config", "{config}", "--data", "{csv}", "--out", "{out}", "--quiet"],
@@ -118,9 +119,24 @@ def restamped_tail(n: int, first: float, step: float):
     return edit
 
 
-def edit_checkpoint(change, time_norm: str = "layer"):
+def alternating_values(value: bytes):
+    """An edit setting every value of a CSV to `value`, negated on odd rows."""
+
+    def edit(blob: bytes) -> bytes:
+        header, *rows = blob.splitlines(keepends=True)
+        out = [header]
+        for i, row in enumerate(rows):
+            stamp, *cells = row.rstrip(b"\n").split(b",")
+            out.append(b",".join([stamp] + [(b"-" if i % 2 else b"") + value] * len(cells)) + b"\n")
+        return b"".join(out)
+
+    return edit
+
+
+def edit_checkpoint(change=lambda arrays: None, time_norm: str = "layer", **scaler):
     """An edit of a checkpoint's arrays by `change(arrays)`, with the header
-    listing the arrays left and its config's `time_norm` set."""
+    listing the arrays left, its config's `time_norm` set and the entries of
+    its scaler in `scaler` replaced."""
 
     def edit(blob: bytes) -> bytes:
         with np.load(io.BytesIO(blob)) as npz:
@@ -128,6 +144,7 @@ def edit_checkpoint(change, time_norm: str = "layer"):
             arrays = {k.removeprefix("array/"): npz[k] for k in npz.files if k != "__header__"}
         change(arrays)
         header["config"]["time_norm"] = time_norm
+        header["scaler"].update(scaler)
         header["arrays"] = {k: list(v.shape) for k, v in arrays.items()}
         out = io.BytesIO()
         np.savez(out, __header__=np.frombuffer(json.dumps(header).encode(), dtype=np.uint8),
@@ -156,6 +173,14 @@ CHECKPOINT_FAULTS = {
                                             for j in (1, 2) for k, v in (("mean", 0.1), ("var", 0.9))})),
         "'time.enc0.bn1.mean'",
     ),
+    "ckpt-nan-array": (edit_checkpoint(lambda a: a["head.b"].__setitem__(0, np.nan)), "'head.b'"),
+}
+# checkpoints whose scaler is not one finite statistic per channel; `predict`
+# and `eval --denormalized` once crashed on them or wrote NaN, exit 2 now
+SCALER_FAULTS = {
+    "ckpt-scaler-lengths-differ": (edit_checkpoint(std=[1.0, 1.0, 1.0]), "not (2,), (3,) and (2,)"),
+    "ckpt-scaler-nan-mean": (edit_checkpoint(mean=[float("nan"), 0.0]), "mean must be finite"),
+    "ckpt-scaler-inf-std": (edit_checkpoint(std=[1.0, float("inf")]), "std finite and positive"),
 }
 
 
@@ -177,12 +202,19 @@ PINNED = {
     # 240 rows: only the last stamp overflows
     "spec-step-overflows-last-stamp": ("spec", "synth",
                                        replace(b'"channels"', b'"step_seconds": 7.54e305, "channels"')),
+    # finite values whose variance overflows: train once saved a scaler with std inf
+    "csv-variance-overflows-train": ("csv", "train", alternating_values(b"1.5e308")),
     **{f"{name}-{command}": ("ckpt", command, edit)
        for name, (edit, _) in CHECKPOINT_FAULTS.items() for command in ("predict", "eval")},
+    **{f"{name}-{command}": ("ckpt", command, edit)
+       for name, (edit, _) in SCALER_FAULTS.items() for command in ("predict", "eval-denorm")},
 }
 # pinned name -> the exit code and the text its stderr line must show
 EXPECTED = {f"{name}-{command}": (2, key)
             for name, (_, key) in CHECKPOINT_FAULTS.items() for command in ("predict", "eval")}
+EXPECTED.update({f"{name}-{command}": (2, text)
+                 for name, (_, text) in SCALER_FAULTS.items() for command in ("predict", "eval-denorm")})
+EXPECTED["csv-variance-overflows-train"] = (2, "channel 'ch0' overflows its scaler statistics")
 EXPECTED["csv-inf-last-stamp"] = (2, "non-finite timestamp 'inf'")
 EXPECTED["csv-forecast-stamps-overflow"] = (2, "forecast stamps overflow")
 EXPECTED["spec-step-overflows-last-stamp"] = (1, "step_seconds 7.54e+305")

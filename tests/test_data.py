@@ -518,6 +518,24 @@ class TestScaler:
         with pytest.raises(DataError):
             Scaler(mean=np.zeros(2), std=np.array([1.0, 0.0]))
 
+    @pytest.mark.parametrize("fields", [
+        dict(mean=np.zeros(2), std=np.ones(3)),
+        dict(mean=np.zeros((2, 1)), std=np.ones((2, 1))),
+        dict(mean=np.zeros(2), std=np.ones(2), degenerate=[False]),
+        dict(mean=[np.nan, 0.0], std=np.ones(2)),
+        dict(mean=[0.0, -np.inf], std=np.ones(2)),
+        dict(mean=np.zeros(2), std=[1.0, np.inf]),
+        dict(mean=np.zeros(2), std=[np.nan, 1.0]),
+    ], ids=["lengths-differ", "2-d", "flags-short", "nan-mean", "inf-mean", "inf-std", "nan-std"])
+    def test_rejects_anything_but_one_finite_statistic_a_channel(self, fields):
+        with pytest.raises(DataError, match="^scaler mean"):
+            Scaler(**fields)
+
+    def test_overflowing_statistics_name_the_channel(self):
+        s = series_of(np.array([[1.0, 1.5e308], [2.0, -1.5e308]] * 3))  # finite values, an infinite variance
+        with pytest.raises(DataError, match="^channel 'c1' overflows its scaler statistics$"):
+            fit_scaler(s)
+
 
 class TestMakeWindows:
     def test_enumeration_count(self):

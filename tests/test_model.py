@@ -93,8 +93,29 @@ class TestBuild:
         built = TFPSModel(cfg, rng=NoDraws(), arrays=arrays).named_arrays()
         assert list(built) == list(arrays)
         for key, arr in arrays.items():
-            assert built[key].dtype == np.float64 and not np.shares_memory(built[key], arr)
+            assert built[key].dtype == np.float64 and np.shares_memory(built[key], arr)
             np.testing.assert_array_equal(built[key], arr)
+
+    def test_float64_arrays_are_shared_and_others_converted(self):
+        cfg = TrainConfig(**{**BASE, "time_norm": "batch"})
+        arrays = trained_arrays(cfg)
+        arrays["head.w"] = arrays["head.w"].astype(np.float32)
+        built = TFPSModel(cfg, arrays=arrays).named_arrays()
+        assert built.keys() == arrays.keys()
+        for key, arr in arrays.items():
+            assert built[key].dtype == np.float64
+            assert np.shares_memory(built[key], arr) == (key != "head.w"), key
+        np.testing.assert_array_equal(built["head.w"], arrays["head.w"].astype(np.float64))
+
+    def test_checkpoint_model_is_built_on_the_loaded_arrays(self, tmp_path):
+        cfg = TrainConfig(**{**BASE, "time_norm": "batch"})
+        path = tmp_path / "model.npz"
+        save_checkpoint(Checkpoint(CHECKPOINT_VERSION, cfg, trained_arrays(cfg), None), path)
+        ckpt = load_checkpoint(path)
+        built = ckpt.build_model().named_arrays()
+        assert built.keys() == ckpt.arrays.keys()
+        for key, arr in ckpt.arrays.items():
+            assert arr.dtype == np.float64 and np.shares_memory(built[key], arr), key
 
     @pytest.mark.parametrize("edit,key", [
         (lambda a: a.pop("head.w"), "'head.w'"),

@@ -3,6 +3,7 @@
 import dataclasses
 import sys
 import threading
+import weakref
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -342,11 +343,12 @@ class TestWholeModelGradients:
             checked += 1
 
 
-def sharded_gradients(model, x, y, workers):
+def sharded_gradients(monkeypatch, model, x, y, workers):
     """Gradients and summed loss of one training batch cut into `workers`
     shards, as `train` computes them."""
-    models = [model] + [TFPSModel(model.cfg, arrays=model.named_arrays()) for _ in range(workers - 1)]
-    parts = train_step(models, x, y)
+    monkeypatch.setattr(model_mod, "forecast_workers", lambda: workers)  # one thread a shard
+    parts = train_step(model, x, y)
+    assert len(parts) == workers
     return {k: t.grad for k, t in model.params.items()}, sum(shard["loss"] for shard in parts)
 
 
@@ -354,9 +356,10 @@ def record_shards(monkeypatch) -> list[int]:
     """The shard count of every step `train` takes from here on."""
     counts, original = [], trainer.train_step
 
-    def recording(models, *args, **kwargs):
-        counts.append(len(models))
-        return original(models, *args, **kwargs)
+    def recording(*args, **kwargs):
+        parts = original(*args, **kwargs)
+        counts.append(len(parts))
+        return parts
 
     monkeypatch.setattr(trainer, "train_step", recording)
     return counts
@@ -368,7 +371,6 @@ class TestShardedStep:
     @pytest.mark.parametrize("workers,windows", [(1, 4), (2, 4), (3, 5)])  # 3 on 5: shards of 1, 2, 2
     @pytest.mark.parametrize("case", SHARDED)
     def test_gradients_match_the_whole_batch(self, monkeypatch, case, workers, windows):
-        monkeypatch.setattr(model_mod, "forecast_workers", lambda: workers)  # one thread a shard
         model, x, y = make_golden.build(case)
         rng = np.random.default_rng(21)
         x = np.concatenate([x, rng.normal(size=x[:1].shape)])[:windows]
@@ -376,7 +378,7 @@ class TestShardedStep:
         loss, _, _ = total_loss(model, x, y, training=True)
         loss.backward()
         expected = {k: t.grad for k, t in model.params.items()}
-        got, value = sharded_gradients(model, x, y, workers)
+        got, value = sharded_gradients(monkeypatch, model, x, y, workers)
         if workers == 1:  # the one-shard step is total_loss, bit for bit
             assert value == float(loss.data)
             for k, g in expected.items():
@@ -389,13 +391,12 @@ class TestShardedStep:
                 assert np.max(np.abs(got[k] - g)) <= 1e-12 * np.max(np.abs(g)), k
 
     def test_gradients_repeat_under_fast_switching(self, monkeypatch):
-        monkeypatch.setattr(model_mod, "forecast_workers", lambda: 4)  # one thread a shard
         model, x, y = make_golden.build("top1")
-        serial, _ = sharded_gradients(model, x, y, 1)
+        serial, _ = sharded_gradients(monkeypatch, model, x, y, 1)
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
-            runs = [sharded_gradients(model, x, y, 4)[0] for _ in range(2)]  # one window a shard
+            runs = [sharded_gradients(monkeypatch, model, x, y, 4)[0] for _ in range(2)]  # one window a shard
         finally:
             sys.setswitchinterval(interval)
         for k, g in serial.items():
@@ -423,10 +424,14 @@ class TestShardedStep:
         for key in ("train_loss", "train_mse", "val_mse"):
             assert a.history[key] == pytest.approx(serial.history[key], rel=1e-9), key
 
-    def test_one_worker_is_the_total_loss_loop(self, monkeypatch):
-        monkeypatch.setattr(model_mod, "forecast_workers", lambda: 1)
+    # batch norm and dropout keep the batch whole at any worker count
+    @pytest.mark.parametrize("overrides,workers", [({}, 1), ({"pi_mode": "linear"}, 1),
+                                                   ({"time_norm": "batch"}, 2), ({"dropout": 0.1}, 2)],
+                             ids=["default", "linear-gate", "batch-norm", "dropout"])
+    def test_one_worker_is_the_total_loss_loop(self, monkeypatch, overrides, workers):
+        monkeypatch.setattr(model_mod, "forecast_workers", lambda: workers)
         series, _ = tiny_dataset()
-        cfg = TrainConfig(**{**TINY, "max_epochs": 2})
+        cfg = TrainConfig(**{**TINY, **overrides, "max_epochs": 2})
         (trw, vaw, _), sc = prepared_windows(cfg, series)
         ckpt = train(cfg, trw, vaw, scaler=sc)
 
@@ -459,11 +464,10 @@ class TestShardedStep:
 
     def test_regularizer_is_built_once_a_step(self, monkeypatch):
         # alpha is 0 on every shard but the first, and a zero term is skipped
-        monkeypatch.setattr(model_mod, "forecast_workers", lambda: 2)
         calls, reg_r1 = [], pattern.reg_r1
         monkeypatch.setattr(pattern, "reg_r1", lambda bases: calls.append(bases) or reg_r1(bases))
         model, x, y = make_golden.build("top2")
-        sharded_gradients(model, x, y, 2)
+        sharded_gradients(monkeypatch, model, x, y, 2)
         assert len(calls) == len(model.branches) == 2
         assert {id(b) for b in calls} == {id(br.identifier["bases"]) for br in model.branches.values()}
 
@@ -489,22 +493,57 @@ class TestShardedStep:
         assert live == [started] * len(live)  # each pool's threads end with its call
         assert threading.active_count() == started
 
-    def test_no_more_replicas_than_batch_windows(self, monkeypatch):
+    def test_each_step_builds_a_replica_a_shard_but_the_first(self, monkeypatch):
         monkeypatch.setattr(model_mod, "forecast_workers", lambda: 64)
-        shards = record_shards(monkeypatch)
         built, init = [], TFPSModel.__init__
+        monkeypatch.setattr(TFPSModel, "__init__", lambda self, *a, **k: built.append(self) or init(self, *a, **k))
+        steps, step = [], trainer.train_step  # (shards, models built) of each step
 
-        def counting(self, *args, **kwargs):
-            built.append(self)
-            init(self, *args, **kwargs)
+        def recording(*args, **kwargs):
+            before = len(built)
+            parts = step(*args, **kwargs)
+            steps.append((len(parts), len(built) - before))
+            return parts
 
-        monkeypatch.setattr(TFPSModel, "__init__", counting)
+        monkeypatch.setattr(trainer, "train_step", recording)
         series, _ = tiny_dataset()
         cfg = TrainConfig(**{**TINY, "batch_size": 3, "max_epochs": 1})
         (trw, vaw, _), sc = prepared_windows(cfg, series)
         train(cfg, trw, vaw, scaler=sc)
-        assert len(built) == 3  # the model and two replicas
-        assert shards == [min(3, len(trw) - lo) for lo in range(0, len(trw), 3)]
+        shards = [min(3, len(trw) - lo) for lo in range(0, len(trw), 3)]  # no more shards than windows
+        assert steps == [(n, n - 1) for n in shards]
+        assert len(built) == 1 + sum(n - 1 for n in shards)  # the model, and the replicas of every step
+
+    def test_no_replica_outlives_its_step(self, monkeypatch):
+        monkeypatch.setattr(model_mod, "forecast_workers", lambda: 4)
+        model, x, y = make_golden.build("top2")
+        replicas, init = [], TFPSModel.__init__
+        monkeypatch.setattr(TFPSModel, "__init__",
+                            lambda self, *a, **k: replicas.append(weakref.ref(self)) or init(self, *a, **k))
+        parts = train_step(model, x, y)
+        assert len(parts) == 4 and len(replicas) == 3
+        assert [ref() for ref in replicas] == [None] * 3
+        assert all(t.grad is not None for t in model.params.values())  # the step's gradient stays
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_no_forward_starts_while_a_gradient_is_held(self, monkeypatch, workers):
+        monkeypatch.setattr(model_mod, "forecast_workers", lambda: workers)
+        shards = record_shards(monkeypatch)
+        built, init = [], TFPSModel.__init__
+        monkeypatch.setattr(TFPSModel, "__init__", lambda self, *a, **k: built.append(self) or init(self, *a, **k))
+        held, forward = [], TFPSModel.forward  # per forward: the trained model's parameters holding a .grad
+
+        def checking(self, *args, **kwargs):
+            held.append(sorted(k for k, t in built[0].params.items() if t.grad is not None))
+            return forward(self, *args, **kwargs)
+
+        monkeypatch.setattr(TFPSModel, "forward", checking)
+        series, _ = tiny_dataset()
+        cfg = TrainConfig(**{**TINY, "batch_size": 20, "max_epochs": 2, "patience": 0})
+        (trw, vaw, _), sc = prepared_windows(cfg, series)
+        train(cfg, trw, vaw, scaler=sc)
+        assert len(shards) >= 4 and max(shards) == workers
+        assert len(held) > sum(shards) and held == [[]] * len(held)  # the steps' and the validations' forwards
 
     @pytest.mark.parametrize("overrides", [{"time_norm": "batch"}, {"dropout": 0.1}])
     def test_batch_norm_and_dropout_keep_the_batch_whole(self, monkeypatch, overrides):
