@@ -57,7 +57,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--data", required=True)
     p.add_argument("--patch-len", type=int, required=True)
     p.add_argument("--stride", type=int, required=True)
-    p.add_argument("--domain", choices=("time", "frequency", "both"), default="both")
+    p.add_argument("--domain", choices=(*drift.DOMAINS, "both"), default="both")
     p.add_argument("--out", required=True, help="output directory")
     p.add_argument("--start", type=int, default=0, help="first row of the analyzed slice")
     p.add_argument("--length", type=int, default=None, help="rows to analyze (default: all)")
@@ -184,6 +184,8 @@ def _cmd_analyze_drift(args) -> int:
     channels = list(series.channel_names)
     if args.channels:
         wanted = [c.strip() for c in args.channels.split(",")]
+        if len(set(wanted)) < len(wanted):
+            raise UsageError(f"--channels names {next(c for c in wanted if wanted.count(c) > 1)!r} twice")
         missing = [c for c in wanted if c not in channels]
         if missing:
             raise UsageError(f"unknown channels of {args.data}: {missing}")
@@ -353,6 +355,8 @@ def run(argv=None) -> int:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_USAGE
     try:
+        if getattr(args, "seed", None) is not None and args.seed < 0:  # before any work
+            raise UsageError(f"--seed must be >= 0, got {args.seed}")
         return _COMMANDS[args.command](args)
     except UsageError as e:
         print(f"error: {e}", file=sys.stderr)

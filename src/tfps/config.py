@@ -25,8 +25,8 @@ _field_types = functools.cache(typing.get_type_hints)
 
 def _accepts(hint, value) -> bool:
     """Whether `value` has type `hint`. A float takes an int or float that is
-    finite as a float, a tuple takes a list, `X | None` takes either, and a
-    bool passes only a bool field."""
+    finite as a float, a tuple takes a list, `X | None` takes either, a
+    `Literal` takes one of its values, and a bool passes only a bool field."""
     if isinstance(hint, types.UnionType):
         return any(_accepts(h, value) for h in typing.get_args(hint))
     if typing.get_origin(hint) is tuple:
@@ -36,6 +36,8 @@ def _accepts(hint, value) -> bool:
         if items[-1] is Ellipsis:
             items = items[:1] * len(value)
         return len(items) == len(value) and all(map(_accepts, items, value))
+    if typing.get_origin(hint) is typing.Literal:
+        return value in typing.get_args(hint)
     if isinstance(value, bool):
         return hint is bool
     if hint is float:
@@ -52,6 +54,8 @@ def check_value(cls, name: str, value) -> None:
         expected = hint.__name__ if isinstance(hint, type) else str(hint)
         if hint is float:
             expected = "finite float"
+        if typing.get_origin(hint) is typing.Literal:
+            expected = " or ".join(map(repr, typing.get_args(hint)))
         raise ValueError(f"{cls.__name__} field {name!r}: expected {expected}, "
                          f"got {type(value).__name__} {reprlib.repr(value)}")
 
@@ -83,9 +87,9 @@ class TrainConfig:
     expert_hidden: int | None = None  # defaults to d_model
     alpha: float = 1e-3
     beta: float = 0.1
-    pi_mode: str = "subspace"  # or "linear" (ablation)
-    branches: str = "both"  # or "time" / "frequency" (ablation)
-    time_norm: str = "layer"  # or "batch"
+    pi_mode: typing.Literal["subspace", "linear"] = "subspace"  # "linear" is the ablation
+    branches: typing.Literal["both", "time", "frequency"] = "both"  # one branch is the ablation
+    time_norm: typing.Literal["layer", "batch"] = "layer"
     dropout: float = 0.0
     instance_norm: bool = False
     # optimization
@@ -136,12 +140,6 @@ class TrainConfig:
         patch_count(self.seq_len, self.patch_len, self.stride)  # rejects P > L and S > P
         if self.d_model % self.n_heads != 0:
             raise ValueError("d_model must be divisible by n_heads")
-        if self.pi_mode not in ("subspace", "linear"):
-            raise ValueError("pi_mode must be 'subspace' or 'linear'")
-        if self.branches not in ("both", "time", "frequency"):
-            raise ValueError("branches must be 'both', 'time', or 'frequency'")
-        if self.time_norm not in ("layer", "batch"):
-            raise ValueError("time_norm must be 'layer' or 'batch'")
         if self.pi_mode == "subspace":
             if self.branches in ("both", "time") and self.d_model % self.k_time != 0:
                 raise ValueError("d_model must be divisible by k_time")

@@ -9,7 +9,7 @@ import math
 import os
 import warnings
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from datetime import datetime, timezone
 from fractions import Fraction
 from pathlib import Path
@@ -113,16 +113,12 @@ class Scaler:
 
     mean: np.ndarray
     std: np.ndarray
-    degenerate: np.ndarray = field(default=None)  # channels whose std was clamped
 
     def __post_init__(self):
         self.mean = np.asarray(self.mean, dtype=np.float64)
         self.std = np.asarray(self.std, dtype=np.float64)
-        flags = np.zeros(self.mean.shape) if self.degenerate is None else self.degenerate
-        self.degenerate = np.asarray(flags, dtype=bool)
-        if self.mean.ndim != 1 or not self.mean.shape == self.std.shape == self.degenerate.shape:
-            shapes = f"{self.mean.shape}, {self.std.shape} and {self.degenerate.shape}"
-            raise DataError(f"scaler mean, std and degenerate need one 1-D shape, not {shapes}")
+        if self.mean.ndim != 1 or self.mean.shape != self.std.shape:
+            raise DataError(f"scaler mean {self.mean.shape} and std {self.std.shape} need one 1-D shape")
         if not np.isfinite(self.mean).all() or not (np.isfinite(self.std) & (self.std > 0)).all():
             raise DataError("scaler mean must be finite, and std finite and positive, for every channel")
 
@@ -466,8 +462,8 @@ def split(
 
 
 def fit_scaler(train: MultivariateSeries) -> Scaler:
-    """Population mean/std per channel; zero-variance channels get std=1 and
-    are flagged (small datasets stay loadable)."""
+    """Population mean/std per channel; zero-variance channels get std=1, with
+    a warning (small datasets stay loadable)."""
     with np.errstate(over="ignore", invalid="ignore"):  # finite values can overflow a sum or a square
         mean = train.values.mean(axis=0)
         std = train.values.std(axis=0)  # not finite wherever the mean is not
@@ -479,7 +475,7 @@ def fit_scaler(train: MultivariateSeries) -> Scaler:
         bad = [train.channel_names[i] for i in np.nonzero(degenerate)[0]]
         log.warning("zero-variance channels %s: std clamped to 1", bad)
         std = np.where(degenerate, 1.0, std)
-    return Scaler(mean=mean, std=std, degenerate=degenerate)
+    return Scaler(mean=mean, std=std)
 
 
 def apply_scaler(series: MultivariateSeries, scaler: Scaler) -> MultivariateSeries:

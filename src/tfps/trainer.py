@@ -14,13 +14,13 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import model as model_mod
+from . import pattern
 from .autodiff import Tensor
 from .config import TrainConfig, check_value, config_from_dict
 from .data import Scaler, Windows, atomic_write
 from .errors import DataError, NumericError
 from .evaluate import mse
 from .model import Forward, TFPSModel, on_threads
-from .pattern import refine
 
 log = logging.getLogger(__name__)
 
@@ -91,7 +91,7 @@ def train_step(
         for name in model.branches:
             rows = [f.s[name].data for f in fwds]
             ends = np.cumsum([len(r) for r in rows])[:-1]
-            for target, part in zip(targets, np.split(refine(np.concatenate(rows)), ends)):
+            for target, part in zip(targets, np.split(pattern.refine(np.concatenate(rows)), ends)):
                 target[name] = part
 
     def backprop(k: int) -> dict:
@@ -109,9 +109,9 @@ def train_step(
 
 
 class Adam:
-    """Standard Adam with bias correction; state keyed by parameter name so
-    checkpoints stay self-describing. A step reads each parameter's `.grad`
-    and updates its array in place."""
+    """Standard Adam with bias correction, its moments keyed by parameter
+    name; checkpoints do not store them. A step reads each parameter's
+    `.grad` and updates its array in place."""
 
     beta1, beta2, eps = 0.9, 0.999, 1e-8
 
@@ -152,18 +152,12 @@ class Checkpoint:
 def save_checkpoint(ckpt: Checkpoint, path) -> None:
     """Write `ckpt` to exactly `path`, atomically (see data.atomic_write): a
     save that fails part-way leaves any previous checkpoint intact."""
+    scaler = ckpt.scaler
     header = {
         "version": ckpt.version,
         "config": ckpt.config.to_dict(),
-        "scaler": None
-        if ckpt.scaler is None
-        else {
-            "mean": ckpt.scaler.mean.tolist(),
-            "std": ckpt.scaler.std.tolist(),
-            "degenerate": ckpt.scaler.degenerate.tolist(),
-        },
+        "scaler": None if scaler is None else {"mean": scaler.mean.tolist(), "std": scaler.std.tolist()},
         "history": ckpt.history,
-        "arrays": {k: list(v.shape) for k, v in ckpt.arrays.items()},
     }
     payload = {f"array/{k}": v for k, v in ckpt.arrays.items()}
     payload["__header__"] = np.frombuffer(json.dumps(header).encode(), dtype=np.uint8)
@@ -172,10 +166,15 @@ def save_checkpoint(ckpt: Checkpoint, path) -> None:
 
 
 def load_checkpoint(path) -> Checkpoint:
-    """Read a checkpoint; any fault in the file is a DataError naming it."""
+    """Read a checkpoint's header and each `array/<key>` member as a finite
+    float array; any fault in the file is a DataError naming it. The model
+    built on the arrays checks their names and shapes. Older headers'
+    `arrays` shape map and scaler `degenerate` flags are ignored."""
+    # a BadZipFile is a bad CRC, an OSError a bad offset, a NotImplementedError a zip version or compression
+    unreadable = (OSError, ValueError, zipfile.BadZipFile, NotImplementedError)
     try:
         npz = np.load(path)
-    except (OSError, ValueError, zipfile.BadZipFile) as e:
+    except unreadable as e:
         raise DataError(f"cannot read checkpoint {path}: {e}") from None
     with npz:
         if "__header__" not in npz:
@@ -189,26 +188,19 @@ def load_checkpoint(path) -> Checkpoint:
                 version=header["version"],
                 config=config_from_dict(header["config"]),
                 arrays={},
-                scaler=None if scaler is None else Scaler(**scaler),
+                scaler=None if scaler is None else Scaler(scaler["mean"], scaler["std"]),
                 history=header["history"],
             )
-            shapes = dict(header["arrays"])
-        # a DataError is a ValueError; a BadZipFile is a bad CRC; an OSError a bad member offset
-        except (KeyError, TypeError, ValueError, AttributeError, OSError, zipfile.BadZipFile) as e:
+        except (KeyError, TypeError, AttributeError, *unreadable) as e:  # a DataError is a ValueError
             cause = f"missing {e}" if isinstance(e, KeyError) else e
             raise DataError(f"{path}: bad checkpoint header: {cause}") from None
-        for key, shape in shapes.items():
-            full = f"array/{key}"
-            if full not in npz:
-                raise DataError(f"{path}: header lists {key!r} but the array is missing")
+        for key in [m.removeprefix("array/") for m in npz.files if m.startswith("array/")]:
             try:
-                arr = npz[full]
-            except (ValueError, OSError, zipfile.BadZipFile) as e:  # pickle needed, a bad offset or CRC
+                arr = np.asarray(npz[f"array/{key}"])  # a member that is not .npy reads as bytes
+            except unreadable as e:  # pickle needed, a bad offset or CRC, an unknown compression
                 raise DataError(f"{path}: array {key!r} cannot be read: {e}") from None
             if arr.dtype.kind != "f":
                 raise DataError(f"{path}: array {key!r} has dtype {arr.dtype}, expected float")
-            if list(arr.shape) != shape:
-                raise DataError(f"{path}: array {key!r} shape {arr.shape} != declared {shape}")
             if not np.isfinite(arr).all():
                 raise DataError(f"{path}: array {key!r} holds a non-finite value")
             ckpt.arrays[key] = arr.astype(np.float64, copy=False)

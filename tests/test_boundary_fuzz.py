@@ -134,9 +134,9 @@ def alternating_values(value: bytes):
 
 
 def edit_checkpoint(change=lambda arrays: None, time_norm: str = "layer", **scaler):
-    """An edit of a checkpoint's arrays by `change(arrays)`, with the header
-    listing the arrays left, its config's `time_norm` set and the entries of
-    its scaler in `scaler` replaced."""
+    """An edit of a checkpoint's arrays by `change(arrays)`, with its header's
+    config `time_norm` set and the entries of its scaler in `scaler`
+    replaced."""
 
     def edit(blob: bytes) -> bytes:
         with np.load(io.BytesIO(blob)) as npz:
@@ -145,7 +145,6 @@ def edit_checkpoint(change=lambda arrays: None, time_norm: str = "layer", **scal
         change(arrays)
         header["config"]["time_norm"] = time_norm
         header["scaler"].update(scaler)
-        header["arrays"] = {k: list(v.shape) for k, v in arrays.items()}
         out = io.BytesIO()
         np.savez(out, __header__=np.frombuffer(json.dumps(header).encode(), dtype=np.uint8),
                  **{f"array/{k}": v for k, v in arrays.items()})
@@ -154,8 +153,21 @@ def edit_checkpoint(change=lambda arrays: None, time_norm: str = "layer", **scal
     return edit
 
 
-# checkpoints whose header and arrays read, but do not build the model of
-# their config; each names the file and this key on one line, exit 2
+def zip_field(member: bytes, offset: int, value: int):
+    """An edit setting the 2-byte field at `offset` of `member`'s central
+    directory record in a zip file: 6 is the version needed to extract, 10
+    the compression method."""
+
+    def edit(blob: bytes) -> bytes:
+        at = blob.rindex(member) - 46  # the central directory follows the members it names
+        assert blob[at:at + 4] == b"PK\x01\x02"
+        return blob[:at + offset] + value.to_bytes(2, "little") + blob[at + offset + 2:]
+
+    return edit
+
+
+# checkpoints that do not read, or do not build the model of their config;
+# each names the file and this text on one line, exit 2
 CHECKPOINT_FAULTS = {
     "ckpt-missing-head-w": (edit_checkpoint(lambda a: a.pop("head.w")), "'head.w'"),
     "ckpt-bn-mean-wrong-shape": (
@@ -174,11 +186,16 @@ CHECKPOINT_FAULTS = {
         "'time.enc0.bn1.mean'",
     ),
     "ckpt-nan-array": (edit_checkpoint(lambda a: a["head.b"].__setitem__(0, np.nan)), "'head.b'"),
+    # an array that a header's shape map did not list was never read, and predict exited 0
+    "ckpt-unused-array": (edit_checkpoint(lambda a: a.update({"zz": np.zeros(3)})), "'zz'"),
+    # zipfile raises NotImplementedError: at np.load for the version, at the read for the method
+    "ckpt-zip-version": (zip_field(b"array/head.b.npy", 6, 0x9E), "zip file version 15.8"),
+    "ckpt-zip-compression": (zip_field(b"array/head.b.npy", 10, 99), "'head.b'"),
 }
 # checkpoints whose scaler is not one finite statistic per channel; `predict`
 # and `eval --denormalized` once crashed on them or wrote NaN, exit 2 now
 SCALER_FAULTS = {
-    "ckpt-scaler-lengths-differ": (edit_checkpoint(std=[1.0, 1.0, 1.0]), "not (2,), (3,) and (2,)"),
+    "ckpt-scaler-lengths-differ": (edit_checkpoint(std=[1.0, 1.0, 1.0]), "mean (2,) and std (3,)"),
     "ckpt-scaler-nan-mean": (edit_checkpoint(mean=[float("nan"), 0.0]), "mean must be finite"),
     "ckpt-scaler-inf-std": (edit_checkpoint(std=[1.0, float("inf")]), "std finite and positive"),
 }

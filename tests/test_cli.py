@@ -2,6 +2,7 @@
 
 import json
 import shutil
+import zipfile
 from pathlib import Path
 
 import numpy as np
@@ -34,7 +35,7 @@ TRAIN_CFG = {
 
 
 REGIME = {"length": 300}
-VALID_HEADER = {"version": 1, "config": {}, "scaler": None, "history": {}, "arrays": {}}
+VALID_HEADER = {"version": 1, "config": {}, "scaler": None, "history": {}}
 
 
 @pytest.fixture
@@ -114,6 +115,16 @@ class TestAnalyzeDrift:
         assert code == 1
         err = capsys.readouterr().err
         assert err.startswith("error:") and "500" in err and "100" in err and "Traceback" not in err
+        assert not out.exists()
+
+    def test_repeated_channel_is_usage_error(self, workdir, capsys):
+        out = workdir / "drift"
+        capsys.readouterr()
+        code = run(["analyze-drift", "--data", str(workdir / "data.csv"), "--patch-len", "8",
+                    "--stride", "4", "--channels", "ch1,ch0, ch1", "--out", str(out)])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "'ch1'" in err and err.count("\n") == 1, err
         assert not out.exists()
 
     @pytest.mark.parametrize("header,cause", [
@@ -424,8 +435,10 @@ class TestBoundaryErrors:
         ({"d_model": ["16"]}, "d_model"),
         ({"top_k": [True]}, "top_k"),
         ({"split_ratios": [[0.5, 0.5]]}, "split_ratios"),
+        ({"pi_mode": ["subspace", "fancy"]}, "'pi_mode': expected 'subspace' or 'linear'"),
     ])
-    def test_bad_grid_spec(self, workdir, capsys, space, cause):
+    def test_bad_grid_spec(self, workdir, capsys, monkeypatch, space, cause):
+        monkeypatch.setattr(trainer, "train", lambda *a, **k: pytest.fail("a grid cell trained"))
         grid = workdir / "grid.json"
         grid.write_text(json.dumps(space))
         out = workdir / "gridout"
@@ -434,7 +447,7 @@ class TestBoundaryErrors:
                     "--data", str(workdir / "data.csv"), "--out", str(out), "--quiet"])
         assert code == 1
         err = capsys.readouterr().err
-        assert err.startswith("error:") and cause in err and "Traceback" not in err
+        assert err.startswith(f"error: {grid}: ") and cause in err and "Traceback" not in err
         assert not out.exists()
 
     @pytest.mark.parametrize("what,argv", [
@@ -459,17 +472,23 @@ class TestBoundaryErrors:
         assert err.startswith("error: " + form.format(what, path)) and err.count("\n") == 1, err
         assert not (workdir / "out").exists()
 
-    @pytest.mark.parametrize("command", ["train", "grid"])
+    @pytest.mark.parametrize("command", ["train", "grid", "synth", "eval"])
     def test_negative_seed_flag(self, workdir, capsys, command):
         grid = workdir / "grid.json"
         grid.write_text(json.dumps({"lr": [0.001]}))
-        grid_args = ["--grid", str(grid)] if command == "grid" else []
+        argv = {
+            "train": ["train", "--config", "cfg.json", "--data", "data.csv"],
+            "grid": ["grid", "--config", "cfg.json", "--grid", "grid.json", "--data", "data.csv"],
+            "synth": ["synth", "--spec", "spec.json"],
+            "eval": ["eval", "--ckpt", untrained_checkpoint(workdir / "model.npz").name, "--data", "data.csv"],
+        }[command]
         capsys.readouterr()
-        code = run([command, "--config", str(workdir / "cfg.json"), *grid_args, "--data",
-                    str(workdir / "data.csv"), "--out", str(workdir / "out"), "--seed", "-1"])
+        code = run([str(workdir / a) if a.endswith((".json", ".csv", ".npz")) else a for a in argv]
+                   + ["--out", str(workdir / "out"), "--seed", "-1"])
         assert code == 1
         err = capsys.readouterr().err
-        assert err.startswith("error:") and "seed" in err and "Traceback" not in err
+        assert err.startswith("error:") and "seed" in err and err.count("\n") == 1, err
+        assert not (workdir / "out").exists()
 
     def test_cross_field_failure_is_a_failed_cell(self, workdir):
         grid = workdir / "grid.json"
@@ -484,7 +503,7 @@ class TestBoundaryErrors:
         pytest.param("{not json", "header", id="not-json"),
         pytest.param("[1]", "header", id="not-an-object"),
         *(pytest.param(json.dumps({k: v for k, v in VALID_HEADER.items() if k != key}), key,
-                       id=f"no-{key}") for key in ("scaler", "config", "history", "arrays")),
+                       id=f"no-{key}") for key in ("scaler", "config", "history")),
         pytest.param(json.dumps(dict(VALID_HEADER, config={"d_model": "128"})), "d_model",
                      id="config-type"),
         pytest.param(json.dumps(dict(VALID_HEADER, config={"bogus": 1})), "bogus", id="config-key"),
@@ -521,6 +540,21 @@ class TestBoundaryErrors:
         assert code == 2
         err = capsys.readouterr().err
         assert err.startswith("data error:") and str(ckpt) in err and "'head.w'" in err
+        assert err.count("\n") == 1
+        assert not forecast.exists()
+
+    def test_array_member_that_is_not_npy(self, workdir, capsys):
+        """Every `array/` member is read, and one that is not .npy reads as bytes."""
+        ckpt = untrained_checkpoint(workdir / "model.npz")
+        with zipfile.ZipFile(ckpt, "a") as zf:
+            zf.writestr("array/zz", b"zz")
+        forecast = workdir / "forecast.csv"
+        capsys.readouterr()
+        code = run(["predict", "--ckpt", str(ckpt), "--input", str(workdir / "data.csv"),
+                    "--out", str(forecast)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("data error:") and str(ckpt) in err and "array 'zz' has dtype" in err
         assert err.count("\n") == 1
         assert not forecast.exists()
 

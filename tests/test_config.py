@@ -71,6 +71,15 @@ class TestAnnotationTypes:
         with pytest.raises(ValueError, match=f"'{field}': expected"):
             TrainConfig(**{field: value})
 
+    @pytest.mark.parametrize("field,value,allowed", [
+        ("pi_mode", "fancy", "'subspace' or 'linear'"),
+        ("branches", "sideways", "'both' or 'time' or 'frequency'"),
+        ("time_norm", 1, "'layer' or 'batch'"),
+    ])
+    def test_enum_field_names_its_values(self, field, value, allowed):
+        with pytest.raises(ValueError, match=f"'{field}': expected {allowed}, got"):
+            TrainConfig(**{field: value})
+
     def test_replace_is_checked(self):
         cfg = TrainConfig()
         with pytest.raises(ValueError, match="'seed'"):

@@ -1,6 +1,7 @@
 """Loss composition, optimization behavior, determinism, checkpoints, grid."""
 
 import dataclasses
+import json
 import sys
 import threading
 import weakref
@@ -16,6 +17,7 @@ from tfps import pattern, trainer
 from tfps.config import TrainConfig
 from tfps.data import (
     RegimeSpec,
+    Scaler,
     SynthSpec,
     Windows,
     apply_scaler,
@@ -244,9 +246,9 @@ class TestCheckpoint:
         assert path.read_bytes() == before
         assert [p.name for p in tmp_path.iterdir()] == ["model.npz"]
 
-    def test_header_declares_shapes(self, tmp_path):
-        import json
-
+    def test_header_holds_what_no_array_records(self, tmp_path):
+        """Each array's shape is in its .npy member, so the header holds no
+        shape map, and a scaler is its two statistics."""
         series, _ = tiny_dataset()
         cfg = TrainConfig(**{**TINY, "max_epochs": 1})
         (trw, vaw, _), sc = prepared_windows(cfg, series)
@@ -255,9 +257,36 @@ class TestCheckpoint:
         save_checkpoint(ckpt, path)
         with np.load(path) as npz:
             header = json.loads(bytes(npz["__header__"]).decode())
-        assert header["version"] == 1
-        for name, shape in header["arrays"].items():
-            assert list(ckpt.arrays[name].shape) == shape
+            members = {k.removeprefix("array/"): npz[k] for k in npz.files if k != "__header__"}
+        assert list(header) == ["version", "config", "scaler", "history"] and header["version"] == 1
+        assert list(header["scaler"]) == [f.name for f in dataclasses.fields(Scaler)] == ["mean", "std"]
+        assert members.keys() == ckpt.arrays.keys()
+        for name, arr in members.items():
+            np.testing.assert_array_equal(arr, ckpt.arrays[name], err_msg=name)
+
+    def test_older_header_loads_and_forecasts_identically(self, tmp_path):
+        """A header with a shape map and scaler `degenerate` flags, as
+        checkpoints once had, reads as the same checkpoint."""
+        series, _ = tiny_dataset()
+        cfg = TrainConfig(**{**TINY, "max_epochs": 1})
+        (trw, vaw, _), sc = prepared_windows(cfg, series)
+        ckpt = train(cfg, trw, vaw, scaler=sc)
+        path, older = tmp_path / "model.npz", tmp_path / "older.npz"
+        save_checkpoint(ckpt, path)
+        with np.load(path) as npz:
+            payload = {k: npz[k] for k in npz.files}
+        header = json.loads(bytes(payload["__header__"]).decode())
+        header["scaler"]["degenerate"] = [False] * len(sc.mean)
+        header["arrays"] = {k: list(v.shape) for k, v in ckpt.arrays.items()}
+        payload["__header__"] = np.frombuffer(json.dumps(header).encode(), dtype=np.uint8)
+        with open(older, "wb") as fh:
+            np.savez(fh, **payload)
+        a, b = load_checkpoint(path), load_checkpoint(older)
+        assert b.config == a.config and b.history == a.history
+        np.testing.assert_array_equal(b.scaler.mean, a.scaler.mean)
+        np.testing.assert_array_equal(b.scaler.std, a.scaler.std)
+        x = np.stack([w.input for w in vaw[:5]])
+        np.testing.assert_array_equal(b.build_model().forecast(x), a.build_model().forecast(x))
 
 
 class TestGridSearch:
@@ -470,6 +499,15 @@ class TestShardedStep:
         sharded_gradients(monkeypatch, model, x, y, 2)
         assert len(calls) == len(model.branches) == 2
         assert {id(b) for b in calls} == {id(br.identifier["bases"]) for br in model.branches.values()}
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_target_is_refined_through_the_pattern_module(self, monkeypatch, workers):
+        # perfbench/layer_trace.py times the refinement by replacing pattern.refine
+        calls, original = [], pattern.refine
+        monkeypatch.setattr(pattern, "refine", lambda s: calls.append(s) or original(s))
+        model, x, y = make_golden.build("top2")
+        sharded_gradients(monkeypatch, model, x, y, workers)
+        assert len(calls) == len(model.branches) == 2
 
     def test_one_pool_an_on_threads_call(self, monkeypatch):
         monkeypatch.setattr(model_mod, "forecast_workers", lambda: 2)
