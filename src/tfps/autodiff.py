@@ -388,12 +388,12 @@ def log(a) -> Tensor:
 
 def relu(a) -> Tensor:
     a = as_tensor(a)
-    na, mask = a.node, a.data > 0
+    na, out = a.node, a.data * (a.data > 0)
 
     def backward(g):
-        accumulate(na, g * mask)
+        accumulate(na, g * (out > 0))  # out > 0 exactly where a > 0, -0.0 and NaN included
 
-    return make_op(a.data * mask, (a,), backward)
+    return make_op(out, (a,), backward)
 
 
 def softmax(a, axis: int = -1) -> Tensor:

@@ -195,6 +195,7 @@ def _cmd_analyze_drift(args) -> int:
             raise DataError(f"{args.data}: channel name {name!r} cannot be part of a file name")
     domains = drift.DOMAINS if args.domain == "both" else (args.domain,)
     outdir = Path(args.out)
+    made = not outdir.exists()
     outdir.mkdir(parents=True, exist_ok=True)
     summary = {
         "patch_len": args.patch_len,
@@ -203,17 +204,29 @@ def _cmd_analyze_drift(args) -> int:
         "length": stop - args.start,
         "channels": [],
     }
-    for name in channels:
-        col = series.values[args.start : stop, series.channel_names.index(name)]
-        for domain in domains:
-            dm = drift.patch_distance_matrix(col, args.patch_len, args.stride, domain)
-            data.save_matrix(outdir / f"drift_{name}_{domain}.csv", dm)
-            pair, avg = drift.upper_triangle_summary(dm)
-            summary["channels"].append(
-                {"channel": name, "domain": domain, "average": avg, "max_pair": pair}
-            )
-            print(f"{name}/{domain}: {len(dm)} patches, average W1 {avg:.6g}")
-            del dm  # free this matrix before the next one is computed
+    staged = {}  # temporary file -> its matrix file, renamed once every matrix is finite
+    try:
+        for name in channels:
+            col = series.values[args.start : stop, series.channel_names.index(name)]
+            for domain in domains:
+                with np.errstate(all="ignore"):
+                    dm = drift.patch_distance_matrix(col, args.patch_len, args.stride, domain)
+                    data.save_matrix(outdir / f"drift_{name}_{domain}.csv", dm, staged.__setitem__)
+                    pair, avg = drift.upper_triangle_summary(dm)
+                if not (np.isfinite(dm).all() and np.isfinite(avg)):
+                    raise DataError(f"{args.data}: the {domain} drift of channel {name!r} overflows")
+                summary["channels"].append({"channel": name, "domain": domain,
+                                            "average": avg, "max_pair": pair})
+                print(f"{name}/{domain}: {len(dm)} patches, average W1 {avg:.6g}")
+                del dm  # free this matrix before the next one is computed
+    except BaseException:
+        for tmp in staged:
+            tmp.unlink(missing_ok=True)
+        if made:
+            outdir.rmdir()
+        raise
+    for tmp, target in staged.items():
+        os.replace(tmp, target)
     _write_json(outdir / "summary.json", summary)
     return EXIT_OK
 
@@ -279,8 +292,11 @@ def _cmd_grid(args) -> int:
     progress = None
     if not args.quiet:
         progress = lambda row: print(f"cell {row}")
-    best, board = trainer.grid_search(cfg, space, train_w, val_w, scaler=scaler,
-                              budget=args.budget, progress=progress)
+    try:
+        best, board = trainer.grid_search(cfg, space, train_w, val_w, scaler=scaler,
+                                          budget=args.budget, progress=progress)
+    except ValueError as e:  # every cell failed a config rule
+        raise UsageError(f"{args.grid}: {e}") from None
     outdir.mkdir(parents=True, exist_ok=True)
     trainer.save_checkpoint(best, outdir / "best.npz")
     _write_json(outdir / "leaderboard.json", board)
@@ -298,7 +314,10 @@ def _cmd_eval(args) -> int:
     cfg = ckpt.config
     _, _, test_w, _ = _prepare(cfg, args.data, args.ckpt, ckpt)
     denorm = ckpt.scaler if args.denormalized else None
-    metrics = evaluate.evaluate_windows(model, test_w, denormalize=denorm)
+    with np.errstate(all="ignore"):
+        metrics = evaluate.evaluate_windows(model, test_w, denormalize=denorm)
+    if not np.isfinite(list(metrics.values())).all():
+        raise DataError(f"{args.data}: the test windows' forecast errors are not finite")
     name = args.dataset_name or Path(args.data).stem
     row = {"dataset": name, "H": cfg.pred_len, "MSE": metrics["mse"], "MAE": metrics["mae"]}
     table = evaluate.report_table(row)
@@ -327,11 +346,14 @@ def _cmd_predict(args) -> int:
     if not np.all(np.isfinite(future)):
         raise DataError(f"{args.input}: the {cfg.pred_len} forecast stamps overflow (step {step:g} s)")
     values = series.values[-cfg.seq_len :]
-    if ckpt.scaler is not None:
-        values = ckpt.scaler.transform(values)
-    yhat = model.forecast(values[None])[0]
-    if ckpt.scaler is not None:
-        yhat = ckpt.scaler.inverse(yhat)
+    with np.errstate(all="ignore"):
+        if ckpt.scaler is not None:
+            values = ckpt.scaler.transform(values)
+        yhat = model.forecast(values[None])[0]
+        if ckpt.scaler is not None:
+            yhat = ckpt.scaler.inverse(yhat)
+    if not np.isfinite(yhat).all():
+        raise DataError(f"{args.input}: the forecast from its last {cfg.seq_len} rows is not finite")
     data.save_csv(data.MultivariateSeries(future, yhat, series.channel_names), args.out)
     print(f"wrote {cfg.pred_len}-step forecast for {series.n_channels} channels to {args.out}")
     return EXIT_OK

@@ -130,19 +130,20 @@ class Scaler:
 
 
 @contextmanager
-def atomic_write(path, mode: str, **kwargs):
+def atomic_write(path, mode: str, commit=None, **kwargs):
     """Open a temporary file next to `path` for writing. A `with` block that
-    exits cleanly renames it over `path`; one that raises removes it, so a
-    write that fails part-way leaves any previous file at `path` intact. A
-    symlink at `path` is followed, so the file it names is the one replaced.
-    An OSError is raised again with `path`, not the temporary file, as its
-    filename."""
+    exits cleanly renames it over `path` (by `commit(temporary, path)` if
+    given, to rename several files at once, else os.replace); one that raises
+    removes it, so a write that fails part-way leaves any previous file at
+    `path` intact. A symlink at `path` is followed, so the file it names is
+    the one replaced. An OSError is raised again with `path`, not the
+    temporary file, as its filename."""
     target = Path(os.path.realpath(path))
     tmp = target.with_name(f".{target.name}.{os.getpid()}.tmp")
     try:
         with open(tmp, mode, **kwargs) as fh:
             yield fh
-        os.replace(tmp, target)
+        (commit or os.replace)(tmp, target)
     except OSError as e:
         tmp.unlink(missing_ok=True)
         raise OSError(e.errno, e.strerror or str(e), str(path)) from None
@@ -414,7 +415,7 @@ def _format_block(block: np.ndarray) -> np.ndarray | None:
     return out
 
 
-def save_matrix(path, m) -> None:
+def save_matrix(path, m, commit=None) -> None:
     """Write a 2-D array as np.savetxt(fh, m, delimiter=",") does, byte for
     byte and atomically (see atomic_write): one row per line, each value as
     "%.18e". Blocks of rows whose values are all +0.0 or in [1e-4, 1e19) are
@@ -423,7 +424,7 @@ def save_matrix(path, m) -> None:
     if m.ndim != 2:
         raise ValueError(f"save_matrix needs a 2-D array, got shape {m.shape}")
     rows = max(1, _MATRIX_BLOCK // max(1, m.shape[1]))
-    with atomic_write(path, "wb") as fh:
+    with atomic_write(path, "wb", commit) as fh:
         for lo in range(0, len(m), rows):
             block = m[lo : lo + rows]
             records = _format_block(block)

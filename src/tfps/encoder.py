@@ -57,18 +57,19 @@ def layer_norm(t: Tensor, scale: Tensor, shift: Tensor, axes: tuple[int, ...] = 
                stats: dict | None = None) -> Tensor:
     """Normalize over `axes` (the last axis: layer norm; every leading axis:
     batch norm), then scale and shift, as one tape node that keeps only the
-    centered input, the deviation and the normalized input. Forward and
-    adjoint run the operations of the mean/var/sqrt/div composite in its
-    order, so every output and gradient rounds the same. Given `stats`, the
-    batch mean and variance also update those running stats: the usual
-    exponential average, seeded by the first batch."""
+    centered input and the deviation; the adjoint divides them again for the
+    normalized input. Forward and adjoint run the operations of the
+    mean/var/sqrt/div composite in its order, each full-size result in a
+    buffer of the node's own, so every output and gradient rounds the same.
+    Given `stats`, the batch mean and variance also update those running
+    stats: the usual exponential average, seeded by the first batch."""
     x = t.data
     inv_n = 1.0 / float(np.prod([x.shape[a] for a in axes]))
     mu = x.sum(axes, keepdims=True) * inv_n
     c = x + mu * -1.0
-    var = (c * c).sum(axes, keepdims=True) * inv_n
+    out = c * c
+    var = out.sum(axes, keepdims=True) * inv_n
     sd = np.sqrt(var + EPS)
-    xh = c / sd
     if stats is not None:
         for key, batch in (("mean", mu.reshape(-1)), ("var", var.reshape(-1))):
             if key in stats:
@@ -79,15 +80,20 @@ def layer_norm(t: Tensor, scale: Tensor, shift: Tensor, axes: tuple[int, ...] = 
 
     def backward(g):
         ad.accumulate(shift_node, ad.unbroadcast(g, gamma.shape))  # shift has scale's shape
-        gxh = g * gamma
-        ad.accumulate(scale_node, ad.unbroadcast(g * xh, gamma.shape))
-        gc = gxh / sd
-        gsd = ad.unbroadcast(-gxh * c / (sd * sd), sd.shape)
+        gc = g * gamma  # the normalized input's gradient, then the centered input's
+        tmp = np.negative(gc)
+        gsd = ad.unbroadcast(np.divide(np.multiply(tmp, c, out=tmp), sd * sd, out=tmp), sd.shape)
         gsq = gsd * 0.5 / sd * inv_n
-        gc = gc + gsq * c + gsq * c
+        np.divide(gc, sd, out=gc)
+        np.multiply(gsq, c, out=tmp)
+        gc += tmp
+        gc += tmp
+        np.multiply(g, np.divide(c, sd, out=tmp), out=tmp)  # g times the normalized input
+        ad.accumulate(scale_node, ad.unbroadcast(tmp, gamma.shape))
         ad.accumulate(node, gc + ad.unbroadcast(gc, sd.shape) * -1.0 * inv_n)
 
-    return ad.make_op(xh * scale.data + shift.data, (t, scale, shift), backward)
+    np.multiply(np.divide(c, sd, out=out), gamma, out=out)
+    return ad.make_op(np.add(out, shift.data, out=out), (t, scale, shift), backward)
 
 
 def attention(tokens: Tensor, wq: Tensor, wk: Tensor, wv: Tensor, wo: Tensor, n_heads: int) -> Tensor:

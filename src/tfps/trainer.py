@@ -277,10 +277,13 @@ def train(
 
 
 def check_grid(space) -> None:
-    """Raise ValueError unless `space` maps config fields to non-empty lists of their type."""
+    """Raise ValueError unless `space` maps config fields to non-empty lists of
+    their type, and no field that shapes the windows every cell shares."""
     if not isinstance(space, dict) or not space or not all(isinstance(v, list) and v for v in space.values()):
         raise ValueError("grid spec must map config fields to non-empty lists of values")
     for name, values in space.items():
+        if name in ("seq_len", "pred_len", "split_ratios", "scale"):
+            raise ValueError(f"{name!r} shapes the windows, which every cell shares; set it in the config")
         for value in values:
             check_value(TrainConfig, name, value)
 
@@ -294,9 +297,9 @@ def grid_search(
     budget: int | None = None,
     progress=None,
 ) -> tuple[Checkpoint, list[dict]]:
-    """Train every combination in `space`, rank by best validation MSE.
-    A cell whose combination fails (a cross-field rule, say) is recorded in
-    the leaderboard, not fatal."""
+    """Train every combination in `space`, rank by best validation MSE. A
+    failed cell is a leaderboard row; if all fail, the error is a NumericError
+    if one failed numerically, else a ValueError (a config rule, say)."""
     check_grid(space)
     names = sorted(space)
     combos = list(itertools.product(*(space[n] for n in names)))
@@ -304,7 +307,7 @@ def grid_search(
         combos = combos[:budget]
     leaderboard: list[dict] = []
     best_ckpt: Checkpoint | None = None
-    best_val = np.inf
+    best_val, failures = np.inf, []
     for combo in combos:
         overrides = dict(zip(names, combo))
         row: dict = dict(overrides)
@@ -318,6 +321,7 @@ def grid_search(
                 best_val = row["val_mse"]
                 best_ckpt = ckpt
         except (NumericError, DataError, ValueError) as e:
+            failures.append(e)
             row["val_mse"] = None
             row["status"] = f"failed: {e}"
             log.warning("grid cell %s failed: %s", overrides, e)
@@ -325,6 +329,7 @@ def grid_search(
         if progress is not None:
             progress(row)
     if best_ckpt is None:
-        raise NumericError("every grid cell failed")
+        kind = NumericError if any(isinstance(e, NumericError) for e in failures) else ValueError
+        raise kind(f"every grid cell failed; the first: {failures[0]}")
     leaderboard.sort(key=lambda r: (r["val_mse"] is None, r["val_mse"]))
     return best_ckpt, leaderboard

@@ -296,6 +296,33 @@ def test_no_backward_closure_holds_a_tensor():
     root.backward()
 
 
+def closure_arrays(t: ad.Tensor) -> list[np.ndarray]:
+    return [leaf for cell in t.node.backward.__closure__ for leaf in held_leaves(cell.cell_contents)
+            if isinstance(leaf, np.ndarray)]
+
+
+@pytest.mark.parametrize("axes", [(-1,), (0, 1)], ids=["layer", "batch"])
+def test_layer_norm_keeps_one_array_of_its_input_shape(axes):
+    rng = np.random.default_rng(10)
+    t = ad.parameter(rng.normal(size=(3, 5, 4)))
+    out = encoder.layer_norm(t, ad.parameter(rng.normal(size=4)), ad.parameter(rng.normal(size=4)), axes)
+    assert sum(a.shape == t.shape for a in closure_arrays(out)) == 1  # the centered input
+
+
+def test_relu_keeps_no_mask():
+    out = ad.relu(ad.parameter(np.random.default_rng(11).normal(size=(3, 4))))
+    assert [a.dtype for a in closure_arrays(out)] == [np.float64]  # its output, which consumers hold
+
+
+def test_relu_gradient_is_the_mask_formula_bit_for_bit():
+    x = np.array([0.0, -0.0, 5e-324, -5e-324, np.inf, -np.inf, np.nan, 2.0, -2.0])
+    g = np.random.default_rng(12).normal(size=x.shape)
+    p = ad.parameter(x)
+    with np.errstate(invalid="ignore"):  # -inf times a false mask is NaN
+        ad.relu(p).backward(g)
+    assert p.grad.tobytes() == (g * (x > 0)).tobytes()
+
+
 # Each case builds an interior tensor `s` from three (3, 4) parameters and a
 # loss on it, and returns both.
 
@@ -385,8 +412,10 @@ def test_fourier_mix_output_frees_its_complex_buffer():
 # Bytes one `total_loss` graph holds before backward, on the golden `top2`
 # config at d_model=32: 2.73-2.86 million while every node was its output
 # tensor and kept its `.data` (the figure moves with what ran earlier in the
-# process), ~1.68 million with nodes that keep only what adjoints read.
-GRAPH_BYTES_BOUND = 2_000_000
+# process), 1.53-1.68 million with nodes that keep only what adjoints read,
+# 1.30-1.44 million since layer norm keeps no normalized input and ReLU no
+# mask.
+GRAPH_BYTES_BOUND = 1_500_000
 
 
 def test_one_loss_graph_holds_only_what_its_adjoints_read():

@@ -436,6 +436,11 @@ class TestBoundaryErrors:
         ({"top_k": [True]}, "top_k"),
         ({"split_ratios": [[0.5, 0.5]]}, "split_ratios"),
         ({"pi_mode": ["subspace", "fancy"]}, "'pi_mode': expected 'subspace' or 'linear'"),
+        # the windows are built once, from --config, for every cell
+        ({"seq_len": [64]}, "'seq_len' shapes the windows"),
+        ({"lr": [0.001], "pred_len": [16]}, "'pred_len' shapes the windows"),
+        ({"split_ratios": [[0.6, 0.2, 0.2], [0.8, 0.1, 0.1]]}, "'split_ratios' shapes the windows"),
+        ({"scale": [False]}, "'scale' shapes the windows"),
     ])
     def test_bad_grid_spec(self, workdir, capsys, monkeypatch, space, cause):
         monkeypatch.setattr(trainer, "train", lambda *a, **k: pytest.fail("a grid cell trained"))
@@ -498,6 +503,24 @@ class TestBoundaryErrors:
                     "--data", str(workdir / "data.csv"), "--out", str(out), "--quiet"]) == 0
         status = {r["k_time"]: r["status"] for r in json.loads((out / "leaderboard.json").read_text())}
         assert status[2] == "ok" and "k_time" in status[3]
+
+    @pytest.mark.parametrize("space,code,cause", [
+        ({"lr": [-1.0]}, 1, "error: {grid}: every grid cell failed; the first: lr must be >= 0"),
+        ({"n_heads": [3]}, 1, "error: {grid}: every grid cell failed; the first: d_model must be divisible"),
+        ({"lr": [-1.0, 1e160]}, 3, "numeric failure: every grid cell failed; the first: lr must be >= 0"),
+    ], ids=["lr", "n_heads", "one-diverged"])
+    def test_every_cell_failing(self, workdir, capsys, space, code, cause):
+        # exit 3 only if some cell failed numerically
+        grid = workdir / "grid.json"
+        grid.write_text(json.dumps(space))
+        out = workdir / "gridout"
+        capsys.readouterr()
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert run(["grid", "--config", str(workdir / "cfg.json"), "--grid", str(grid),
+                        "--data", str(workdir / "data.csv"), "--out", str(out), "--quiet"]) == code
+        err = capsys.readouterr().err  # each failed cell also logs a warning line
+        assert err.splitlines()[-1].startswith(cause.format(grid=grid)) and "Traceback" not in err, err
+        assert not out.exists()
 
     @pytest.mark.parametrize("header,cause", [
         pytest.param("{not json", "header", id="not-json"),
@@ -589,6 +612,52 @@ def no_temp_files(root) -> bool:
 
 def forbidden(*args, **kwargs):
     pytest.fail("the command did its work before checking --out")
+
+
+class TestOverflowingResult:
+    """A forecast, a metric or a drift matrix that overflows is exit 2 naming
+    the input, with no NumPy warning (pytest makes one an error) and nothing
+    written."""
+
+    @staticmethod
+    def with_ch0(workdir, rows, value):
+        series = data.load_csv(workdir / "data.csv")
+        values = series.values.copy()
+        values[rows, 0] = value
+        path = workdir / "overflow.csv"
+        data.save_csv(data.MultivariateSeries(series.timestamps, values, series.channel_names), path)
+        return path
+
+    def assert_refused(self, capsys, argv, path, out):
+        capsys.readouterr()
+        assert run(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"data error: {path}: ") and err.count("\n") == 1, err
+        assert not out.exists()
+
+    def test_predict(self, workdir, capsys):
+        path, out = self.with_ch0(workdir, slice(-10, None), 1e300), workdir / "forecast.csv"
+        ckpt = untrained_checkpoint(workdir / "model.npz")
+        self.assert_refused(capsys, ["predict", "--ckpt", str(ckpt), "--input", str(path), "--out", str(out)],
+                            path, out)
+
+    def test_eval(self, workdir, capsys):
+        path, out = self.with_ch0(workdir, slice(-10, None), 1e300), workdir / "eval"
+        ckpt = untrained_checkpoint(workdir / "model.npz")
+        self.assert_refused(capsys, ["eval", "--ckpt", str(ckpt), "--data", str(path), "--out", str(out)],
+                            path, out)
+
+    @pytest.mark.parametrize("channels", ["ch0", "ch1,ch0"])
+    def test_analyze_drift(self, workdir, capsys, channels):
+        path, out = self.with_ch0(workdir, [5, 6], [1.5e308, -1.5e308]), workdir / "drift"
+        argv = ["analyze-drift", "--data", str(path), "--patch-len", "8", "--stride", "4",
+                "--channels", channels, "--out", str(out)]
+        self.assert_refused(capsys, argv, path, out)
+        out.mkdir()
+        (out / "kept.txt").write_text("")
+        capsys.readouterr()
+        assert run(argv) == 2
+        assert [p.name for p in out.iterdir()] == ["kept.txt"]  # ch1's matrices are not left either
 
 
 class TestUnwritableOutput:
