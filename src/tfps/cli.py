@@ -85,7 +85,6 @@ def _build_parser() -> _Parser:
     p.add_argument("--data", required=True)
     p.add_argument("--out", required=True, help="output directory")
     p.add_argument("--denormalized", action="store_true", help="also report original-unit errors")
-    p.add_argument("--dataset-name", default=None)
     p.add_argument("--seed", type=int, default=0)
 
     p = sub.add_parser("predict", help="forecast from the tail of a series")
@@ -160,9 +159,9 @@ def _cmd_synth(args) -> int:
     try:
         regimes = tuple(data.RegimeSpec(**r) for r in obj.get("regimes", ()))
         spec = data.SynthSpec(**{**obj, "regimes": regimes})
+        series, boundaries = data.synth_generate(spec)  # a DataError is a ValueError: the values overflow
     except (TypeError, ValueError) as e:
         raise UsageError(f"bad synth spec {args.spec}: {e}") from None
-    series, boundaries = data.synth_generate(spec)
     data.save_csv(series, args.out)
     print(f"wrote {series.length} rows x {series.n_channels} channels to {args.out}")
     if boundaries:
@@ -209,10 +208,9 @@ def _cmd_analyze_drift(args) -> int:
         for name in channels:
             col = series.values[args.start : stop, series.channel_names.index(name)]
             for domain in domains:
-                with np.errstate(all="ignore"):
-                    dm = drift.patch_distance_matrix(col, args.patch_len, args.stride, domain)
-                    data.save_matrix(outdir / f"drift_{name}_{domain}.csv", dm, staged.__setitem__)
-                    pair, avg = drift.upper_triangle_summary(dm)
+                dm = drift.patch_distance_matrix(col, args.patch_len, args.stride, domain)
+                data.save_matrix(outdir / f"drift_{name}_{domain}.csv", dm, staged.__setitem__)
+                pair, avg = drift.upper_triangle_summary(dm)
                 if not (np.isfinite(dm).all() and np.isfinite(avg)):
                     raise DataError(f"{args.data}: the {domain} drift of channel {name!r} overflows")
                 summary["channels"].append({"channel": name, "domain": domain,
@@ -236,22 +234,21 @@ def _prepare(cfg, path: str, source: str, ckpt=None):
     config read from `source` asks, and the train split's scaler (or None)."""
     series = _load_series(path, ckpt)
     try:
-        train_s, val_s, test_s = data.split(series, cfg.split_ratios, cfg.seq_len + cfg.pred_len)
+        splits = data.split(series, cfg.split_ratios, cfg.seq_len + cfg.pred_len)
     except DataError as e:
         raise DataError(f"{path}: {e} (seq_len + pred_len of {source})") from None
-    scaler = None
-    if cfg.scale:
+    try:
+        scaler = data.fit_scaler(splits[0]) if cfg.scale else None
+    except DataError as e:
+        raise DataError(f"{path}: the train split's {e}") from None
+    windows = []
+    for split, s in zip(("train", "validation", "test"), splits):
         try:
-            scaler = data.fit_scaler(train_s)
-        except DataError as e:
-            raise DataError(f"{path}: {e}") from None
-        train_s, val_s, test_s = (data.apply_scaler(s, scaler) for s in (train_s, val_s, test_s))
-    return (
-        data.make_windows(train_s, cfg.seq_len, cfg.pred_len),
-        data.make_windows(val_s, cfg.seq_len, cfg.pred_len),
-        data.make_windows(test_s, cfg.seq_len, cfg.pred_len),
-        scaler,
-    )
+            s = s if scaler is None else data.apply_scaler(s, scaler)
+        except DataError as e:  # named by channel and split, not by a split-relative row
+            raise DataError(f"{path}: the {split} split's {e}") from None
+        windows.append(data.make_windows(s, cfg.seq_len, cfg.pred_len))
+    return (*windows, scaler)
 
 
 def _load_config(path, seed_override):
@@ -314,19 +311,18 @@ def _cmd_eval(args) -> int:
     cfg = ckpt.config
     _, _, test_w, _ = _prepare(cfg, args.data, args.ckpt, ckpt)
     denorm = ckpt.scaler if args.denormalized else None
-    with np.errstate(all="ignore"):
-        metrics = evaluate.evaluate_windows(model, test_w, denormalize=denorm)
-    if not np.isfinite(list(metrics.values())).all():
-        raise DataError(f"{args.data}: the test windows' forecast errors are not finite")
-    name = args.dataset_name or Path(args.data).stem
-    row = {"dataset": name, "H": cfg.pred_len, "MSE": metrics["mse"], "MAE": metrics["mae"]}
+    metrics = evaluate.evaluate_windows(model, test_w, denormalize=denorm)
+    affinities: dict = {}
+    report = evaluate.routing_report(model, test_w, seed=args.seed, affinity_out=affinities)
+    w1 = [b[k] for b in report["branches"].values() for k in ("intra_cluster_w1", "inter_cluster_w1")]
+    if not np.isfinite([*metrics.values(), *(v for v in w1 if v is not None)]).all():
+        raise DataError(f"{args.data}: the test windows' forecast errors or routing W1 values are not finite")
+    row = {"dataset": Path(args.data).stem, "H": cfg.pred_len, "MSE": metrics["mse"], "MAE": metrics["mae"]}
     table = evaluate.report_table(row)
     outdir.mkdir(parents=True, exist_ok=True)
     _write_json(outdir / "metrics.json", {"rows": [table["json"]], "detail": metrics})
     with data.atomic_write(outdir / "metrics.csv", "w") as fh:
         fh.write(table["csv"])
-    affinities: dict = {}
-    report = evaluate.routing_report(model, test_w, seed=args.seed, affinity_out=affinities)
     _write_json(outdir / "routing.json", report)
     for branch, snapshot in affinities.items():
         data.save_matrix(outdir / f"affinity_{branch}.csv", snapshot)
@@ -340,18 +336,16 @@ def _cmd_predict(args) -> int:
     series = _load_series(args.input, ckpt)
     if series.length < cfg.seq_len:
         raise DataError(f"{args.input}: {series.length} rows, need {cfg.seq_len} (seq_len of {args.ckpt})")
-    with np.errstate(over="ignore"):  # finite stamps can still be too far apart or too close to the maximum
-        step = float(np.median(np.diff(series.timestamps))) if series.length > 1 else 3600.0
-        future = series.timestamps[-1] + step * np.arange(1, cfg.pred_len + 1)
-    if not np.all(np.isfinite(future)):
+    step = float(np.median(np.diff(series.timestamps))) if series.length > 1 else 3600.0
+    future = series.timestamps[-1] + step * np.arange(1, cfg.pred_len + 1)
+    if not np.all(np.isfinite(future)):  # finite stamps can be too far apart or too near the maximum
         raise DataError(f"{args.input}: the {cfg.pred_len} forecast stamps overflow (step {step:g} s)")
     values = series.values[-cfg.seq_len :]
-    with np.errstate(all="ignore"):
-        if ckpt.scaler is not None:
-            values = ckpt.scaler.transform(values)
-        yhat = model.forecast(values[None])[0]
-        if ckpt.scaler is not None:
-            yhat = ckpt.scaler.inverse(yhat)
+    if ckpt.scaler is not None:
+        values = ckpt.scaler.transform(values)
+    yhat = model.forecast(values[None])[0]
+    if ckpt.scaler is not None:
+        yhat = ckpt.scaler.inverse(yhat)
     if not np.isfinite(yhat).all():
         raise DataError(f"{args.input}: the forecast from its last {cfg.seq_len} rows is not finite")
     data.save_csv(data.MultivariateSeries(future, yhat, series.channel_names), args.out)
@@ -379,7 +373,8 @@ def run(argv=None) -> int:
     try:
         if getattr(args, "seed", None) is not None and args.seed < 0:  # before any work
             raise UsageError(f"--seed must be >= 0, got {args.seed}")
-        return _COMMANDS[args.command](args)
+        with np.errstate(all="ignore"):  # each command checks its results for finiteness itself
+            return _COMMANDS[args.command](args)
     except UsageError as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_USAGE

@@ -125,10 +125,11 @@ class TrainConfig:
         positive = [
             "seq_len", "pred_len", "patch_len", "stride", "d_model", "n_layers",
             "n_heads", "k_time", "k_freq", "top_k", "batch_size", "max_epochs",
+            "d_ff_eff", "expert_hidden_eff",  # d_ff and expert_hidden when set
         ]
         for name in positive:
             if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
+                raise ValueError(f"{name.removesuffix('_eff')} must be >= 1, got {getattr(self, name)}")
         if self.patience < 0 or self.seed < 0:
             raise ValueError("patience and seed must be >= 0")
         if self.lr < 0:

@@ -480,7 +480,13 @@ def fit_scaler(train: MultivariateSeries) -> Scaler:
 
 
 def apply_scaler(series: MultivariateSeries, scaler: Scaler) -> MultivariateSeries:
-    return MultivariateSeries(series.timestamps, scaler.transform(series.values), series.channel_names)
+    with np.errstate(over="ignore"):  # finite values and statistics can still overflow
+        values = scaler.transform(series.values)
+    finite = np.isfinite(values).all(axis=0)
+    if not finite.all():
+        name = series.channel_names[finite.argmin()]
+        raise DataError(f"channel {name!r} overflows when scaled by the train split's mean and std")
+    return MultivariateSeries(series.timestamps, values, series.channel_names)
 
 
 def make_windows(series: MultivariateSeries, L: int, H: int) -> Windows:

@@ -7,7 +7,6 @@ from __future__ import annotations
 import dataclasses
 import itertools
 import json
-import logging
 import zipfile
 from dataclasses import dataclass, field
 
@@ -22,9 +21,7 @@ from .errors import DataError, NumericError
 from .evaluate import mse
 from .model import Forward, TFPSModel, on_threads
 
-log = logging.getLogger(__name__)
-
-CHECKPOINT_VERSION = 1
+CHECKPOINT_VERSION = 2  # version 1 headers also held an `arrays` shape map and a scaler `degenerate` list
 
 
 def total_loss(
@@ -168,7 +165,7 @@ def save_checkpoint(ckpt: Checkpoint, path) -> None:
 def load_checkpoint(path) -> Checkpoint:
     """Read a checkpoint's header and each `array/<key>` member as a finite
     float array; any fault in the file is a DataError naming it. The model
-    built on the arrays checks their names and shapes. Older headers'
+    built on the arrays checks their names and shapes. Version 1 headers'
     `arrays` shape map and scaler `degenerate` flags are ignored."""
     # a BadZipFile is a bad CRC, an OSError a bad offset, a NotImplementedError a zip version or compression
     unreadable = (OSError, ValueError, zipfile.BadZipFile, NotImplementedError)
@@ -181,7 +178,7 @@ def load_checkpoint(path) -> Checkpoint:
             raise DataError(f"{path}: not a checkpoint (missing header)")
         try:
             header = json.loads(bytes(npz["__header__"]).decode())
-            if header.get("version") != CHECKPOINT_VERSION:
+            if header.get("version") not in (1, CHECKPOINT_VERSION):
                 raise DataError(f"unsupported checkpoint version {header.get('version')}")
             scaler = header["scaler"]
             ckpt = Checkpoint(
@@ -324,7 +321,6 @@ def grid_search(
             failures.append(e)
             row["val_mse"] = None
             row["status"] = f"failed: {e}"
-            log.warning("grid cell %s failed: %s", overrides, e)
         leaderboard.append(row)
         if progress is not None:
             progress(row)

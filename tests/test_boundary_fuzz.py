@@ -271,8 +271,7 @@ def test_mutated_input_keeps_the_exit_contract(tmp_path, inputs, kind, command, 
         workdir = tmp_path / str(i)
         workdir.mkdir()
         blob = mutate(inputs[kind], rng)
-        with np.errstate(all="ignore"):
-            fault = check(workdir, inputs, kind, command, blob, capsys)
+        fault = check(workdir, inputs, kind, command, blob, capsys)
         if fault:
             faults.append(f"mutation {i}: {fault}")
     assert not faults, "\n".join(faults)

@@ -1,6 +1,7 @@
 """Operator-surface contracts: subcommand pipelines, exit codes, seeds."""
 
 import json
+import re
 import shutil
 import zipfile
 from pathlib import Path
@@ -174,6 +175,17 @@ class TestTrainEvalPredict:
         f = load_csv(forecast)
         assert f.length == TRAIN_CFG["pred_len"] and f.n_channels == 2
 
+    def test_train_reports_each_epoch(self, workdir, capsys):
+        capsys.readouterr()
+        assert run(["train", "--config", str(workdir / "cfg.json"), "--data", str(workdir / "data.csv"),
+                    "--out", str(workdir / "model.npz")]) == 0
+        out, err = capsys.readouterr()
+        lines = out.splitlines()
+        assert len(lines) == TRAIN_CFG["max_epochs"] + 1 and lines[-1].startswith("saved checkpoint to ")
+        for epoch, line in enumerate(lines[:-1]):
+            assert re.fullmatch(rf"epoch {epoch}: train_loss \d+\.\d{{6}}  val_mse \d+\.\d{{6}}", line), line
+        assert err == ""
+
     def test_eval_outputs_do_not_depend_on_forecast_threads(self, workdir, monkeypatch):
         ckpt = untrained_checkpoint(workdir / "model.npz")
         outputs = []
@@ -223,7 +235,9 @@ class TestTrainEvalPredict:
 
     def test_bad_config_is_usage_error(self, workdir, capsys):
         bad = workdir / "bad.json"
-        for config, cause in [(dict(TRAIN_CFG, nonsense=True), "nonsense"), ({"lr": "fast"}, "'lr'")]:
+        for config, cause in [(dict(TRAIN_CFG, nonsense=True), "nonsense"), ({"lr": "fast"}, "'lr'"),
+                              (dict(TRAIN_CFG, d_ff=-4), "d_ff must be >= 1, got -4"),
+                              (dict(TRAIN_CFG, expert_hidden=0), "expert_hidden must be >= 1, got 0")]:
             bad.write_text(json.dumps(config))
             capsys.readouterr()
             assert run(["train", "--config", str(bad), "--data", str(workdir / "data.csv"),
@@ -310,24 +324,25 @@ class TestTrainEvalPredict:
         expected = last + 3600 * np.arange(1, TRAIN_CFG["pred_len"] + 1)
         np.testing.assert_array_equal(load_csv(forecast).timestamps, expected)
 
-    def test_numeric_failure_exit_code(self, workdir):
+    def test_numeric_failure_exit_code(self, workdir, capsys):
         cfg = dict(TRAIN_CFG, lr=1e160, max_epochs=3)
         cfg_path = workdir / "diverge.json"
         cfg_path.write_text(json.dumps(cfg))
-        with np.errstate(over="ignore", invalid="ignore"):
-            code = run(["train", "--config", str(cfg_path),
-                        "--data", str(workdir / "data.csv"),
-                        "--out", str(workdir / "d.npz"), "--quiet"])
+        capsys.readouterr()
+        code = run(["train", "--config", str(cfg_path),
+                    "--data", str(workdir / "data.csv"),
+                    "--out", str(workdir / "d.npz"), "--quiet"])
         assert code == 3
+        err = capsys.readouterr().err  # no NumPy warning comes before it
+        assert err.startswith("numeric failure: loss diverged") and err.count("\n") == 1, err
 
     def test_non_finite_validation_exit_code(self, workdir, capsys):
         # one step per epoch, so the blown-up parameters reach validation
         cfg_path = workdir / "diverge.json"
         cfg_path.write_text(json.dumps(dict(TRAIN_CFG, lr=1e150, batch_size=512, max_epochs=1)))
         out = workdir / "d.npz"
-        with np.errstate(over="ignore", invalid="ignore"):
-            code = run(["train", "--config", str(cfg_path), "--data", str(workdir / "data.csv"),
-                        "--out", str(out), "--quiet"])
+        code = run(["train", "--config", str(cfg_path), "--data", str(workdir / "data.csv"),
+                    "--out", str(out), "--quiet"])
         assert code == 3
         assert capsys.readouterr().err == "numeric failure: validation MSE diverged at epoch 0: nan\n"
         assert not out.exists()
@@ -380,6 +395,20 @@ class TestGridCommand:
         assert (out / "best.npz").exists()
         assert (out / "leaderboard.csv").exists()
 
+    def test_grid_reports_each_cell(self, workdir, capsys):
+        grid = workdir / "grid.json"
+        grid.write_text(json.dumps({"lr": [-1.0, 0.005]}))
+        out = workdir / "gridout"
+        capsys.readouterr()
+        assert run(["grid", "--config", str(workdir / "cfg.json"), "--grid", str(grid),
+                    "--data", str(workdir / "data.csv"), "--out", str(out)]) == 0
+        stdout, err = capsys.readouterr()
+        lines = stdout.splitlines()
+        assert len(lines) == 3 and lines[-1].startswith("best cell: {'lr': 0.005")
+        assert lines[0] == "cell {'lr': -1.0, 'val_mse': None, 'status': 'failed: lr must be >= 0'}"
+        assert lines[1].startswith("cell {'lr': 0.005, 'val_mse': ") and lines[1].endswith("'status': 'ok'}")
+        assert err == ""  # the failed cell is reported by its row, not by a log line
+
     @pytest.mark.parametrize("budget", ["-1", "0"])
     def test_budget_below_one_is_usage_error(self, workdir, capsys, budget):
         grid = workdir / "grid.json"
@@ -415,6 +444,7 @@ class TestBoundaryErrors:
         {"regimes": [REGIME], "step_seconds": 1e-300},  # too small to move start_epoch
         {"regimes": [REGIME], "step_seconds": 1e308},  # overflows
         {"regimes": [{"length": 3}], "step_seconds": 1e308},  # overflows at the last stamp only
+        {"regimes": [{"length": 5, "trend": 1e308}]},  # finite fields whose values overflow
     ])
     @pytest.mark.filterwarnings("error")  # a NumPy warning would print on the command line
     def test_bad_synth_spec(self, tmp_path, capsys, spec):
@@ -509,17 +539,17 @@ class TestBoundaryErrors:
         ({"n_heads": [3]}, 1, "error: {grid}: every grid cell failed; the first: d_model must be divisible"),
         ({"lr": [-1.0, 1e160]}, 3, "numeric failure: every grid cell failed; the first: lr must be >= 0"),
     ], ids=["lr", "n_heads", "one-diverged"])
-    def test_every_cell_failing(self, workdir, capsys, space, code, cause):
+    def test_every_cell_failing(self, workdir, capsys, caplog, space, code, cause):
         # exit 3 only if some cell failed numerically
         grid = workdir / "grid.json"
         grid.write_text(json.dumps(space))
         out = workdir / "gridout"
         capsys.readouterr()
-        with np.errstate(over="ignore", invalid="ignore"):
-            assert run(["grid", "--config", str(workdir / "cfg.json"), "--grid", str(grid),
-                        "--data", str(workdir / "data.csv"), "--out", str(out), "--quiet"]) == code
-        err = capsys.readouterr().err  # each failed cell also logs a warning line
-        assert err.splitlines()[-1].startswith(cause.format(grid=grid)) and "Traceback" not in err, err
+        assert run(["grid", "--config", str(workdir / "cfg.json"), "--grid", str(grid),
+                    "--data", str(workdir / "data.csv"), "--out", str(out), "--quiet"]) == code
+        err = capsys.readouterr().err  # a failed cell is reported by its leaderboard row only
+        assert err.startswith(cause.format(grid=grid)) and err.count("\n") == 1, err
+        assert not [r for r in caplog.records if r.name == "tfps.trainer"]
         assert not out.exists()
 
     @pytest.mark.parametrize("header,cause", [
@@ -531,6 +561,8 @@ class TestBoundaryErrors:
                      id="config-type"),
         pytest.param(json.dumps(dict(VALID_HEADER, config={"bogus": 1})), "bogus", id="config-key"),
         pytest.param(json.dumps(dict(VALID_HEADER, scaler={"mean": [0.0]})), "std", id="no-scaler-std"),
+        pytest.param(json.dumps(dict(VALID_HEADER, config={"d_ff": -4})), "d_ff must be >= 1", id="config-d_ff"),
+        pytest.param(json.dumps(dict(VALID_HEADER, version=3)), "unsupported checkpoint version 3", id="version-3"),
     ])
     def test_bad_checkpoint_header(self, workdir, capsys, header, cause):
         ckpt = workdir / "bad.npz"
@@ -634,6 +666,7 @@ class TestOverflowingResult:
         err = capsys.readouterr().err
         assert err.startswith(f"data error: {path}: ") and err.count("\n") == 1, err
         assert not out.exists()
+        return err
 
     def test_predict(self, workdir, capsys):
         path, out = self.with_ch0(workdir, slice(-10, None), 1e300), workdir / "forecast.csv"
@@ -646,6 +679,32 @@ class TestOverflowingResult:
         ckpt = untrained_checkpoint(workdir / "model.npz")
         self.assert_refused(capsys, ["eval", "--ckpt", str(ckpt), "--data", str(path), "--out", str(out)],
                             path, out)
+
+    def test_eval_routing_report(self, workdir, capsys):
+        # finite inputs and forecast errors, but W1 distances between +-2e306 patches overflow
+        cfg = config_from_dict(dict(TRAIN_CFG, seq_len=16))
+        arrays = TFPSModel(cfg, np.random.default_rng(cfg.seed)).named_arrays()
+        arrays["embed.proj"] = np.zeros_like(arrays["embed.proj"])  # the forecast ignores the input
+        ckpt = workdir / "model.npz"
+        save_checkpoint(Checkpoint(CHECKPOINT_VERSION, cfg, arrays, None, {}), ckpt)
+        series = data.load_csv(workdir / "data.csv")
+        start = series.length - data.split(series, cfg.split_ratios)[2].length
+        rows = np.arange(start, start + cfg.seq_len)  # inputs of the first test window, no window's target
+        path, out = self.with_ch0(workdir, rows, np.where(rows % 2, -2e306, 2e306)), workdir / "eval"
+        err = self.assert_refused(capsys, ["eval", "--ckpt", str(ckpt), "--data", str(path), "--out", str(out)],
+                                  path, out)
+        assert "routing W1" in err
+
+    def test_scaled_split(self, workdir, capsys):
+        # the train split's std is ~5e-151, so 1e160 in a later split overflows when scaled
+        n_train = data.split(data.load_csv(workdir / "data.csv"), TRAIN_CFG["split_ratios"])[0].length
+        values = np.full(480, 1e160)
+        values[:n_train] = np.arange(n_train) % 2 * 1e-150
+        path, out = self.with_ch0(workdir, slice(None), values), workdir / "model.npz"
+        err = self.assert_refused(capsys, ["train", "--config", str(workdir / "cfg.json"), "--data", str(path),
+                                           "--out", str(out), "--quiet"], path, out)
+        assert err == (f"data error: {path}: the validation split's channel 'ch0' overflows "
+                       "when scaled by the train split's mean and std\n")  # no split-relative row
 
     @pytest.mark.parametrize("channels", ["ch0", "ch1,ch0"])
     def test_analyze_drift(self, workdir, capsys, channels):

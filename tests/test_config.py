@@ -36,6 +36,8 @@ class TestValidation:
             {"split_ratios": (0.5, 0.2, 0.2)},
             {"alpha": -1.0},
             {"seed": -1},
+            {"d_ff": -4},
+            {"expert_hidden": 0},
         ],
     )
     def test_invalid_configs_rejected(self, overrides):

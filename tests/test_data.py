@@ -530,6 +530,11 @@ class TestScaler:
         with pytest.raises(DataError, match="^scaler mean"):
             Scaler(**fields)
 
+    def test_overflowing_scaled_values_name_the_channel(self):
+        sc = Scaler(mean=np.zeros(2), std=np.array([1.0, 1e-300]))
+        with pytest.raises(DataError, match="^channel 'c1' overflows when scaled by the train split's mean and std$"):
+            apply_scaler(series_of(np.array([[1.0, 1.0], [2.0, 1e10]])), sc)
+
     def test_overflowing_statistics_name_the_channel(self):
         s = series_of(np.array([[1.0, 1.5e308], [2.0, -1.5e308]] * 3))  # finite values, an infinite variance
         with pytest.raises(DataError, match="^channel 'c1' overflows its scaler statistics$"):

@@ -258,15 +258,15 @@ class TestCheckpoint:
         with np.load(path) as npz:
             header = json.loads(bytes(npz["__header__"]).decode())
             members = {k.removeprefix("array/"): npz[k] for k in npz.files if k != "__header__"}
-        assert list(header) == ["version", "config", "scaler", "history"] and header["version"] == 1
+        assert list(header) == ["version", "config", "scaler", "history"] and header["version"] == 2
         assert list(header["scaler"]) == [f.name for f in dataclasses.fields(Scaler)] == ["mean", "std"]
         assert members.keys() == ckpt.arrays.keys()
         for name, arr in members.items():
             np.testing.assert_array_equal(arr, ckpt.arrays[name], err_msg=name)
 
     def test_older_header_loads_and_forecasts_identically(self, tmp_path):
-        """A header with a shape map and scaler `degenerate` flags, as
-        checkpoints once had, reads as the same checkpoint."""
+        """A version-1 header, with a shape map and scaler `degenerate`
+        flags, reads as the same checkpoint."""
         series, _ = tiny_dataset()
         cfg = TrainConfig(**{**TINY, "max_epochs": 1})
         (trw, vaw, _), sc = prepared_windows(cfg, series)
@@ -276,13 +276,14 @@ class TestCheckpoint:
         with np.load(path) as npz:
             payload = {k: npz[k] for k in npz.files}
         header = json.loads(bytes(payload["__header__"]).decode())
+        header["version"] = 1
         header["scaler"]["degenerate"] = [False] * len(sc.mean)
         header["arrays"] = {k: list(v.shape) for k, v in ckpt.arrays.items()}
         payload["__header__"] = np.frombuffer(json.dumps(header).encode(), dtype=np.uint8)
         with open(older, "wb") as fh:
             np.savez(fh, **payload)
         a, b = load_checkpoint(path), load_checkpoint(older)
-        assert b.config == a.config and b.history == a.history
+        assert b.version == 1 and b.config == a.config and b.history == a.history
         np.testing.assert_array_equal(b.scaler.mean, a.scaler.mean)
         np.testing.assert_array_equal(b.scaler.std, a.scaler.std)
         x = np.stack([w.input for w in vaw[:5]])
