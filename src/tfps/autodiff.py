@@ -2,7 +2,8 @@
 
 Deliberately small: only the operations the forecasting model needs. Every op
 records a node with a backward closure; ``Tensor.backward()`` walks the nodes
-in reverse topological order and accumulates gradients by summation.
+in reverse topological order, accumulates gradients by summation and returns
+the leaves' gradients: no tensor stores one.
 Broadcasting is undone explicitly, and everything stays in float64 so central
 finite differences are a meaningful cross-check.
 """
@@ -15,6 +16,7 @@ import contextvars
 import numpy as np
 
 _grad_enabled = contextvars.ContextVar("grad_enabled", default=True)
+_leaf_grads = contextvars.ContextVar("leaf_grads")  # the running walk's leaf node -> gradient
 
 
 @contextlib.contextmanager
@@ -32,7 +34,8 @@ def no_grad():
 
 class Node:
     """A tape entry: the gradient accumulated so far, the backward closure and
-    the parents' nodes. A leaf (a parameter) has no closure."""
+    the parents' nodes. A leaf (a parameter) has no closure and keeps no
+    gradient: a walk returns it."""
 
     __slots__ = ("grad", "backward", "parents")
 
@@ -54,14 +57,6 @@ class Tensor:
         return self.node is not None
 
     @property
-    def grad(self) -> np.ndarray | None:
-        return None if self.node is None else self.node.grad
-
-    @grad.setter
-    def grad(self, g: np.ndarray | None) -> None:
-        self.node.grad = g
-
-    @property
     def shape(self) -> tuple[int, ...]:
         return self.data.shape
 
@@ -75,14 +70,17 @@ class Tensor:
 
     # -- graph ------------------------------------------------------------
 
-    def backward(self, grad: np.ndarray | None = None) -> None:
+    def backward(self, grad: np.ndarray | None = None) -> dict[Node, np.ndarray]:
         """Backpropagate from this tensor; defaults to d(self)/d(self)=1 for scalars.
+        Returns the gradient of every leaf the walk reaches, keyed by the
+        leaf's node; a leaf no path reaches has no entry. Each walk returns
+        only its own gradients, so threads may walk graphs that share leaves.
 
         The graph is freed as it is walked: once a node's closure has run, its
         gradient, closure and parent links are dropped, so the activations the
-        closures held go with them. Leaves keep their accumulated `.grad`. A
-        graph can therefore be backpropagated once; reaching a freed node
-        raises RuntimeError before any gradient is accumulated."""
+        closures held go with them. A graph can therefore be backpropagated
+        once; reaching a freed node raises RuntimeError before any gradient is
+        accumulated."""
         if grad is None:
             if self.data.size != 1:
                 raise ValueError("backward() without a seed gradient needs a scalar")
@@ -106,14 +104,20 @@ class Tensor:
             seen.add(id(node))
             stack.append((node, True))
             stack.extend((p, False) for p in node.parents if id(p) not in seen)
-        accumulate(self.node, np.asarray(grad, dtype=np.float64))
-        while order:
-            node = order.pop()
-            if node.backward is None:
-                continue  # a leaf: keeps its .grad
-            if node.grad is not None:
-                node.backward(node.grad)
-            node.grad = node.backward = node.parents = None
+        leaves: dict[Node, np.ndarray] = {}
+        token = _leaf_grads.set(leaves)
+        try:
+            accumulate(self.node, np.asarray(grad, dtype=np.float64))
+            while order:
+                node = order.pop()
+                if node.backward is None:
+                    continue  # a leaf: its gradient is in `leaves`
+                if node.grad is not None:
+                    node.backward(node.grad)
+                node.grad = node.backward = node.parents = None
+        finally:
+            _leaf_grads.reset(token)
+        return leaves
 
     # -- operators ----------------------------------------------------------
 
@@ -167,15 +171,17 @@ def parameter(data) -> Tensor:
 
 
 def accumulate(node: Node | None, g: np.ndarray) -> None:
-    """Add `g` into `node.grad` (a constant has no node). An interior node's
-    gradient is read only by its own backward closure, so it may alias `g`; a
-    leaf gets its own copy, since `g` can be a view another gradient shares."""
+    """Add `g` into `node.grad`, or for a leaf into the running walk's
+    gradient of it (a constant has no node). An interior node's gradient is
+    read only by its own backward closure, so it may alias `g`; a leaf gets
+    its own copy, since `g` can be a view another gradient shares."""
     if node is None:
         return
-    if node.grad is not None:
-        node.grad = node.grad + g
+    if node.backward is None:
+        leaves = _leaf_grads.get()
+        leaves[node] = leaves[node] + g if node in leaves else g.copy()
     else:
-        node.grad = g if node.backward is not None else g.copy()
+        node.grad = g if node.grad is None else node.grad + g
 
 
 def unbroadcast(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:

@@ -4,7 +4,6 @@ seeded synthetic regime-switch generator used throughout the tests."""
 from __future__ import annotations
 
 import csv
-import logging
 import math
 import os
 import warnings
@@ -19,8 +18,6 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from .config import check_types
 from .errors import DataError
-
-log = logging.getLogger(__name__)
 
 
 @dataclass(frozen=True)
@@ -463,20 +460,15 @@ def split(
 
 
 def fit_scaler(train: MultivariateSeries) -> Scaler:
-    """Population mean/std per channel; zero-variance channels get std=1, with
-    a warning (small datasets stay loadable)."""
+    """Population mean/std per channel; zero-variance channels get std=1
+    (small datasets stay loadable)."""
     with np.errstate(over="ignore", invalid="ignore"):  # finite values can overflow a sum or a square
         mean = train.values.mean(axis=0)
         std = train.values.std(axis=0)  # not finite wherever the mean is not
     if not np.isfinite(std).all():
         name = train.channel_names[np.argmin(np.isfinite(std))]
         raise DataError(f"channel {name!r} overflows its scaler statistics")
-    degenerate = std == 0.0
-    if degenerate.any():
-        bad = [train.channel_names[i] for i in np.nonzero(degenerate)[0]]
-        log.warning("zero-variance channels %s: std clamped to 1", bad)
-        std = np.where(degenerate, 1.0, std)
-    return Scaler(mean=mean, std=std)
+    return Scaler(mean=mean, std=np.where(std == 0.0, 1.0, std))
 
 
 def apply_scaler(series: MultivariateSeries, scaler: Scaler) -> MultivariateSeries:

@@ -196,10 +196,6 @@ class TFPSModel:
                 out[f"{prefix}.{key}"] = arr
         return out
 
-    def zero_grad(self) -> None:
-        for t in self.params.values():
-            t.grad = None
-
     # -- forward ------------------------------------------------------------
 
     def forward(

@@ -60,30 +60,26 @@ def shard_loss(
 
 def train_step(
     model: TFPSModel, xs: np.ndarray, ys: np.ndarray, rng: np.random.Generator | None = None,
-) -> list[dict]:
-    """Put one training batch's gradient in `model`'s parameters, in place of
-    any they held, and return each shard's float loss parts with its `loss`.
-    The batch is cut into one contiguous shard per `forecast_workers()`
-    thread, no more than it has windows, or kept whole when batch norm trains
-    or dropout is on. Shard 0 runs on `model` and each other shard on a
-    replica built on its arrays for this step; `on_threads` runs the shards.
+) -> tuple[dict[str, np.ndarray], list[dict]]:
+    """One training batch's gradient, keyed by parameter name (a parameter
+    no shard reaches has no entry), and each shard's float loss parts with
+    its `loss`. The batch is cut into one contiguous shard per
+    `forecast_workers()` thread, no more than it has windows, or kept whole
+    when batch norm trains or dropout is on; `on_threads` runs every shard
+    on `model`.
 
     The forward passes run first. The refinement target's column sums couple
     the whole batch, so it is refined from the shards' affinities together
     and each shard takes its rows. Then each shard builds its `shard_loss`
     (the regularizer counts once, on shard 0) and backpropagates it, and the
-    replicas' gradients are added into the model's in shard order, so that
-    the sum does not depend on thread timing. The replicas and their
-    gradients end with the call. With one shard this is `total_loss` bit for
-    bit."""
+    shards' gradients are summed in shard order, so that the sum does not
+    depend on thread timing. With one shard this is `total_loss` bit for bit."""
     cfg, windows = model.cfg, len(xs)
     # batch statistics and the dropout masks' draw order need the whole batch on one model
     shards = min(model_mod.forecast_workers(), windows) if not model.norm_stats and cfg.dropout == 0 else 1
-    model.zero_grad()
-    models = [model] + [TFPSModel(cfg, arrays=model.named_arrays()) for _ in range(shards - 1)]
     xs, ys = np.array_split(xs, shards), np.array_split(ys, shards)
-    fwds = on_threads(lambda k: models[k].forward(xs[k], training=True, rng=rng), shards)
-    targets: list[dict[str, np.ndarray]] = [{} for _ in models]
+    fwds = on_threads(lambda k: model.forward(xs[k], training=True, rng=rng), shards)
+    targets: list[dict[str, np.ndarray]] = [{} for _ in fwds]
     if cfg.pi_mode == "subspace" and cfg.beta > 0:
         for name in model.branches:
             rows = [f.s[name].data for f in fwds]
@@ -91,24 +87,23 @@ def train_step(
             for target, part in zip(targets, np.split(pattern.refine(np.concatenate(rows)), ends)):
                 target[name] = part
 
-    def backprop(k: int) -> dict:
-        loss, parts = shard_loss(models[k], fwds[k], ys[k], windows, cfg.alpha if k == 0 else 0.0, targets[k])
-        loss.backward()
-        return {**parts, "loss": float(loss.data)}
+    def backprop(k: int) -> tuple[dict, dict]:
+        loss, parts = shard_loss(model, fwds[k], ys[k], windows, cfg.alpha if k == 0 else 0.0, targets[k])
+        return loss.backward(), {**parts, "loss": float(loss.data)}
 
-    parts = on_threads(backprop, shards)
-    for name, p in model.params.items():
-        for m in models[1:]:
-            g = m.params[name].grad
-            if g is not None:
-                p.grad = g if p.grad is None else p.grad + g
-    return parts
+    shard_grads, parts = zip(*on_threads(backprop, shards))
+    grads: dict[str, np.ndarray] = {}
+    for leaves in shard_grads:  # popped, so each shard's array goes once it is summed
+        for name, p in model.params.items():
+            if (g := leaves.pop(p.node, None)) is not None:
+                grads[name] = grads[name] + g if name in grads else g
+    return grads, list(parts)
 
 
 class Adam:
     """Standard Adam with bias correction, its moments keyed by parameter
-    name; checkpoints do not store them. A step reads each parameter's
-    `.grad` and updates its array in place."""
+    name; checkpoints do not store them. A step updates, in place, the
+    array of each parameter it is given a gradient of."""
 
     beta1, beta2, eps = 0.9, 0.999, 1e-8
 
@@ -119,18 +114,16 @@ class Adam:
         self.v = {k: np.zeros_like(t.data) for k, t in params.items()}
         self.t = 0
 
-    def step(self) -> None:
+    def step(self, grads: dict[str, np.ndarray]) -> None:
         self.t += 1
         b1c = 1.0 - self.beta1 ** self.t
         b2c = 1.0 - self.beta2 ** self.t
-        for name, p in self.params.items():
-            if p.grad is None:
-                continue
+        for name, g in grads.items():
             m = self.m[name]
             v = self.v[name]
-            m += (1.0 - self.beta1) * (p.grad - m)
-            v += (1.0 - self.beta2) * (p.grad * p.grad - v)
-            p.data -= self.lr * (m / b1c) / (np.sqrt(v / b2c) + self.eps)
+            m += (1.0 - self.beta1) * (g - m)
+            v += (1.0 - self.beta2) * (g * g - v)
+            self.params[name].data -= self.lr * (m / b1c) / (np.sqrt(v / b2c) + self.eps)
 
 
 @dataclass
@@ -238,12 +231,12 @@ def train(
         order = rng.permutation(len(train_windows))
         for lo in range(0, len(order), cfg.batch_size):
             idx = order[lo : lo + cfg.batch_size]
-            parts = train_step(model, train_windows.inputs[idx], train_windows.targets[idx], rng)
+            grads, parts = train_step(model, train_windows.inputs[idx], train_windows.targets[idx], rng)
             value = sum(shard["loss"] for shard in parts)
             if not np.isfinite(value):
                 raise NumericError(f"loss diverged at epoch {epoch}, batch {n_batches}: {value}")
-            opt.step()
-            model.zero_grad()  # no gradient outlives its step
+            opt.step(grads)
+            del grads  # no gradient outlives its step
             epoch_loss += value
             epoch_mse += sum(shard["mse"] for shard in parts)
             n_batches += 1

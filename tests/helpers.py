@@ -54,6 +54,13 @@ def numeric_grad_at(f, array: np.ndarray, index: int, eps: float = 1e-6) -> floa
     return (hi - lo) / (2.0 * eps)
 
 
+def named_grads(params: dict, leaves: dict) -> dict:
+    """The gradients one backward walk returned (`leaves`, keyed by leaf
+    node) of the named `params` it reached, keyed by name as
+    `trainer.train_step` returns them."""
+    return {name: leaves[t.node] for name, t in params.items() if t.node in leaves}
+
+
 # -- tape ops the package no longer needs ----------------------------------------
 # Elementwise nodes built from the public tape API, for the composites that
 # test_fused_ops.py keeps as oracles of the fused ops.

@@ -57,9 +57,9 @@ def run(case: str) -> dict[str, np.ndarray]:
     every batch-norm running statistic of one golden case."""
     model, x, y = build(case)
     loss, fwd, _ = total_loss(model, x, y, training=case in TRAINING)
-    loss.backward()
+    grads = loss.backward()
     out = {"yhat": fwd.yhat.data, "loss": np.asarray(loss.data)}
-    out.update({f"grad/{name}": t.grad for name, t in model.params.items()})
+    out.update({f"grad/{name}": grads[t.node] for name, t in model.params.items()})
     out.update({f"state/{k}": v for k, v in model.named_arrays().items() if k not in model.params})
     return out
 

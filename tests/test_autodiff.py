@@ -1,6 +1,8 @@
 """Gradient correctness of every tape primitive against central differences,
 and what the tape holds on to until backward."""
 
+import sys
+import threading
 import tracemalloc
 import weakref
 
@@ -27,10 +29,9 @@ def check_unary(op, shape=(3, 4), positive=False, seed=0, rtol=1e-6):
     def run():
         return float(op(p).sum().data)
 
-    out = op(p).sum()
-    out.backward()
+    grads = op(p).sum().backward()
     num = numeric_grad(lambda: float(op(ad.Tensor(p.data)).sum().data), p.data)
-    assert rel_err(p.grad, num) < rtol
+    assert rel_err(grads[p.node], num) < rtol
 
 
 class TestPrimitives:
@@ -43,10 +44,9 @@ class TestPrimitives:
             t = (ad.Tensor(a.data) + ad.Tensor(b.data)) * ad.Tensor(a.data) / ad.Tensor(b.data)
             return float(t.sum().data)
 
-        out = ((a + b) * a / b).sum()
-        out.backward()
-        assert rel_err(a.grad, numeric_grad(f, a.data)) < 1e-6
-        assert rel_err(b.grad, numeric_grad(f, b.data)) < 1e-6
+        grads = ((a + b) * a / b).sum().backward()
+        assert rel_err(grads[a.node], numeric_grad(f, a.data)) < 1e-6
+        assert rel_err(grads[b.node], numeric_grad(f, b.data)) < 1e-6
 
     def test_matmul_batched(self):
         rng = np.random.default_rng(2)
@@ -57,9 +57,9 @@ class TestPrimitives:
         def f():
             return float(((ad.Tensor(a.data) @ ad.Tensor(w.data)) * probe).sum().data)
 
-        ((a @ w) * probe).sum().backward()
-        assert rel_err(a.grad, numeric_grad(f, a.data)) < 1e-6
-        assert rel_err(w.grad, numeric_grad(f, w.data)) < 1e-6
+        grads = ((a @ w) * probe).sum().backward()
+        assert rel_err(grads[a.node], numeric_grad(f, a.data)) < 1e-6
+        assert rel_err(grads[w.node], numeric_grad(f, w.data)) < 1e-6
 
     def test_index_rows_rejects_repeated_or_unsorted_rows(self):
         p = ad.parameter(np.ones((4, 2)))
@@ -82,12 +82,11 @@ class TestPrimitives:
             t = ad.Tensor(p.data)
             return float((t.mean(axis=-1, keepdims=True) * t.sum(axis=0)).sum().data)
 
-        (p.mean(axis=-1, keepdims=True) * p.sum(axis=0)).sum().backward()
-        assert rel_err(p.grad, numeric_grad(f, p.data)) < 1e-6
+        grads = (p.mean(axis=-1, keepdims=True) * p.sum(axis=0)).sum().backward()
+        assert rel_err(grads[p.node], numeric_grad(f, p.data)) < 1e-6
 
         # tmean divides by the number of entries each output averages over
         for axis, keepdims in (((0, 2), True), ((0, -1), False), (-2, False), (None, False)):
-            p.grad = None
             probe = rng.normal(size=p.data.mean(axis=axis, keepdims=keepdims).shape)
 
             def build(t):
@@ -95,9 +94,9 @@ class TestPrimitives:
 
             out = build(p)
             assert out.data == pytest.approx((p.data.mean(axis=axis, keepdims=keepdims) * probe).sum(), rel=1e-12)
-            out.backward()
+            grads = out.backward()
             num = numeric_grad(lambda: float(build(ad.Tensor(p.data)).data), p.data)
-            assert rel_err(p.grad, num) < 1e-6, (axis, keepdims)
+            assert rel_err(grads[p.node], num) < 1e-6, (axis, keepdims)
 
     def test_reshape_swap_concat_slice(self):
         rng = np.random.default_rng(4)
@@ -109,9 +108,9 @@ class TestPrimitives:
             both = ad.concat([left, right], axis=0)
             return (both * both).sum()
 
-        build(p).backward()
+        grads = build(p).backward()
         num = numeric_grad(lambda: float(build(ad.Tensor(p.data)).data), p.data)
-        assert rel_err(p.grad, num) < 1e-6
+        assert rel_err(grads[p.node], num) < 1e-6
 
     def test_softmax_rows_sum_to_one(self):
         rng = np.random.default_rng(5)
@@ -124,8 +123,8 @@ class TestPrimitives:
             return float((s * s).sum().data)
 
         s = ad.softmax(p, axis=-1)
-        (s * s).sum().backward()
-        assert rel_err(p.grad, numeric_grad(f, p.data)) < 1e-6
+        grads = (s * s).sum().backward()
+        assert rel_err(grads[p.node], numeric_grad(f, p.data)) < 1e-6
 
     def test_gather_scatter(self):
         rng = np.random.default_rng(6)
@@ -137,10 +136,10 @@ class TestPrimitives:
             back = ad.scatter_rows(sub * 2.0, rows, 6)
             return (back * back).sum()
 
-        build(p).backward()
+        grads = build(p).backward()
         num = numeric_grad(lambda: float(build(ad.Tensor(p.data)).data), p.data)
-        assert rel_err(p.grad, num) < 1e-6
-        np.testing.assert_array_equal(p.grad[[1, 3]], 0.0)
+        assert rel_err(grads[p.node], num) < 1e-6
+        np.testing.assert_array_equal(grads[p.node][[1, 3]], 0.0)
 
 
 class TestTape:
@@ -158,23 +157,22 @@ class TestTape:
     def test_grad_accumulates_over_reuse(self):
         p = ad.parameter(np.array([2.0, 3.0]))
         y = (p * p).sum() + (p * 4.0).sum()
-        y.backward()
-        np.testing.assert_allclose(p.grad, 2 * p.data + 4.0)
+        np.testing.assert_allclose(y.backward()[p.node], 2 * p.data + 4.0)
 
     def test_leaf_grads_do_not_share_memory(self):
         a = ad.parameter(np.array([1.0, 2.0]))
         b = ad.parameter(np.array([3.0, 4.0]))
-        (a + b).sum().backward()
-        assert not np.shares_memory(a.grad, b.grad)
+        grads = (a + b).sum().backward()
+        assert not np.shares_memory(grads[a.node], grads[b.node])
 
     def test_diamond_graph(self):
         p = ad.parameter(np.array([1.5]))
         a = p * 2.0
         b = p * 3.0
         ab = a * b
-        (ab * ab).sum().backward()
+        grads = (ab * ab).sum().backward()
         # d/dp (6 p^2)^2 = 144 p^3
-        np.testing.assert_allclose(p.grad, 144 * p.data ** 3)
+        np.testing.assert_allclose(grads[p.node], 144 * p.data ** 3)
 
     def test_no_grad_blocks_tape(self):
         p = ad.parameter(np.ones(3))
@@ -189,8 +187,7 @@ class TestTape:
         # the refined target in pattern.kl_loss is
         p = ad.parameter(np.array([2.0]))
         y = (ad.Tensor(p.data) * p).sum()
-        y.backward()
-        np.testing.assert_allclose(p.grad, [2.0])  # only the live factor
+        np.testing.assert_allclose(y.backward()[p.node], [2.0])  # only the live factor
 
     def test_backward_frees_interior_nodes(self):
         p = ad.parameter(np.arange(1.0, 4.0))
@@ -199,28 +196,63 @@ class TestTape:
         root = (hidden * p).sum()
         del hidden
         assert probe() is not None  # the tape keeps the activation alive
-        root.backward()
+        grads = root.backward()
         assert probe() is None
-        assert root.grad is None and root.data == pytest.approx(np.sum(np.exp(2 * p.data) * p.data))
-        np.testing.assert_allclose(p.grad, np.exp(2 * p.data) * (2 * p.data + 1))
+        assert root.node.grad is None and root.data == pytest.approx(np.sum(np.exp(2 * p.data) * p.data))
+        assert list(grads) == [p.node]  # the leaves' gradients only
+        np.testing.assert_allclose(grads[p.node], np.exp(2 * p.data) * (2 * p.data + 1))
 
     def test_backward_through_freed_graph_raises(self):
         p = ad.parameter(np.array([1.0, 2.0]))
         hidden = p * 3.0
         root = (hidden * hidden).sum()
-        root.backward()
-        grad = p.grad.copy()
+        grads = root.backward()
+        grad = grads[p.node].copy()
         with pytest.raises(RuntimeError, match="already backpropagated"):
             root.backward()
         with pytest.raises(RuntimeError, match="already backpropagated"):
             (hidden + p).sum().backward()
-        np.testing.assert_array_equal(p.grad, grad)  # the refused walks added nothing
+        np.testing.assert_array_equal(grads[p.node], grad)  # the refused walks added nothing
 
-    def test_leaf_grads_accumulate_across_graphs(self):
+    def test_each_walk_returns_only_its_own_gradients(self):
         p = ad.parameter(np.array([1.0, -2.0]))
-        (p * p).sum().backward()
-        (p * 5.0).sum().backward()
-        np.testing.assert_allclose(p.grad, 2 * p.data + 5.0)
+        first = (p * p).sum().backward()
+        second = (p * 5.0).sum().backward()
+        np.testing.assert_array_equal(first[p.node], 2 * p.data)
+        np.testing.assert_array_equal(second[p.node], [5.0, 5.0])
+        np.testing.assert_allclose(first[p.node] + second[p.node], 2 * p.data + 5.0)  # what one leaf once held
+
+    def test_threads_sharing_leaves_get_their_serial_gradients(self):
+        rng = np.random.default_rng(8)
+        w, b = ad.parameter(rng.normal(size=(6, 6))), ad.parameter(rng.normal(size=6))
+        inputs = [rng.normal(size=(40, 6)) for _ in range(2)]
+
+        def walk(x, barrier=None):
+            h = ad.relu(ad.linear(x, w, b))
+            for _ in range(200):  # a long walk, so the threads interleave within it
+                h = ad.softmax(ad.linear(h, w, b), axis=-1)
+            loss = (h * h).sum()
+            if barrier is not None:
+                barrier.wait()  # both walks start together
+            return loss.backward()
+
+        serial = [walk(x) for x in inputs]
+        got, barrier = [None, None], threading.Barrier(2)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=lambda k=k: got.__setitem__(k, walk(inputs[k], barrier)))
+                       for k in range(2)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join()
+        finally:
+            sys.setswitchinterval(interval)
+        for mine, expected in zip(got, serial):
+            assert mine.keys() == expected.keys() == {w.node, b.node}
+            for node, g in expected.items():
+                np.testing.assert_array_equal(mine[node], g)
 
     def test_matmul_requires_2d(self):
         with pytest.raises(ValueError):
@@ -319,8 +351,8 @@ def test_relu_gradient_is_the_mask_formula_bit_for_bit():
     g = np.random.default_rng(12).normal(size=x.shape)
     p = ad.parameter(x)
     with np.errstate(invalid="ignore"):  # -inf times a false mask is NaN
-        ad.relu(p).backward(g)
-    assert p.grad.tobytes() == (g * (x > 0)).tobytes()
+        grads = ad.relu(p).backward(g)
+    assert grads[p.node].tobytes() == (g * (x > 0)).tobytes()
 
 
 # Each case builds an interior tensor `s` from three (3, 4) parameters and a
@@ -373,8 +405,8 @@ def probe_and_backward(build, drop: bool):
     if drop:
         del s
     alive = probe() is not None
-    loss.backward()
-    return probe, alive, [p.grad for p in params]
+    grads = loss.backward()
+    return probe, alive, [grads.get(p.node) for p in params]
 
 
 @pytest.mark.parametrize("build", [add_sum, relu_input, layer_norm_input, factor_of_a_constant_product])
@@ -403,10 +435,9 @@ def test_fourier_mix_output_frees_its_complex_buffer():
     loss = ((mixed + p) * p).sum()
     del mixed
     assert probe() is None
-    loss.backward()
+    grads = loss.backward()
     q = ad.parameter(p.data.copy())
-    ((fourier_mix(q) + q) * q).sum().backward()
-    np.testing.assert_array_equal(p.grad, q.grad)
+    np.testing.assert_array_equal(grads[p.node], ((fourier_mix(q) + q) * q).sum().backward()[q.node])
 
 
 # Bytes one `total_loss` graph holds before backward, on the golden `top2`

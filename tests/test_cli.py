@@ -186,6 +186,18 @@ class TestTrainEvalPredict:
             assert re.fullmatch(rf"epoch {epoch}: train_loss \d+\.\d{{6}}  val_mse \d+\.\d{{6}}", line), line
         assert err == ""
 
+    def test_train_on_a_constant_channel_is_silent(self, workdir, capsys, caplog):
+        series = data.load_csv(workdir / "data.csv")
+        values = series.values.copy()
+        values[:, 1] = 3.5
+        data.save_csv(data.MultivariateSeries(series.timestamps, values, series.channel_names), workdir / "flat.csv")
+        capsys.readouterr()
+        assert run(["train", "--config", str(workdir / "cfg.json"), "--data", str(workdir / "flat.csv"),
+                    "--out", str(workdir / "model.npz")]) == 0
+        assert capsys.readouterr().err == ""
+        assert not [r for r in caplog.records if r.name.split(".")[0] == "tfps"]
+        assert load_checkpoint(workdir / "model.npz").scaler.std[1] == 1.0  # the clamp, recorded
+
     def test_eval_outputs_do_not_depend_on_forecast_threads(self, workdir, monkeypatch):
         ckpt = untrained_checkpoint(workdir / "model.npz")
         outputs = []

@@ -490,10 +490,9 @@ class TestScaler:
         assert sc.mean[0] == 1.0 and sc.std[0] == 1.0  # population std
         np.testing.assert_allclose(apply_scaler(s, sc).values, [[-1.0], [1.0]])
 
-    def test_constant_channel_flagged(self, caplog):
+    def test_constant_channel_flagged(self):
         s = series_of(np.full((5, 1), 7.0))
         sc = fit_scaler(s)
-        assert "zero-variance channels ['c0']" in caplog.text
         assert sc.std[0] == 1.0
         np.testing.assert_allclose(apply_scaler(s, sc).values, 0.0)
 

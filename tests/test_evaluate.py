@@ -6,6 +6,7 @@ import io
 import numpy as np
 import pytest
 
+from tfps import evaluate
 from tfps.config import TrainConfig
 from tfps.data import (
     RegimeSpec,
@@ -120,6 +121,27 @@ class TestRoutingReport:
         a = routing_report(model, tew, seed=5)
         b = routing_report(model, tew, seed=5)
         assert a == b
+
+    # 44 tokens keep 5 of the windows' 8 tokens each; 5 tokens keep one window and 5 of its tokens
+    @pytest.mark.parametrize("max_tokens,windows", [(44, 5), (5, 1)])
+    def test_subsampled_report(self, monkeypatch, max_tokens, windows):
+        model, tew, _ = trained_model()
+        assert model.cfg.n_patches * tew.inputs.shape[2] == 8 and len(tew) > windows
+        monkeypatch.setattr(evaluate, "MAX_TOKENS", max_tokens)
+        reports, snapshots = [], []
+        for _ in range(2):
+            snapshots.append({})
+            reports.append(routing_report(model, tew, seed=3, affinity_out=snapshots[-1]))
+        assert reports[0] == reports[1]
+        assert snapshots[0].keys() == snapshots[1].keys() == {"time", "freq"}
+        w1 = []
+        for branch, rep in reports[0]["branches"].items():
+            assert rep["n_tokens"] == windows * 8
+            assert sum(rep["expert_share"]) == pytest.approx(1.0, abs=1e-12)
+            assert snapshots[0][branch].shape == (min(windows * 8, max_tokens), 2)
+            np.testing.assert_array_equal(snapshots[0][branch], snapshots[1][branch])
+            w1 += [v for v in (rep["intra_cluster_w1"], rep["inter_cluster_w1"]) if v is not None]
+        assert w1 and all(np.isfinite(v) and v >= 0 for v in w1)
 
     @pytest.mark.parametrize("K", [1, 3])
     def test_cluster_drift_equals_wasserstein_loop(self, K):

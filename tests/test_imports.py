@@ -159,8 +159,9 @@ def test_detects_an_unused_import(tmp_path):
     assert unused_imports(probe) == ["probe.py: io", "probe.py: Scaler", "probe.py: drift"]
 
 
-def thread_imports(path: Path) -> list[str]:
-    """Imports of `concurrent.futures` or `threading` (or their names) in one file."""
+def imports_of(path: Path, roots: tuple[str, ...] = ("concurrent", "threading")) -> list[str]:
+    """Imports of the top-level modules `roots` (or their names) in one file,
+    by default of `concurrent.futures` or `threading`."""
     found = []
     for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
         if isinstance(node, ast.Import):
@@ -169,7 +170,7 @@ def thread_imports(path: Path) -> list[str]:
             modules = [node.module or ""]
         else:
             continue
-        if any(m.split(".")[0] in ("concurrent", "threading") for m in modules):
+        if any(m.split(".")[0] in roots for m in modules):
             found.append(f"{path.name}:{node.lineno}: {ast.unparse(node)}")
     return found
 
@@ -177,9 +178,16 @@ def thread_imports(path: Path) -> list[str]:
 def test_only_model_starts_threads():
     """`model.on_threads` owns every thread the package starts."""
     found = [line for path in sorted(SRC.glob("*.py")) if path.name != "model.py"
-             for line in thread_imports(path)]
+             for line in imports_of(path)]
     assert not found, "thread imports outside model.py:\n" + "\n".join(found)
-    assert thread_imports(SRC / "model.py")
+    assert imports_of(SRC / "model.py")
+
+
+def test_no_module_logs():
+    """A command speaks through its exit code, stdout and stderr lines; the
+    package writes no log records."""
+    found = [line for path in sorted(SRC.glob("*.py")) for line in imports_of(path, ("logging",))]
+    assert not found, "logging imports:\n" + "\n".join(found)
 
 
 def test_detects_a_thread_import(tmp_path):
@@ -191,7 +199,7 @@ def test_detects_a_thread_import(tmp_path):
         "from .threading import helper\n"
         "import numpy as np\n"
     )
-    assert [line.split(": ", 1)[1] for line in thread_imports(probe)] == [
+    assert [line.split(": ", 1)[1] for line in imports_of(probe)] == [
         "import threading",
         "import concurrent.futures as cf",
         "from concurrent.futures import ThreadPoolExecutor",

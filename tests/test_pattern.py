@@ -201,6 +201,6 @@ class TestPiLoss:
             return float(loss.data)
 
         loss = pi_loss(affinity(z, bases, K), bases, K, alpha=1e-3, beta=0.1, s_hat=s_hat)
-        loss.backward()
-        assert rel_err(bases.grad, numeric_grad(scalar, bases.data)) < 1e-4
-        assert rel_err(z.grad, numeric_grad(scalar, z.data)) < 1e-4
+        grads = loss.backward()
+        assert rel_err(grads[bases.node], numeric_grad(scalar, bases.data)) < 1e-4
+        assert rel_err(grads[z.node], numeric_grad(scalar, z.data)) < 1e-4

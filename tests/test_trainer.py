@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 import make_golden
+from helpers import named_grads
 from tfps import autodiff as ad
 from tfps import model as model_mod
 from tfps import pattern, trainer
@@ -105,24 +106,34 @@ class TestAdam:
         before = p.data.copy()
         opt = Adam({"p": p}, lr=0.0)
         for _ in range(5):
-            p.grad = rng.normal(size=(3, 3))
-            opt.step()
+            opt.step({"p": rng.normal(size=(3, 3))})
         np.testing.assert_array_equal(p.data, before)
 
     def test_step_moves_against_gradient(self):
         p = ad.parameter(np.array([1.0]))
         opt = Adam({"p": p}, lr=0.1)
-        p.grad = np.array([2.0])
-        opt.step()
+        opt.step({"p": np.array([2.0])})
         assert p.data[0] < 1.0
 
     def test_quadratic_convergence(self):
         p = ad.parameter(np.array([5.0, -3.0]))
         opt = Adam({"p": p}, lr=0.1)
         for _ in range(500):
-            p.grad = 2.0 * p.data
-            opt.step()
+            opt.step({"p": 2.0 * p.data})
         np.testing.assert_allclose(p.data, 0.0, atol=1e-3)
+
+    def test_a_parameter_without_a_gradient_is_left_as_it_was(self):
+        rng = np.random.default_rng(3)
+        a, b = ad.parameter(rng.normal(size=4)), ad.parameter(rng.normal(size=(2, 3)))
+        opt = Adam({"a": a, "b": b}, lr=0.1)
+        opt.step({"a": rng.normal(size=4), "b": rng.normal(size=(2, 3))})  # b's moments are non-zero
+        a_before, b_before = a.data.copy(), b.data.copy()
+        m_b, v_b = opt.m["b"].copy(), opt.v["b"].copy()
+        opt.step({"a": rng.normal(size=4)})
+        assert opt.t == 2
+        assert not np.array_equal(a.data, a_before)
+        assert b.data.tobytes() == b_before.tobytes()
+        assert opt.m["b"].tobytes() == m_b.tobytes() and opt.v["b"].tobytes() == v_b.tobytes()
 
 
 class TestTrain:
@@ -351,8 +362,7 @@ class TestWholeModelGradients:
         s_hat = {name: refine(s.data) for name, s in base.s.items()}
 
         loss, _, _ = total_loss(model, x, y, s_hat=s_hat)
-        model.zero_grad()
-        loss.backward()
+        grads = named_grads(model.params, loss.backward())
 
         def scalar():
             l2, _, _ = total_loss(model, x, y, s_hat=s_hat)
@@ -367,7 +377,7 @@ class TestWholeModelGradients:
             name = names[int(probe_rng.integers(len(names)))]
             tensor = model.params[name]
             idx = int(probe_rng.integers(tensor.data.size))
-            analytic = 0.0 if tensor.grad is None else tensor.grad.reshape(-1)[idx]
+            analytic = grads[name].reshape(-1)[idx] if name in grads else 0.0
             numeric = numeric_grad_at(scalar, tensor.data, idx)
             assert rel_err(analytic, numeric) < 1e-3, (name, idx, analytic, numeric)
             checked += 1
@@ -377,9 +387,9 @@ def sharded_gradients(monkeypatch, model, x, y, workers):
     """Gradients and summed loss of one training batch cut into `workers`
     shards, as `train` computes them."""
     monkeypatch.setattr(model_mod, "forecast_workers", lambda: workers)  # one thread a shard
-    parts = train_step(model, x, y)
+    grads, parts = train_step(model, x, y)
     assert len(parts) == workers
-    return {k: t.grad for k, t in model.params.items()}, sum(shard["loss"] for shard in parts)
+    return grads, sum(shard["loss"] for shard in parts)
 
 
 def record_shards(monkeypatch) -> list[int]:
@@ -387,9 +397,9 @@ def record_shards(monkeypatch) -> list[int]:
     counts, original = [], trainer.train_step
 
     def recording(*args, **kwargs):
-        parts = original(*args, **kwargs)
+        grads, parts = original(*args, **kwargs)
         counts.append(len(parts))
-        return parts
+        return grads, parts
 
     monkeypatch.setattr(trainer, "train_step", recording)
     return counts
@@ -406,9 +416,9 @@ class TestShardedStep:
         x = np.concatenate([x, rng.normal(size=x[:1].shape)])[:windows]
         y = np.concatenate([y, rng.normal(size=y[:1].shape)])[:windows]
         loss, _, _ = total_loss(model, x, y, training=True)
-        loss.backward()
-        expected = {k: t.grad for k, t in model.params.items()}
+        expected = named_grads(model.params, loss.backward())
         got, value = sharded_gradients(monkeypatch, model, x, y, workers)
+        assert got.keys() == expected.keys()
         if workers == 1:  # the one-shard step is total_loss, bit for bit
             assert value == float(loss.data)
             for k, g in expected.items():
@@ -416,9 +426,22 @@ class TestShardedStep:
             return
         assert value == pytest.approx(float(loss.data), rel=1e-12)
         for k, g in expected.items():
-            assert (got[k] is None) == (g is None), k
-            if g is not None:
-                assert np.max(np.abs(got[k] - g)) <= 1e-12 * np.max(np.abs(g)), k
+            assert np.max(np.abs(got[k] - g)) <= 1e-12 * np.max(np.abs(g)), k
+
+    def test_a_shard_may_route_no_token_to_an_expert(self, monkeypatch):
+        # top-1 over 8 experts a branch, one window a shard: each shard misses an expert the batch reaches
+        golden, x, y = make_golden.build("top1")
+        model = TFPSModel(dataclasses.replace(golden.cfg, k_time=8, k_freq=8))
+        loss, _, _ = total_loss(model, x, y, training=True)
+        expected = named_grads(model.params, loss.backward())
+        for k in range(len(x)):
+            shard, _, _ = total_loss(model, x[k : k + 1], y[k : k + 1], training=True)
+            assert named_grads(model.params, shard.backward()).keys() < expected.keys()
+        got, value = sharded_gradients(monkeypatch, model, x, y, len(x))
+        assert got.keys() == expected.keys() == model.params.keys()
+        assert value == pytest.approx(float(loss.data), rel=1e-12)
+        for k, g in expected.items():
+            assert np.max(np.abs(got[k] - g)) <= 1e-12 * np.max(np.abs(g)), k
 
     def test_gradients_repeat_under_fast_switching(self, monkeypatch):
         model, x, y = make_golden.build("top1")
@@ -429,10 +452,10 @@ class TestShardedStep:
             runs = [sharded_gradients(monkeypatch, model, x, y, 4)[0] for _ in range(2)]  # one window a shard
         finally:
             sys.setswitchinterval(interval)
+        assert runs[0].keys() == runs[1].keys() == serial.keys()
         for k, g in serial.items():
             np.testing.assert_array_equal(runs[0][k], runs[1][k], err_msg=k)
-            if g is not None:
-                assert np.max(np.abs(runs[0][k] - g)) <= 1e-12 * np.max(np.abs(g)), k
+            assert np.max(np.abs(runs[0][k] - g)) <= 1e-12 * np.max(np.abs(g)), k
 
     def test_same_seed_identical_checkpoints_on_two_workers(self, monkeypatch):
         monkeypatch.setattr(model_mod, "forecast_workers", lambda: 2)
@@ -474,10 +497,8 @@ class TestShardedStep:
             epoch_loss = epoch_mse = 0.0
             for lo in range(0, len(order), cfg.batch_size):
                 idx = order[lo : lo + cfg.batch_size]
-                model.zero_grad()
                 loss, _, parts = total_loss(model, trw.inputs[idx], trw.targets[idx], training=True, rng=rng)
-                loss.backward()
-                opt.step()
+                opt.step(named_grads(model.params, loss.backward()))
                 epoch_loss += float(loss.data)
                 epoch_mse += parts["mse"]
             steps = -(-len(order) // cfg.batch_size)
@@ -532,48 +553,34 @@ class TestShardedStep:
         assert live == [started] * len(live)  # each pool's threads end with its call
         assert threading.active_count() == started
 
-    def test_each_step_builds_a_replica_a_shard_but_the_first(self, monkeypatch):
+    def test_train_builds_one_model(self, monkeypatch):
         monkeypatch.setattr(model_mod, "forecast_workers", lambda: 64)
         built, init = [], TFPSModel.__init__
         monkeypatch.setattr(TFPSModel, "__init__", lambda self, *a, **k: built.append(self) or init(self, *a, **k))
-        steps, step = [], trainer.train_step  # (shards, models built) of each step
-
-        def recording(*args, **kwargs):
-            before = len(built)
-            parts = step(*args, **kwargs)
-            steps.append((len(parts), len(built) - before))
-            return parts
-
-        monkeypatch.setattr(trainer, "train_step", recording)
+        shards = record_shards(monkeypatch)
         series, _ = tiny_dataset()
         cfg = TrainConfig(**{**TINY, "batch_size": 3, "max_epochs": 1})
         (trw, vaw, _), sc = prepared_windows(cfg, series)
         train(cfg, trw, vaw, scaler=sc)
-        shards = [min(3, len(trw) - lo) for lo in range(0, len(trw), 3)]  # no more shards than windows
-        assert steps == [(n, n - 1) for n in shards]
-        assert len(built) == 1 + sum(n - 1 for n in shards)  # the model, and the replicas of every step
-
-    def test_no_replica_outlives_its_step(self, monkeypatch):
-        monkeypatch.setattr(model_mod, "forecast_workers", lambda: 4)
-        model, x, y = make_golden.build("top2")
-        replicas, init = [], TFPSModel.__init__
-        monkeypatch.setattr(TFPSModel, "__init__",
-                            lambda self, *a, **k: replicas.append(weakref.ref(self)) or init(self, *a, **k))
-        parts = train_step(model, x, y)
-        assert len(parts) == 4 and len(replicas) == 3
-        assert [ref() for ref in replicas] == [None] * 3
-        assert all(t.grad is not None for t in model.params.values())  # the step's gradient stays
+        assert shards == [min(3, len(trw) - lo) for lo in range(0, len(trw), 3)]  # no more shards than windows
+        assert len(built) == 1  # every shard of every step runs on the one model
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_no_forward_starts_while_a_gradient_is_held(self, monkeypatch, workers):
         monkeypatch.setattr(model_mod, "forecast_workers", lambda: workers)
         shards = record_shards(monkeypatch)
-        built, init = [], TFPSModel.__init__
-        monkeypatch.setattr(TFPSModel, "__init__", lambda self, *a, **k: built.append(self) or init(self, *a, **k))
-        held, forward = [], TFPSModel.forward  # per forward: the trained model's parameters holding a .grad
+        returned, step = [], trainer.train_step  # weakrefs to every gradient array a step returned
+
+        def recording(*args, **kwargs):
+            grads, parts = step(*args, **kwargs)
+            returned.extend(weakref.ref(g) for g in grads.values())
+            return grads, parts
+
+        monkeypatch.setattr(trainer, "train_step", recording)
+        held, forward = [], TFPSModel.forward  # per forward: the returned gradient arrays still alive
 
         def checking(self, *args, **kwargs):
-            held.append(sorted(k for k, t in built[0].params.items() if t.grad is not None))
+            held.append(sum(ref() is not None for ref in returned))
             return forward(self, *args, **kwargs)
 
         monkeypatch.setattr(TFPSModel, "forward", checking)
@@ -582,7 +589,8 @@ class TestShardedStep:
         (trw, vaw, _), sc = prepared_windows(cfg, series)
         train(cfg, trw, vaw, scaler=sc)
         assert len(shards) >= 4 and max(shards) == workers
-        assert len(held) > sum(shards) and held == [[]] * len(held)  # the steps' and the validations' forwards
+        assert len(returned) == len(shards) * len(TFPSModel(cfg).params)  # every step reaches every parameter
+        assert len(held) > sum(shards) and held == [0] * len(held)  # the steps' and the validations' forwards
 
     @pytest.mark.parametrize("overrides", [{"time_norm": "batch"}, {"dropout": 0.1}])
     def test_batch_norm_and_dropout_keep_the_batch_whole(self, monkeypatch, overrides):
@@ -627,7 +635,7 @@ class TestShardedStep:
     def test_non_finite_loss_raises_before_the_step(self, monkeypatch, workers):
         monkeypatch.setattr(model_mod, "forecast_workers", lambda: workers)
         steps = []
-        monkeypatch.setattr(Adam, "step", lambda self: steps.append(self))
+        monkeypatch.setattr(Adam, "step", lambda self, grads: steps.append(self))
         series, _ = tiny_dataset()
         cfg = TrainConfig(**TINY)
         (trw, vaw, _), sc = prepared_windows(cfg, series)
