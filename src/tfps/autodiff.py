@@ -2,8 +2,8 @@
 
 Deliberately small: only the operations the forecasting model needs. Every op
 records a node with a backward closure; ``Tensor.backward()`` walks the nodes
-in reverse topological order, accumulates gradients by summation and returns
-the leaves' gradients: no tensor stores one.
+in reverse topological order, accumulates gradients by summation in one dict
+of its own and returns the leaves' gradients: no tensor or node stores one.
 Broadcasting is undone explicitly, and everything stays in float64 so central
 finite differences are a meaningful cross-check.
 """
@@ -16,7 +16,7 @@ import contextvars
 import numpy as np
 
 _grad_enabled = contextvars.ContextVar("grad_enabled", default=True)
-_leaf_grads = contextvars.ContextVar("leaf_grads")  # the running walk's leaf node -> gradient
+_grads = contextvars.ContextVar("grads")  # the running walk's node -> gradient
 
 
 @contextlib.contextmanager
@@ -33,14 +33,13 @@ def no_grad():
 
 
 class Node:
-    """A tape entry: the gradient accumulated so far, the backward closure and
-    the parents' nodes. A leaf (a parameter) has no closure and keeps no
-    gradient: a walk returns it."""
+    """A tape entry: the backward closure and the parents' nodes. A leaf (a
+    parameter) has neither; the walk holds every gradient."""
 
-    __slots__ = ("grad", "backward", "parents")
+    __slots__ = ("backward", "parents")
 
     def __init__(self, backward=None, parents: tuple[Node, ...] = ()):
-        self.grad, self.backward, self.parents = None, backward, parents
+        self.backward, self.parents = backward, parents
 
 
 class Tensor:
@@ -70,21 +69,20 @@ class Tensor:
 
     # -- graph ------------------------------------------------------------
 
-    def backward(self, grad: np.ndarray | None = None) -> dict[Node, np.ndarray]:
-        """Backpropagate from this tensor; defaults to d(self)/d(self)=1 for scalars.
-        Returns the gradient of every leaf the walk reaches, keyed by the
-        leaf's node; a leaf no path reaches has no entry. Each walk returns
-        only its own gradients, so threads may walk graphs that share leaves.
+    def backward(self) -> dict[Node, np.ndarray]:
+        """Backpropagate d(self)/d(self)=1 from this scalar. Returns the
+        gradient of every leaf the walk reaches, keyed by the leaf's node; a
+        leaf no path reaches has no entry. The walk keeps every gradient in
+        one dict of its own and pops an interior node's as its closure runs,
+        so threads may walk graphs that share leaves.
 
         The graph is freed as it is walked: once a node's closure has run, its
-        gradient, closure and parent links are dropped, so the activations the
-        closures held go with them. A graph can therefore be backpropagated
-        once; reaching a freed node raises RuntimeError before any gradient is
+        closure and parent links are dropped, so the activations the closures
+        held go with them. A graph can therefore be backpropagated once;
+        reaching a freed node raises RuntimeError before any gradient is
         accumulated."""
-        if grad is None:
-            if self.data.size != 1:
-                raise ValueError("backward() without a seed gradient needs a scalar")
-            grad = np.ones_like(self.data)
+        if self.data.size != 1:
+            raise ValueError("backward() needs a scalar")
         order: list[Node] = []
         seen: set[int] = set()
         stack: list[tuple[Node, bool]] = [(self.node, False)] if self.node else []
@@ -104,20 +102,20 @@ class Tensor:
             seen.add(id(node))
             stack.append((node, True))
             stack.extend((p, False) for p in node.parents if id(p) not in seen)
-        leaves: dict[Node, np.ndarray] = {}
-        token = _leaf_grads.set(leaves)
+        grads: dict[Node, np.ndarray] = {}
+        token = _grads.set(grads)
         try:
-            accumulate(self.node, np.asarray(grad, dtype=np.float64))
+            accumulate(self.node, np.ones_like(self.data))
             while order:
                 node = order.pop()
                 if node.backward is None:
-                    continue  # a leaf: its gradient is in `leaves`
-                if node.grad is not None:
-                    node.backward(node.grad)
-                node.grad = node.backward = node.parents = None
+                    continue  # a leaf: its gradient stays in `grads`
+                if (g := grads.pop(node, None)) is not None:
+                    node.backward(g)
+                node.backward = node.parents = None
         finally:
-            _leaf_grads.reset(token)
-        return leaves
+            _grads.reset(token)
+        return grads
 
     # -- operators ----------------------------------------------------------
 
@@ -171,17 +169,13 @@ def parameter(data) -> Tensor:
 
 
 def accumulate(node: Node | None, g: np.ndarray) -> None:
-    """Add `g` into `node.grad`, or for a leaf into the running walk's
-    gradient of it (a constant has no node). An interior node's gradient is
-    read only by its own backward closure, so it may alias `g`; a leaf gets
-    its own copy, since `g` can be a view another gradient shares."""
-    if node is None:
-        return
-    if node.backward is None:
-        leaves = _leaf_grads.get()
-        leaves[node] = leaves[node] + g if node in leaves else g.copy()
-    else:
-        node.grad = g if node.grad is None else node.grad + g
+    """Add `g` into the running walk's gradient of `node` (a constant has no
+    node). An interior node's gradient is read only by its own backward
+    closure, so it may alias `g`; a leaf's first gets its own copy, since
+    `g` can be a view another gradient shares."""
+    if node is not None:
+        grads = _grads.get()
+        grads[node] = grads[node] + g if node in grads else g if node.backward else g.copy()
 
 
 def unbroadcast(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:

@@ -256,10 +256,8 @@ def _load_config(path, seed_override):
         cfg = config_from_dict(_load_json(path, "config"))  # a UsageError passes through
     except ValueError as e:
         raise UsageError(f"{path}: {e}") from None
-    try:
-        return cfg if seed_override is None else dataclasses.replace(cfg, seed=seed_override)
-    except ValueError as e:
-        raise UsageError(str(e)) from None
+    # `run` refused a negative --seed, and any int >= 0 is a valid seed
+    return cfg if seed_override is None else dataclasses.replace(cfg, seed=seed_override)
 
 
 def _cmd_train(args) -> int:

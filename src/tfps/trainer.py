@@ -235,6 +235,9 @@ def train(
             value = sum(shard["loss"] for shard in parts)
             if not np.isfinite(value):
                 raise NumericError(f"loss diverged at epoch {epoch}, batch {n_batches}: {value}")
+            for name in model.params:  # a finite loss can still backpropagate a NaN or inf
+                if name in grads and not np.isfinite(grads[name]).all():
+                    raise NumericError(f"gradient of {name} is not finite at epoch {epoch}, batch {n_batches}")
             opt.step(grads)
             del grads  # no gradient outlives its step
             epoch_loss += value

@@ -61,6 +61,33 @@ def named_grads(params: dict, leaves: dict) -> dict:
     return {name: leaves[t.node] for name, t in params.items() if t.node in leaves}
 
 
+def linear_floor(train_windows, ridge: float):
+    """The forecast of the linear floor fitted on `train_windows`: a ridge
+    least-squares map from a window's L inputs, plus a bias, to its H
+    outputs, one map shared by every channel (DLinear's linear part without
+    its decomposition). The bias is not penalized. Returns the function
+    `inputs (n, L, C) -> forecast (n, H, C)`."""
+    inputs, targets = (np.moveaxis(a, -1, 1) for a in (train_windows.inputs, train_windows.targets))
+    x = inputs.reshape(-1, inputs.shape[-1])  # one row per window and channel
+    a = np.hstack([x, np.ones((len(x), 1))])
+    penalty = np.diag(np.r_[np.full(x.shape[1], ridge), 0.0])
+    coef = np.linalg.solve(a.T @ a + penalty, a.T @ targets.reshape(len(x), -1))  # (L + 1, H)
+    return lambda windows: np.einsum("nlc,lh->nhc", windows, coef[:-1]) + coef[-1][:, None]
+
+
+def nan_gradient_step(step, *names):
+    """`step` (`trainer.train_step`), with a NaN written into its gradient
+    of each parameter in `names`."""
+
+    def injected(*args, **kwargs):
+        grads, parts = step(*args, **kwargs)
+        for name in names:
+            grads[name].flat[0] = np.nan
+        return grads, parts
+
+    return injected
+
+
 # -- tape ops the package no longer needs ----------------------------------------
 # Elementwise nodes built from the public tape API, for the composites that
 # test_fused_ops.py keeps as oracles of the fused ops.

@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 
 from helpers import (
+    linear_floor,
     naive_dft2_real,
     naive_idft2_real,
     numeric_grad,
@@ -28,6 +29,7 @@ from tfps.config import TrainConfig
 from tfps.data import (
     RegimeSpec,
     SynthSpec,
+    Windows,
     apply_scaler,
     fit_scaler,
     load_csv,
@@ -428,4 +430,19 @@ def test_criterion_8_ablation_structure():
         assert full <= results[name]["val_mse"] * 1.10, (
             f"full {full:.4f} vs {name} {results[name]['val_mse']:.4f}")
     summary = ", ".join(f"{k}={v['val_mse']:.4f}" for k, v in results.items())
-    verdict(8, "PASS", f"val MSE {summary}; full within 10% of every variant")
+    floor = linear_floor(trw, 1e-3)
+    val, test = (float(np.mean((floor(w.inputs) - w.targets) ** 2)) for w in (vaw, tew))
+    verdict(8, "PASS", f"val MSE {summary}; full within 10% of every variant; "
+                       f"linear floor (ridge 1e-3) val MSE {val:.4f}, test MSE {test:.4f}")
+
+
+def test_linear_floor_recovers_an_affine_map():
+    rng = np.random.default_rng(17)
+    L, H, C = 12, 4, 3
+    weights, bias = rng.normal(size=(L, H)), rng.normal(size=H)
+    inputs = rng.normal(size=(40, L, C))
+    targets = np.einsum("nlc,lh->nhc", inputs, weights) + bias[:, None]
+    floor = linear_floor(Windows(np.concatenate([inputs, targets], axis=1), L, np.arange(40)), 0.0)
+    probe = rng.normal(size=(5, L, C))
+    np.testing.assert_allclose(floor(probe), np.einsum("nlc,lh->nhc", probe, weights) + bias[:, None],
+                               rtol=1e-9, atol=1e-9)

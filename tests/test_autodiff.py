@@ -151,7 +151,7 @@ class TestTape:
         x, c = ad.parameter(np.ones((3, 4))), np.full((1, 4), 2.0)
         for args in ((x, c), (c, x)):
             formed.clear()
-            op(*args).backward(np.ones((3, 4)))
+            op(*args).sum().backward()  # `sum`'s adjoint calls no unbroadcast
             assert formed == [(3, 4)]  # the parameter's gradient only
 
     def test_grad_accumulates_over_reuse(self):
@@ -180,7 +180,7 @@ class TestTape:
             y = (p * p).sum()
         assert not y.requires_grad
         with pytest.raises(ValueError):
-            ad.Tensor(np.ones(2)).backward()  # non-scalar needs explicit seed
+            ad.Tensor(np.ones(2)).backward()  # backward() starts only from a scalar
 
     def test_detach_stops_gradient(self):
         # a tensor built from a parameter's data is a constant on the tape, as
@@ -198,9 +198,18 @@ class TestTape:
         assert probe() is not None  # the tape keeps the activation alive
         grads = root.backward()
         assert probe() is None
-        assert root.node.grad is None and root.data == pytest.approx(np.sum(np.exp(2 * p.data) * p.data))
+        assert root.node.backward is None and root.data == pytest.approx(np.sum(np.exp(2 * p.data) * p.data))
         assert list(grads) == [p.node]  # the leaves' gradients only
         np.testing.assert_allclose(grads[p.node], np.exp(2 * p.data) * (2 * p.data + 1))
+
+    def test_a_walk_returns_exactly_the_leaves_it_reaches(self):
+        root = every_op_graph()
+        nodes = tape_nodes(root)
+        leaves = {node for node in nodes if node.backward is None}
+        assert len(leaves) < len(nodes)  # the walk has interior nodes to keep gradients of
+        unused = ad.parameter(np.ones(3))
+        grads = root.backward()
+        assert grads.keys() == leaves and unused.node not in grads
 
     def test_backward_through_freed_graph_raises(self):
         p = ad.parameter(np.array([1.0, 2.0]))
@@ -351,7 +360,7 @@ def test_relu_gradient_is_the_mask_formula_bit_for_bit():
     g = np.random.default_rng(12).normal(size=x.shape)
     p = ad.parameter(x)
     with np.errstate(invalid="ignore"):  # -inf times a false mask is NaN
-        grads = ad.relu(p).backward(g)
+        grads = (ad.relu(p) * g).sum().backward()  # hands relu's closure g itself
     assert grads[p.node].tobytes() == (g * (x > 0)).tobytes()
 
 

@@ -16,7 +16,7 @@ from tfps.config import config_from_dict
 from tfps.model import TFPSModel
 from tfps.trainer import CHECKPOINT_VERSION, Checkpoint, load_checkpoint, save_checkpoint
 
-from helpers import savetxt_bytes
+from helpers import nan_gradient_step, savetxt_bytes
 
 SYNTH_SPEC = {
     "seed": 7,
@@ -348,6 +348,17 @@ class TestTrainEvalPredict:
         err = capsys.readouterr().err  # no NumPy warning comes before it
         assert err.startswith("numeric failure: loss diverged") and err.count("\n") == 1, err
 
+    def test_non_finite_gradient_exit_code(self, workdir, capsys, monkeypatch):
+        monkeypatch.setattr(trainer, "train_step", nan_gradient_step(trainer.train_step, "time.enc0.ff.w1"))
+        out = workdir / "d.npz"
+        capsys.readouterr()
+        code = run(["train", "--config", str(workdir / "cfg.json"), "--data", str(workdir / "data.csv"),
+                    "--out", str(out), "--quiet"])
+        assert code == 3
+        err = capsys.readouterr().err
+        assert err == "numeric failure: gradient of time.enc0.ff.w1 is not finite at epoch 0, batch 0\n"
+        assert not out.exists()
+
     def test_non_finite_validation_exit_code(self, workdir, capsys):
         # one step per epoch, so the blown-up parameters reach validation
         cfg_path = workdir / "diverge.json"
@@ -496,6 +507,44 @@ class TestBoundaryErrors:
         err = capsys.readouterr().err
         assert err.startswith(f"error: {grid}: ") and cause in err and "Traceback" not in err
         assert not out.exists()
+
+    @pytest.mark.parametrize("flags,message", [
+        (["--patch-len", "0"], "error: --patch-len and --stride must be >= 1"),
+        (["--start", "400", "--length", "100"], "error: slice [400:500] outside {data} of length 480"),
+        (["--channels", "nope"], "error: unknown channels of {data}: ['nope']"),
+    ], ids=["patch-len", "slice", "channels"])
+    def test_bad_drift_flags(self, workdir, capsys, flags, message):
+        data, out = workdir / "data.csv", workdir / "drift"
+        capsys.readouterr()
+        assert run(["analyze-drift", "--data", str(data), "--patch-len", "8", "--stride", "4",
+                    "--out", str(out), *flags]) == 1
+        assert capsys.readouterr().err == message.format(data=data) + "\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("config,cause", [
+        ([1, 2], "config must be a JSON object"),
+        (dict(TRAIN_CFG, split_ratios=0.5),
+         "TrainConfig field 'split_ratios': expected tuple[float, float, float], got float 0.5"),
+        (dict(TRAIN_CFG, k_freq=3), "d_model must be divisible by k_freq"),
+        (dict(TRAIN_CFG, split_ratios=[0.5, 0.6, -0.1]), "split_ratios must be three positive fractions"),
+    ], ids=["not-an-object", "ratios-not-a-list", "k_freq", "negative-ratio"])
+    def test_bad_config_value(self, workdir, capsys, config, cause):
+        path, out = workdir / "bad.json", workdir / "x.npz"
+        path.write_text(json.dumps(config))
+        capsys.readouterr()
+        assert run(["train", "--config", str(path), "--data", str(workdir / "data.csv"), "--out", str(out)]) == 1
+        assert capsys.readouterr().err == f"error: {path}: {cause}\n"
+        assert not out.exists()
+
+    def test_file_without_a_checkpoint_header(self, workdir, capsys):
+        ckpt, forecast = workdir / "plain.npz", workdir / "forecast.csv"
+        with open(ckpt, "wb") as fh:
+            np.savez(fh, w=np.ones(3))
+        capsys.readouterr()
+        assert run(["predict", "--ckpt", str(ckpt), "--input", str(workdir / "data.csv"),
+                    "--out", str(forecast)]) == 2
+        assert capsys.readouterr().err == f"data error: {ckpt}: not a checkpoint (missing header)\n"
+        assert not forecast.exists()
 
     @pytest.mark.parametrize("what,argv", [
         ("config", ["train", "--config", "INPUT", "--data", "data.csv"]),

@@ -71,7 +71,7 @@ def run_both(fused, composite, arrays, probe):
     for op in (fused, composite):
         leaves = [ad.parameter(a.copy()) for a in arrays]
         out = op(*leaves)
-        grads = out.backward(probe)
+        grads = (out * probe).sum().backward()  # hands the op's closure `probe` itself
         results.append((out.data, [grads[leaf.node] for leaf in leaves]))
     return results
 
@@ -171,7 +171,7 @@ def test_softmax_axis1_with_masked_entries_is_bitwise_the_composite():
     for op in (lambda a: ad.softmax(a, axis=1), lambda a: composite_softmax(a, 1)):
         leaf = ad.parameter(s.copy())
         out = op(leaf + floor)
-        results.append((out.data, out.backward(probe)[leaf.node]))
+        results.append((out.data, (out * probe).sum().backward()[leaf.node]))
     (out_f, g_f), (out_c, g_c) = results
     assert np.array_equal(out_f, out_c) and np.array_equal(g_f, g_c)
     assert np.all(out_f[np.isinf(floor)] == 0.0) and np.all(g_f[np.isinf(floor)] == 0.0)
@@ -228,7 +228,7 @@ def test_dense_aggregate_is_bitwise_the_gathered_path(monkeypatch):
     for run in (lambda g, z: mope.aggregate(g, z, experts), lambda g, z: gathered_aggregate(g, z, experts)):
         z, s = ad.parameter(z0.copy()), ad.parameter(s0.copy())
         out = run(mope.gate(s, K), z)
-        grads = out.backward(probe)
+        grads = (out * probe).sum().backward()
         leaves = [z, s] + [t for p in experts for t in (p.w1, p.b1, p.w2, p.b2)]
         results.append([out.data] + [grads.get(t.node) for t in leaves])
     assert calls == list(range(K)) * 2  # each expert once in aggregate, once in the reference

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import make_golden
-from helpers import named_grads
+from helpers import nan_gradient_step, named_grads
 from tfps import autodiff as ad
 from tfps import model as model_mod
 from tfps import pattern, trainer
@@ -643,6 +643,20 @@ class TestShardedStep:
         array[:, cfg.seq_len :] = np.nan
         with pytest.raises(NumericError, match=r"^loss diverged at epoch 0, batch 0: nan$"):
             train(cfg, Windows(array, trw.L, trw.origins), vaw, scaler=sc)
+        assert steps == []
+
+    def test_non_finite_gradient_names_its_parameter_before_the_step(self, monkeypatch):
+        # head.w comes after time.enc0.ff.w1 in model.params
+        step = nan_gradient_step(trainer.train_step, "head.w", "time.enc0.ff.w1")
+        monkeypatch.setattr(trainer, "train_step", step)
+        steps = []
+        monkeypatch.setattr(Adam, "step", lambda self, grads: steps.append(self))
+        series, _ = tiny_dataset()
+        cfg = TrainConfig(**TINY)
+        (trw, vaw, _), sc = prepared_windows(cfg, series)
+        cause = r"^gradient of time\.enc0\.ff\.w1 is not finite at epoch 0, batch 0$"
+        with pytest.raises(NumericError, match=cause):
+            train(cfg, trw, vaw, scaler=sc)
         assert steps == []
 
     def test_worker_shard_exception_reaches_caller(self, monkeypatch):
